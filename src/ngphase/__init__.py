@@ -41,6 +41,7 @@ from .fock import (
     coherent_state,
     conjugate,
     creation,
+    displace,
     displacement,
     fidelity_with_pure,
     fock_state,

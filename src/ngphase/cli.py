@@ -18,11 +18,13 @@ from . import analytic
 from .analytic import ProtocolParams, StateFamily
 from .fock import (
     DEFAULT_TAIL_TOL,
+    MAX_DIM,
     ConvergenceError,
     FockSpace,
     LeakageError,
     apply,
     cat_state,
+    displace,
     displacement,
     fock_state,
     overlap,
@@ -31,7 +33,15 @@ from .fock import (
     recommend_dim,
 )
 from .loss import LossChannel, apply_loss
-from .protocols import Evaluation, delta_to_phi, evaluate, optimize_delta, sweep
+from .protocols import (
+    Evaluation,
+    _default_space,
+    delta_to_phi,
+    evaluate,
+    optimize_delta,
+    phi_to_delta,
+    sweep,
+)
 from .verification import run_checks
 
 EXIT_OK = 0
@@ -80,11 +90,7 @@ class RunConfig:
     def space_for(self, max_delta: float) -> FockSpace:
         if self.dim is not None:
             return FockSpace(self.dim, self.tail_tol)
-        if self.params.family is StateFamily.FOCK:
-            amp = math.sqrt(self.params.n)
-        else:
-            amp = self.params.alpha
-        return FockSpace(recommend_dim(amp, max_delta, self.tail_tol), self.tail_tol)
+        return _default_space(self.params, max_delta, self.tail_tol)
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser, *, family_required: bool) -> None:
@@ -117,8 +123,8 @@ def _build_config(args) -> RunConfig:
             raise ValueError("--alpha is required for the cat family")
         params = ProtocolParams(family=family, photons=args.photons, alpha=args.alpha,
                                 eta=args.eta, r=args.r, p0=args.p0, p_delta=1.0 - args.p0)
-    if args.dim is not None and args.dim < 2:
-        raise ValueError("--dim must be >= 2")
+    if args.dim is not None and not 2 <= args.dim <= MAX_DIM:
+        raise ValueError(f"--dim must be in [2, {MAX_DIM}]")
     return RunConfig(params=params, dim=args.dim, tail_tol=args.tail_tol,
                      oracle=args.oracle, out=args.out)
 
@@ -183,12 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _delta_grid(delta_max: float, steps: int) -> list[float]:
     if steps < 1:
         raise ValueError("--steps must be >= 1")
+    if not delta_max >= 0:
+        raise ValueError("--delta-max must be >= 0")
     return [(i * delta_max) / steps for i in range(steps)]
 
 
 def _cmd_overlap(args) -> int:
     cfg = _build_config(args)
     params = cfg.params
+    deltas = _delta_grid(args.delta_max, args.steps)
     space = cfg.space_for(args.delta_max)
     if params.family is StateFamily.FOCK:
         probe = fock_state(space, params.n)
@@ -197,8 +206,8 @@ def _cmd_overlap(args) -> int:
         probe = cat_state(space, params.alpha)
         closed_form = lambda d: analytic.cat_overlap(params.alpha, d)
     rows = []
-    for delta in _delta_grid(args.delta_max, args.steps):
-        numeric = overlap(probe, apply(displacement(space, delta), probe))
+    for delta, displaced in zip(deltas, displace(probe, deltas)):
+        numeric = overlap(probe, displaced)
         a = closed_form(delta)
         rows.append([fmt(delta), fmt(a), fmt(numeric.real), fmt(abs(a - numeric))])
     _write_rows(cfg.out, ["delta", "analytic", "numeric", "abs_diff"], rows)
@@ -208,12 +217,12 @@ def _cmd_overlap(args) -> int:
 def _cmd_parity(args) -> int:
     cfg = _build_config(args)
     params = cfg.params
+    deltas = _delta_grid(args.delta_max, args.steps)
     space = cfg.space_for(args.delta_max)
     probe = cat_state(space, params.alpha)
     channel = LossChannel(space, params.eta)
     rows = []
-    for delta in _delta_grid(args.delta_max, args.steps):
-        displaced = apply(displacement(space, delta), probe)
+    for delta, displaced in zip(deltas, displace(probe, deltas)):
         numeric = parity_expectation(apply_loss(channel, displaced))
         a = analytic.cat_parity(params.alpha, delta, params.eta)
         rows.append([fmt(delta), fmt(a), fmt(numeric), fmt(abs(a - numeric))])
@@ -241,8 +250,7 @@ def _cmd_evaluate(args) -> int:
     phi = args.phi if args.phi is not None else delta_to_phi(cfg.params, args.delta)
     space = None
     if cfg.oracle:
-        delta = math.sqrt(cfg.params.photons) * phi * math.exp(cfg.params.r)
-        space = cfg.space_for(abs(delta))
+        space = cfg.space_for(abs(phi_to_delta(cfg.params, phi)))
     ev = evaluate(cfg.params, phi, with_oracle=cfg.oracle, space=space,
                   tail_tol=cfg.tail_tol)
     header = ["phi", "delta", "delta_detected"] + _RATE_HEADER
@@ -302,9 +310,17 @@ def _figure_2(args) -> tuple[list[str], list[list[str]]]:
     return ["n", "p_initial", "p_displaced"], rows
 
 
+def _figure_steps(args, default: int) -> int:
+    """Length of a figure grid; it includes both end points, so at least 2."""
+    steps = default if args.steps is None else args.steps
+    if steps < 2:
+        raise ValueError("--steps must be >= 2 for a figure grid")
+    return steps
+
+
 def _figure_3(args) -> tuple[list[str], list[list[str]]]:
     alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-    steps = args.steps or 500
+    steps = _figure_steps(args, 500)
     header = ["delta"] + [f"parity_alpha_{a:g}" for a in alphas]
     rows = []
     for i in range(steps):
@@ -318,7 +334,7 @@ def _alpha_grid(steps: int) -> list[float]:
 
 
 def _figure_4(args) -> tuple[list[str], list[list[str]]]:
-    steps = args.steps or 200
+    steps = _figure_steps(args, 200)
     rows = []
     for alpha in _alpha_grid(steps):
         params = ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=alpha)
@@ -331,7 +347,7 @@ def _figure_4(args) -> tuple[list[str], list[list[str]]]:
 
 def _figure_5(args) -> tuple[list[str], list[list[str]]]:
     etas = [float(e) for e in args.etas.split(",") if e.strip()]
-    steps = args.steps or 200
+    steps = _figure_steps(args, 200)
     header = ["alpha"] + [f"p_fp_eta_{e:g}" for e in etas]
     rows = []
     for alpha in _alpha_grid(steps):
@@ -344,7 +360,7 @@ def _figure_5(args) -> tuple[list[str], list[list[str]]]:
 
 def _figure_6(args) -> tuple[list[str], list[list[str]]]:
     etas = [float(e) for e in args.etas.split(",") if e.strip()]
-    steps = args.steps or 200
+    steps = _figure_steps(args, 200)
     header = ["alpha"] + [f"p_fn_eta_{e:g}" for e in etas]
     rows = []
     for alpha in _alpha_grid(steps):

@@ -9,23 +9,35 @@ share between threads.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 logger = logging.getLogger(__name__)
 
-# Extra levels on top of the leakage-based cutoff.  Matrix exponentials
-# corrupt the top of a truncated basis; the margin quarantines that block.
+# Extra levels on top of the leakage-based cutoff.  Truncating the generator
+# a + a† makes exp(i delta (a + a†)) wrong near the top of the basis, however
+# exactly it is exponentiated; the margin quarantines that block.
 DIM_MARGIN = 20
 
 DEFAULT_TAIL_TOL = 1e-12
 
-# Low-block unitarity defect above which an operator exponential is rejected.
+# Largest basis any space may have.  A dense operator takes 16 dim^2 bytes
+# (1 MiB at 256), a cached eigenbasis at most as much, and the Kraus stack of
+# the loss channel up to dim such matrices (256 MiB at 256 levels and
+# eta -> 0); eigh costs O(dim^3).  256 levels hold |alpha|^2 + delta^2 up to
+# 143 at the default tail tolerance, far past the alpha <= 4 of the paper's
+# figures (84 levels at delta = 2.5).
+MAX_DIM = 256
+
+# Low-block unitarity defect above which an eigenbasis is rejected.
 UNITARITY_GUARD = 1e-6
+
+# Eigenbases kept per generator, one per basis size.
+_EIGENBASIS_CACHE = 32
 
 
 class LeakageError(RuntimeError):
@@ -33,7 +45,7 @@ class LeakageError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An operator exponential failed to reach the required accuracy."""
+    """An operator exponential came out non-finite or not unitary."""
 
 
 class SpaceMismatchError(ValueError):
@@ -48,8 +60,8 @@ class FockSpace:
     tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
+        if not 2 <= self.dim <= MAX_DIM:
+            raise ValueError(f"dim must be in [2, {MAX_DIM}], got {self.dim}")
         if not self.tail_tol > 0:
             raise ValueError(f"tail_tol must be > 0, got {self.tail_tol}")
 
@@ -161,10 +173,14 @@ class LinearOperator:
 # operators
 
 
+def _lowering(dim: int) -> np.ndarray:
+    """Real matrix of the ladder operator a on dim levels."""
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
+
+
 def annihilation(space: FockSpace) -> LinearOperator:
     """Ladder operator with <m|a|n> = sqrt(n) for m = n-1."""
-    mat = np.diag(np.sqrt(np.arange(1, space.dim, dtype=float)), k=1)
-    return LinearOperator(space, mat.astype(complex))
+    return LinearOperator(space, _lowering(space.dim).astype(complex))
 
 
 def creation(space: FockSpace) -> LinearOperator:
@@ -192,30 +208,61 @@ def _low_block_unitarity_defect(mat: np.ndarray) -> float:
     return float(np.linalg.norm(block))
 
 
-def _checked_exponential(space: FockSpace, generator: np.ndarray, label: str) -> LinearOperator:
-    mat = expm(generator)
-    if not np.all(np.isfinite(mat.view(float))):
-        raise ConvergenceError(f"{label}: matrix exponential produced non-finite entries")
-    defect = _low_block_unitarity_defect(mat)
+def _checked_eigenbasis(hermitian: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs (lam, V) of a Hermitian generator H = V diag(lam) V†.
+
+    exp(-i t H) = V diag(e^{-i t lam}) V† for every t, and its U†U equals
+    V V†, so the unitarity guard is evaluated here once for all t.
+    """
+    lam, vec = np.linalg.eigh(hermitian)
+    if not (np.isfinite(lam).all() and np.isfinite(vec).all()):
+        raise ConvergenceError(f"{label}: eigendecomposition produced non-finite entries")
+    defect = _low_block_unitarity_defect(vec.conj().T)
     if defect > UNITARITY_GUARD:
         raise ConvergenceError(
             f"{label}: low-block unitarity defect {defect:.3e} exceeds "
             f"{UNITARITY_GUARD:.0e}; increase dim"
         )
-    return LinearOperator(space, mat)
+    return _freeze(lam), _freeze(vec)
+
+
+def _phases(times, lam: np.ndarray, label: str) -> np.ndarray:
+    """e^{-i t lam} for each t (one row per t); non-finite times are rejected."""
+    times = np.asarray(times, dtype=float)
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ConvergenceError(f"{label}({bad[0]}): non-finite parameter")
+    return np.exp(-1j * np.multiply.outer(times, lam))
+
+
+@functools.lru_cache(maxsize=_EIGENBASIS_CACHE)
+def _quadrature_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the real tridiagonal X = a + a†; V is real orthogonal.
+
+    The eigenvalues are sqrt(2) times the roots of the Hermite polynomial
+    H_dim (Golub & Welsch, Math. Comp. 23, 1969).
+    """
+    a = _lowering(dim)
+    return _checked_eigenbasis(a + a.T, "displacement")
+
+
+@functools.lru_cache(maxsize=_EIGENBASIS_CACHE)
+def _squeeze_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of H = (i/2)(a†^2 - a^2), with S(r) = exp(-i r H)."""
+    a = _lowering(dim)
+    return _checked_eigenbasis(0.5j * (a.T @ a.T - a @ a), "squeeze")
 
 
 def displacement(space: FockSpace, delta: float) -> LinearOperator:
     """Displacement exp(i*delta*(a + a†)) along the phase quadrature."""
-    a = annihilation(space).matrix
-    return _checked_exponential(space, 1j * delta * (a + a.conj().T), f"displacement({delta})")
+    lam, vec = _quadrature_eigenbasis(space.dim)
+    return LinearOperator(space, (vec * _phases(-delta, lam, "displacement")) @ vec.T)
 
 
 def squeeze(space: FockSpace, r: float) -> LinearOperator:
     """Squeeze operator S(r) with S†(r) a S(r) = a cosh r + a† sinh r."""
-    a = annihilation(space).matrix
-    adag = a.conj().T
-    return _checked_exponential(space, 0.5 * r * (adag @ adag - a @ a), f"squeeze({r})")
+    lam, vec = _squeeze_eigenbasis(space.dim)
+    return LinearOperator(space, (vec * _phases(r, lam, "squeeze")) @ vec.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +369,20 @@ def apply(op: LinearOperator, state: PureState, *, renormalize: bool = False) ->
     return PureState(state.space, out, leakage=max(state.leakage, norm_loss))
 
 
+def displace(state: PureState, deltas) -> list[PureState]:
+    """D(delta) state for every delta in ``deltas``, in one matrix product.
+
+    Works in the cached eigenbasis of a + a† without building any D(delta);
+    each result carries the leakage estimate ``apply`` would give it.
+    """
+    lam, vec = _quadrature_eigenbasis(state.space.dim)
+    phases = _phases(np.negative(deltas), lam, "displacement")
+    rows = (phases * (vec.T @ state.amplitudes)) @ vec.T
+    norms = np.linalg.norm(rows, axis=1)
+    return [PureState(state.space, row, leakage=max(state.leakage, abs(1.0 - norm * norm)))
+            for row, norm in zip(rows, norms)]
+
+
 def conjugate(op: LinearOperator, rho: DensityOperator) -> DensityOperator:
     """Map rho -> op @ rho @ op†."""
     _check_same_space(op, rho)
@@ -359,7 +420,10 @@ def fidelity_with_pure(psi: PureState, rho: DensityOperator) -> float:
 
 
 def poisson_tail_cutoff(lam: float, tail_tol: float) -> int:
-    """Smallest n0 with P(Poisson(lam) >= n0) <= tail_tol."""
+    """Smallest n0 with P(Poisson(lam) >= n0) <= tail_tol.
+
+    Raises ValueError when n0 plus ``DIM_MARGIN`` would exceed ``MAX_DIM``.
+    """
     if lam <= 0.0:
         return 1
     pmf = math.exp(-lam)
@@ -368,10 +432,13 @@ def poisson_tail_cutoff(lam: float, tail_tol: float) -> int:
     target = 1.0 - tail_tol
     while cdf < target:
         n += 1
+        if n + 1 + DIM_MARGIN > MAX_DIM:
+            raise ValueError(
+                f"mean photon number {lam:g} needs a basis above MAX_DIM={MAX_DIM} "
+                f"at tail_tol {tail_tol:g}"
+            )
         pmf *= lam / n
         cdf += pmf
-        if n > 100_000:  # unreachable for sane inputs
-            raise RuntimeError("Poisson tail summation did not terminate")
     return n + 1
 
 
@@ -380,9 +447,9 @@ def recommend_dim(max_alpha: float, max_delta: float,
     """Basis size for states of coherent amplitude up to sqrt(alpha^2 + delta^2).
 
     The returned dimension keeps the Poisson tail above ``dim - DIM_MARGIN``
-    below ``tail_tol``; the margin absorbs top-of-basis corruption from
-    operator exponentials.  Monotone nondecreasing in both amplitudes and in
-    1/tail_tol.
+    below ``tail_tol``; the margin absorbs what truncating the generator
+    a + a† does to the top of the basis.  Monotone nondecreasing in both
+    amplitudes and in 1/tail_tol; a size above ``MAX_DIM`` is a ValueError.
     """
     if max_alpha < 0 or max_delta < 0:
         raise ValueError("amplitudes must be nonnegative")

@@ -17,9 +17,8 @@ from .analytic import ErrorRates, ProtocolParams, StateFamily
 from .fock import (
     DEFAULT_TAIL_TOL,
     FockSpace,
-    apply,
     cat_state,
-    displacement,
+    displace,
     fock_state,
     overlap,
     parity_expectation,
@@ -108,7 +107,7 @@ def _numeric_rates(params: ProtocolParams, delta: float, space: FockSpace) -> Er
         probe = fock_state(space, params.n)
     else:
         probe = cat_state(space, params.alpha)
-    displaced = apply(displacement(space, delta), probe)
+    displaced = displace(probe, [delta])[0]
     channel = LossChannel(space, params.eta)
     rho_quiet = apply_loss(channel, probe)
     rho_signal = apply_loss(channel, displaced)
@@ -214,6 +213,10 @@ class SweepPointError(RuntimeError):
         self.value = value
 
 
+class InvalidSweepPointError(SweepPointError, ValueError):
+    """A sweep point whose parameters are invalid (the cause is a ValueError)."""
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Per-point evaluations along one axis, in input order."""
@@ -258,7 +261,8 @@ def sweep(params: ProtocolParams, axis: str, values, *, with_oracle: bool = Fals
                 phi = op.phi0
             ev = evaluate(point_params, phi, with_oracle=with_oracle, tail_tol=tail_tol)
         except Exception as exc:
-            raise SweepPointError(index, float(value), exc) from exc
+            error = InvalidSweepPointError if isinstance(exc, ValueError) else SweepPointError
+            raise error(index, float(value), exc) from exc
         evaluations.append(ev)
         operating.append(op)
     return SweepResult(

@@ -234,6 +234,40 @@ def test_computation_failure_exit_code(capsys):
     assert "computation failed" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("figure", "--id", "3", "--steps", "1"),
+    ("figure", "--id", "4", "--steps", "1"),
+    ("figure", "--id", "6", "--steps", "0"),
+])
+def test_figure_grid_too_short_is_validation_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "--steps" in err
+
+
+def test_sweep_invalid_point_is_validation_error(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--family", "cat", "--alpha", "2", "--eta", "0.9",
+                             "--axis", "alpha", "--values", "0,1")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "invalid request: sweep point 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # --dim beyond MAX_DIM is rejected before any basis is built
+    ("overlap", "--family", "fock", "--n", "1", "--dim", "100000"),
+    # a probe whose recommended basis would exceed MAX_DIM
+    ("overlap", "--family", "cat", "--alpha", "30"),
+])
+def test_basis_above_max_dim_is_validation_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "256" in err
+
+
 def test_output_file_writing(tmp_path, capsys):
     target = tmp_path / "rates.csv"
     code = main(["evaluate", "--family", "cat", "--alpha", "2", "--delta", "0.3",

@@ -1,28 +1,39 @@
 """Truncated Fock-space engine tests.
 
 Derived expectations are checked against independent oracles: closed-form
-coherent overlaps, direct series summation, and Poisson tail sums.
+coherent overlaps, direct series summation, Poisson tail sums, Hermite
+roots, and scipy's matrix exponential of the truncated generators.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+import ngphase
 from ngphase.fock import (
+    MAX_DIM,
+    ConvergenceError,
     DensityOperator,
     FockSpace,
     LeakageError,
     PureState,
     SpaceMismatchError,
+    _quadrature_eigenbasis,
     annihilation,
     apply,
     cat_state,
     coherent_state,
     conjugate,
     creation,
+    displace,
     displacement,
     fock_state,
     identity,
@@ -46,6 +57,13 @@ E_MINUS_ONE = 0.36787944117144233  # exp(-1)
 def test_space_rejects_tiny_dim():
     with pytest.raises(ValueError):
         FockSpace(1)
+
+
+def test_space_rejects_dim_above_max():
+    # rejected in the constructor, before any array of that size exists
+    with pytest.raises(ValueError, match=str(MAX_DIM)):
+        FockSpace(MAX_DIM + 1)
+    assert FockSpace(MAX_DIM).dim == MAX_DIM
 
 
 def test_space_rejects_nonpositive_tol():
@@ -143,6 +161,65 @@ def test_squeeze_amplifies_displacement():
     rhs = displacement(space, amp * phi * math.exp(r)).matrix
     block = 24
     assert np.linalg.norm((lhs - rhs)[:block, :block]) < 1e-8
+
+
+@pytest.mark.parametrize("dim", [8, 30, 76])
+@pytest.mark.parametrize("delta", [0.0, -1.3, 0.7, 3.0])
+def test_displacement_matches_expm(dim, delta):
+    a = annihilation(FockSpace(dim)).matrix
+    reference = expm(1j * delta * (a + a.conj().T))
+    got = displacement(FockSpace(dim), delta).matrix
+    assert np.max(np.abs(got - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [8, 30, 76])
+@pytest.mark.parametrize("r", [0.0, -0.4, 0.25, 0.5])
+def test_squeeze_matches_expm(dim, r):
+    a = annihilation(FockSpace(dim)).matrix
+    adag = a.conj().T
+    reference = expm(0.5 * r * (adag @ adag - a @ a))
+    got = squeeze(FockSpace(dim), r).matrix
+    assert np.max(np.abs(got - reference)) <= 1e-12
+
+
+def test_quadrature_eigenvalues_are_hermite_roots():
+    # Golub-Welsch: the Jacobi matrix a + a† has eigenvalues sqrt(2) x_k,
+    # x_k the roots of the Hermite polynomial H_dim
+    dim = 30
+    roots = np.polynomial.hermite.hermroots([0.0] * dim + [1.0])
+    lam, _ = _quadrature_eigenbasis(dim)
+    np.testing.assert_allclose(lam, math.sqrt(2.0) * np.sort(roots), rtol=0, atol=1e-12)
+
+
+def test_displace_grid_matches_apply():
+    space = FockSpace(recommend_dim(1.7, 3.0))
+    probe = cat_state(space, 1.7)
+    deltas = [-2.0, 0.0, 0.3, 1.0, 3.0]
+    batch = displace(probe, deltas)
+    assert len(batch) == len(deltas)
+    for delta, got in zip(deltas, batch):
+        want = apply(displacement(space, delta), probe)
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-13
+        assert got.leakage == pytest.approx(want.leakage, abs=1e-13)
+        assert got.leakage >= probe.leakage
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan])
+def test_non_finite_displacement_rejected(delta):
+    space = FockSpace(16)
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        displacement(space, delta)
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        displace(fock_state(space, 1), [0.5, delta])
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(ngphase.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = "import sys, ngphase; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("delta", [0.25, 1.0, 2.0])
@@ -400,6 +477,15 @@ def test_recommend_dim_rejects_bad_args():
         recommend_dim(-1.0, 0.0)
     with pytest.raises(ValueError):
         recommend_dim(1.0, 0.0, tail_tol=0.0)
+
+
+def test_recommend_dim_bounded_by_max_dim():
+    # |alpha|^2 = 143 is the largest mean photon number that fits
+    assert recommend_dim(math.sqrt(143.0), 0.0) <= MAX_DIM
+    with pytest.raises(ValueError, match="MAX_DIM"):
+        recommend_dim(12.0, 0.0)
+    with pytest.raises(ValueError, match="MAX_DIM"):
+        recommend_dim(1e6, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ngphase.fock import (
     FockSpace,
+    annihilation,
     apply,
     cat_state,
     coherent_state,
@@ -95,6 +97,25 @@ def test_purification_matches_kraus(eta):
         direct = apply_loss(channel, state)
         purified = apply_loss_via_purification(channel, state)
         assert trace_distance(direct, purified) < 1e-9
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.9])
+def test_purification_matches_expm_unitary(eta):
+    # oracle: the dense beamsplitter unitary expm(theta (a b† - a† b))
+    d = 8
+    space = FockSpace(d, tail_tol=1e-6)
+    a = annihilation(space).matrix
+    eye = np.eye(d)
+    a_sig, a_bath = np.kron(a, eye), np.kron(eye, a)
+    theta = math.acos(math.sqrt(eta))
+    unitary = expm(theta * (a_sig @ a_bath.conj().T - a_sig.conj().T @ a_bath))
+    for state in (fock_state(space, 3), cat_state(space, 0.6)):
+        joint = np.zeros(d * d, dtype=complex)
+        joint[::d] = state.amplitudes
+        psi = (unitary @ joint).reshape(d, d)
+        reference = psi @ psi.conj().T
+        got = apply_loss_via_purification(LossChannel(space, eta), state)
+        assert np.max(np.abs(got.matrix - reference)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

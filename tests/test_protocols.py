@@ -200,6 +200,8 @@ def test_sweep_wraps_point_failures_with_index():
         sweep(params, "n", (1, 2))
     assert err.value.index == 1
     assert err.value.value == 2.0
+    # the cause is a validation error, so the wrapper is one too
+    assert isinstance(err.value, ValueError)
 
 
 def test_sweep_rejects_unknown_axis():
