@@ -32,25 +32,14 @@ from .fock import (
     DensityOperator,
     FockSpace,
     LeakageError,
-    LinearOperator,
     PureState,
     SpaceMismatchError,
-    annihilation,
-    apply,
     cat_state,
     coherent_state,
-    conjugate,
-    creation,
     displace,
-    displacement,
-    fidelity_with_pure,
     fock_state,
-    identity,
-    mean_photon_number,
-    number_operator,
     overlap,
     parity_expectation,
-    parity_operator,
     photon_distribution,
     recommend_dim,
     squeeze,

@@ -55,16 +55,16 @@ class ProtocolParams:
             if self.alpha is not None:
                 raise ValueError("alpha is a cat-family field")
         elif self.family is StateFamily.CAT:
-            if self.alpha is None or not self.alpha > 0:
-                raise ValueError("cat family requires alpha > 0")
+            if self.alpha is None or not 0 < self.alpha < math.inf:
+                raise ValueError(f"cat family requires a finite alpha > 0, got {self.alpha}")
             if self.n is not None:
                 raise ValueError("n is a Fock-family field")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.r < 0:
-            raise ValueError(f"squeeze factor must be >= 0, got {self.r}")
-        if not self.photons > 0:
-            raise ValueError(f"photon number must be > 0, got {self.photons}")
+        if not 0 <= self.r < math.inf:
+            raise ValueError(f"squeeze factor r must be finite and >= 0, got {self.r}")
+        if not 0 < self.photons < math.inf:
+            raise ValueError(f"photons must be finite and > 0, got {self.photons}")
         if not (0.0 <= self.p0 <= 1.0 and 0.0 <= self.p_delta <= 1.0):
             raise ValueError("priors must lie in [0, 1]")
         if abs(self.p0 + self.p_delta - 1.0) > PRIOR_ATOL:

@@ -19,13 +19,12 @@ from .analytic import ProtocolParams, StateFamily
 from .fock import (
     DEFAULT_TAIL_TOL,
     MAX_DIM,
+    MAX_STEPS,
     ConvergenceError,
     FockSpace,
     LeakageError,
-    apply,
     cat_state,
     displace,
-    displacement,
     fock_state,
     overlap,
     parity_expectation,
@@ -112,6 +111,17 @@ def _add_scenario_flags(parser: argparse.ArgumentParser, *, family_required: boo
     parser.add_argument("--out", help="output CSV path (default: stdout)")
 
 
+def _check_tail_tol(tail_tol: float) -> None:
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"--tail-tol must be in (0, 1), got {tail_tol}")
+
+
+def _check_steps(steps, flag: str, least: int) -> None:
+    """Grid lengths are checked before any list of that length is built."""
+    if not least <= steps <= MAX_STEPS:
+        raise ValueError(f"{flag} must be in [{least}, {MAX_STEPS}], got {steps}")
+
+
 def _build_config(args) -> RunConfig:
     family = StateFamily(args.family)
     if family is StateFamily.FOCK:
@@ -125,6 +135,7 @@ def _build_config(args) -> RunConfig:
                                 eta=args.eta, r=args.r, p0=args.p0, p_delta=1.0 - args.p0)
     if args.dim is not None and not 2 <= args.dim <= MAX_DIM:
         raise ValueError(f"--dim must be in [2, {MAX_DIM}]")
+    _check_tail_tol(args.tail_tol)
     return RunConfig(params=params, dim=args.dim, tail_tol=args.tail_tol,
                      oracle=args.oracle, out=args.out)
 
@@ -187,10 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _delta_grid(delta_max: float, steps: int) -> list[float]:
-    if steps < 1:
-        raise ValueError("--steps must be >= 1")
-    if not delta_max >= 0:
-        raise ValueError("--delta-max must be >= 0")
+    _check_steps(steps, "--steps", 1)
+    if not 0 <= delta_max < math.inf:
+        raise ValueError("--delta-max must be finite and >= 0")
     return [(i * delta_max) / steps for i in range(steps)]
 
 
@@ -217,6 +227,8 @@ def _cmd_overlap(args) -> int:
 def _cmd_parity(args) -> int:
     cfg = _build_config(args)
     params = cfg.params
+    if params.family is not StateFamily.CAT:
+        raise ValueError("parity needs --family cat")
     deltas = _delta_grid(args.delta_max, args.steps)
     space = cfg.space_for(args.delta_max)
     probe = cat_state(space, params.alpha)
@@ -281,9 +293,8 @@ def _cmd_sweep(args) -> int:
             raise ValueError("--values is empty")
     else:
         lo, hi, steps = args.grid
+        _check_steps(steps, "--grid STEPS", 2)
         steps = int(steps)
-        if steps < 2:
-            raise ValueError("grid needs at least 2 steps")
         values = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
     result = sweep(cfg.params, args.axis, values, with_oracle=cfg.oracle,
                    tail_tol=cfg.tail_tol)
@@ -299,11 +310,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _figure_2(args) -> tuple[list[str], list[list[str]]]:
+    _check_tail_tol(args.tail_tol)
     space = FockSpace(recommend_dim(1.0, abs(args.delta), args.tail_tol), args.tail_tol)
-    if args.levels > space.dim:
-        raise ValueError(f"--levels {args.levels} exceeds basis dimension {space.dim}")
+    if not 1 <= args.levels <= space.dim:
+        raise ValueError(f"--levels must be in [1, {space.dim}] (the basis dimension), "
+                         f"got {args.levels}")
     probe = fock_state(space, 1)
-    displaced = apply(displacement(space, args.delta), probe)
+    displaced = displace(probe, [args.delta])[0]
     p0 = photon_distribution(probe)
     p1 = photon_distribution(displaced)
     rows = [[str(n), fmt(p0[n]), fmt(p1[n])] for n in range(args.levels)]
@@ -313,8 +326,7 @@ def _figure_2(args) -> tuple[list[str], list[list[str]]]:
 def _figure_steps(args, default: int) -> int:
     """Length of a figure grid; it includes both end points, so at least 2."""
     steps = default if args.steps is None else args.steps
-    if steps < 2:
-        raise ValueError("--steps must be >= 2 for a figure grid")
+    _check_steps(steps, "--steps", 2)
     return steps
 
 

@@ -21,9 +21,8 @@ from .fock import (
     PureState,
     _checked_eigenbasis,
     _lowering,
-    annihilation,
     coherent_state,
-    displacement,
+    displace,
     fock_state,
 )
 
@@ -69,7 +68,7 @@ class LossChannel:
     def kraus_operators(self) -> list[np.ndarray]:
         """E_k = sqrt((1-eta)^k / k!) eta^(n/2) a^k for k = 0..kraus_terms-1."""
         d = self.space.dim
-        a = annihilation(self.space).matrix
+        a = _lowering(d)
         damp = np.diag(self.eta ** (0.5 * np.arange(d)))
         ops = []
         a_pow = np.eye(d, dtype=complex)
@@ -149,10 +148,9 @@ def lossy_displaced_fock1(space: FockSpace, delta: float, eta: float) -> Density
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
-    delta_p = delta * math.sqrt(eta)
-    disp = displacement(space, delta_p)
-    one = disp.matrix @ fock_state(space, 1).amplitudes
-    vac = disp.matrix @ fock_state(space, 0).amplitudes
+    delta_p = [delta * math.sqrt(eta)]
+    one = displace(fock_state(space, 1), delta_p)[0].amplitudes
+    vac = displace(fock_state(space, 0), delta_p)[0].amplitudes
     rho = eta * np.outer(one, one.conj()) + (1.0 - eta) * np.outer(vac, vac.conj())
     rho = 0.5 * (rho + rho.conj().T)
     return DensityOperator(space, rho)

@@ -80,8 +80,12 @@ class Evaluation:
 
 
 def phi_to_delta(params: ProtocolParams, phi: float) -> float:
-    """Effective displacement sqrt(N) phi e^r at the interferometer output."""
-    return math.sqrt(params.photons) * phi * math.exp(params.r)
+    """Effective displacement sqrt(N) phi e^r at the interferometer output;
+    a phase that gives no finite displacement is a ValueError."""
+    delta = math.sqrt(params.photons) * phi * math.exp(params.r)
+    if not math.isfinite(delta):
+        raise ValueError(f"phi {phi!r} gives a non-finite displacement delta = {delta!r}")
+    return delta
 
 
 def delta_to_phi(params: ProtocolParams, delta: float) -> float:

@@ -19,9 +19,9 @@ from . import analytic
 from .analytic import ProtocolParams, StateFamily
 from .fock import (
     FockSpace,
-    apply,
+    PureState,
     cat_state,
-    displacement,
+    displace,
     fock_state,
     overlap,
     parity_expectation,
@@ -97,6 +97,10 @@ def _space_for(alpha: float, delta: float) -> FockSpace:
     return FockSpace(recommend_dim(alpha, delta))
 
 
+def _rows(states) -> np.ndarray:
+    return np.array([state.amplitudes for state in states])
+
+
 # ---------------------------------------------------------------------------
 # acceptance-criteria checks
 
@@ -110,8 +114,7 @@ def _fock_orthogonality(grid: str) -> float:
         delta = math.sqrt(analytic.laguerre_first_root(n))
         space = _space_for(math.sqrt(n), delta)
         probe = fock_state(space, n)
-        displaced = apply(displacement(space, delta), probe)
-        worst = max(worst, abs(overlap(probe, displaced)))
+        worst = max(worst, abs(overlap(probe, displace(probe, [delta])[0])))
     return worst
 
 
@@ -134,7 +137,7 @@ def _fock1_point_numeric(grid: str) -> float:
         delta = 1.0 / math.sqrt(eta)
         space = _space_for(1.0, delta)
         probe = fock_state(space, 1)
-        displaced = apply(displacement(space, delta), probe)
+        displaced = displace(probe, [delta])[0]
         channel = LossChannel(space, eta)
         p_quiet = photon_distribution(apply_loss(channel, probe))
         p_signal = photon_distribution(apply_loss(channel, displaced))
@@ -145,9 +148,10 @@ def _fock1_point_numeric(grid: str) -> float:
 
 @_check("cat_overlap_zeros_analytic", 1e-12)
 def _cat_zeros_analytic(grid: str) -> float:
+    """The closed-form overlap vanishes at the first three closed-form zeros."""
     worst = 0.0
-    for alpha in (1.5, 2.0, 3.0):
-        for k in (0, 1):
+    for alpha in (1.0, 1.5, 2.0, 2.5, 3.0):
+        for k in (0, 1, 2):
             worst = max(worst, abs(analytic.cat_overlap(alpha, analytic.cat_overlap_zero(alpha, k))))
     return worst
 
@@ -160,42 +164,28 @@ def _cat_zeros_numeric(grid: str) -> float:
             delta = analytic.cat_overlap_zero(alpha, k)
             space = _space_for(alpha, delta)
             probe = cat_state(space, alpha)
-            displaced = apply(displacement(space, delta), probe)
-            worst = max(worst, abs(overlap(probe, displaced)))
+            worst = max(worst, abs(overlap(probe, displace(probe, [delta])[0])))
     return worst
 
 
-def _lossy_cat_grid(grid: str):
+@_check("lossy_cat_statistics", 1e-8)
+def _lossy_cat_statistics(grid: str) -> float:
+    """Kraus-channel parity and per-n photon probabilities of the displaced cat
+    against their closed forms, from one lossy state per grid point."""
     alphas = (1.0, 3.0) if grid == "small" else (1.0, 2.0, 3.0)
     deltas = (0.4,) if grid == "small" else (0.1, 0.4, 0.8)
+    worst = 0.0
     for alpha in alphas:
         for delta in deltas:
+            space = _space_for(alpha, delta)
+            displaced = displace(cat_state(space, alpha), [delta])[0]
             for eta in _etas(grid):
-                yield alpha, delta, eta
-
-
-@_check("lossy_cat_parity", 1e-8)
-def _lossy_cat_parity(grid: str) -> float:
-    """Kraus-channel parity of the displaced cat against the closed form."""
-    worst = 0.0
-    for alpha, delta, eta in _lossy_cat_grid(grid):
-        space = _space_for(alpha, delta)
-        displaced = apply(displacement(space, delta), cat_state(space, alpha))
-        rho = apply_loss(LossChannel(space, eta), displaced)
-        worst = max(worst, abs(parity_expectation(rho) - analytic.cat_parity(alpha, delta, eta)))
-    return worst
-
-
-@_check("lossy_cat_distribution", 1e-8)
-def _lossy_cat_distribution(grid: str) -> float:
-    """Per-n photon probabilities of the lossy displaced cat, termwise."""
-    worst = 0.0
-    for alpha, delta, eta in _lossy_cat_grid(grid):
-        space = _space_for(alpha, delta)
-        displaced = apply(displacement(space, delta), cat_state(space, alpha))
-        numeric = photon_distribution(apply_loss(LossChannel(space, eta), displaced))
-        closed = np.array([analytic.cat_pn(alpha, delta, eta, n) for n in range(space.dim)])
-        worst = max(worst, float(np.max(np.abs(numeric - closed))))
+                rho = apply_loss(LossChannel(space, eta), displaced)
+                closed = np.array([analytic.cat_pn(alpha, delta, eta, n)
+                                   for n in range(space.dim)])
+                worst = max(worst,
+                            abs(parity_expectation(rho) - analytic.cat_parity(alpha, delta, eta)),
+                            float(np.max(np.abs(photon_distribution(rho) - closed))))
     return worst
 
 
@@ -214,22 +204,20 @@ def _fp_product_identity(grid: str) -> float:
 # module invariants
 
 
-@_check("operator_unitarity", 1e-8)
-def _operator_unitarity(grid: str) -> float:
-    """U†U = I on the lowest dim/2 block for displacement and squeeze."""
+@_check("squeeze_displacement_sandwich", 1e-8)
+def _squeeze_sandwich(grid: str) -> float:
+    """S(r)† D(delta) S(r) = D(delta e^r) on |0>..|3>: squeezing scales the signal by e^r."""
+    deltas = np.array([0.05, 0.5, 1.0])
     worst = 0.0
-    for delta in (0.5, 1.0, 2.0):
-        space = FockSpace(recommend_dim(0.0, delta))
-        mat = displacement(space, delta).matrix
-        half = space.dim // 2
-        worst = max(worst, float(np.linalg.norm(
-            (mat.conj().T @ mat)[:half, :half] - np.eye(half))))
-    for r in (0.25, 0.5):
-        space = FockSpace(96)
-        mat = squeeze(space, r).matrix
-        half = space.dim // 2
-        worst = max(worst, float(np.linalg.norm(
-            (mat.conj().T @ mat)[:half, :half] - np.eye(half))))
+    for dim in (96, 128):
+        space = FockSpace(dim)
+        for r in (0.25, 0.5):
+            s_mat = squeeze(space, r)
+            for n in range(4):
+                # rows of S† D(delta) S|n>, as (S† v)^T = v^T conj(S)
+                lhs = _rows(displace(PureState(space, s_mat[:, n]), deltas)) @ s_mat.conj()
+                rhs = _rows(displace(fock_state(space, n), deltas * math.exp(r)))
+                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
@@ -240,10 +228,9 @@ def _fock_overlap_grid(grid: str) -> float:
     worst = 0.0
     for delta in (0.1, 0.5, 1.0, 2.0):
         space = _space_for(math.sqrt(top), delta)
-        disp = displacement(space, delta)
         for n in range(top + 1):
             probe = fock_state(space, n)
-            numeric = overlap(probe, apply(disp, probe))
+            numeric = overlap(probe, displace(probe, [delta])[0])
             worst = max(worst, abs(numeric - analytic.fock_overlap(n, delta)))
     return worst
 
@@ -255,7 +242,7 @@ def _cat_overlap_formula(grid: str) -> float:
         for delta in (0.1, 0.3, 1.0, 2.0):
             space = _space_for(alpha, delta)
             probe = cat_state(space, alpha)
-            numeric = overlap(probe, apply(displacement(space, delta), probe))
+            numeric = overlap(probe, displace(probe, [delta])[0])
             worst = max(worst, abs(numeric - analytic.cat_overlap(alpha, delta)))
     return worst
 
@@ -266,7 +253,7 @@ def _loss_trace_positivity(grid: str) -> float:
     worst = 0.0
     for eta in _etas(grid):
         for make in (lambda s: fock_state(s, 3), lambda s: cat_state(s, 1.5),
-                     lambda s: apply(displacement(s, 0.7), cat_state(s, 1.5))):
+                     lambda s: displace(cat_state(s, 1.5), [0.7])[0]):
             space = _space_for(1.5, 0.7)
             rho = apply_loss(LossChannel(space, eta), make(space))
             worst = max(worst, abs(rho.trace - 1.0))
@@ -278,7 +265,7 @@ def _loss_trace_positivity(grid: str) -> float:
 def _loss_composition(grid: str) -> float:
     """loss(eta1) after loss(eta2) equals loss(eta1 * eta2)."""
     space = _space_for(1.5, 0.5)
-    state = apply(displacement(space, 0.5), cat_state(space, 1.5))
+    state = displace(cat_state(space, 1.5), [0.5])[0]
     worst = 0.0
     for eta1, eta2 in ((0.9, 0.8), (0.95, 0.5)):
         seq = apply_loss(LossChannel(space, eta1), apply_loss(LossChannel(space, eta2), state))
@@ -306,24 +293,15 @@ def _lossy_closed_forms(grid: str) -> float:
     """The commuted closed-form lossy states equal the Kraus-channel outputs."""
     worst = 0.0
     space = _space_for(1.0, 0.8)
-    displaced = apply(displacement(space, 0.8), fock_state(space, 1))
+    displaced = displace(fock_state(space, 1), [0.8])[0]
     worst = max(worst, trace_distance(
         lossy_displaced_fock1(space, 0.8, 0.9),
         apply_loss(LossChannel(space, 0.9), displaced)))
     space = _space_for(1.5, 0.3)
-    displaced = apply(displacement(space, 0.3), cat_state(space, 1.5))
+    displaced = displace(cat_state(space, 1.5), [0.3])[0]
     worst = max(worst, trace_distance(
         lossy_displaced_cat(space, 1.5, 0.3, 0.8),
         apply_loss(LossChannel(space, 0.8), displaced)))
-    return worst
-
-
-@_check("cat_zero_consistency", 1e-10)
-def _cat_zero_consistency(grid: str) -> float:
-    worst = 0.0
-    for alpha in (1.0, 1.5, 2.5):
-        for k in (0, 1, 2):
-            worst = max(worst, abs(analytic.cat_overlap(alpha, analytic.cat_overlap_zero(alpha, k))))
     return worst
 
 

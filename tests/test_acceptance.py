@@ -1,7 +1,8 @@
 """Acceptance suite.
 
 One test per acceptance criterion, each printing a PASS/FAIL line with the
-measured worst-case discrepancy and its tolerance.  Run with
+measured worst-case discrepancy and its tolerance.  Criteria 1-5 run the
+matching checks of the ``verify`` registry.  Run with
 
     pytest tests/test_acceptance.py -v -s
 """
@@ -16,29 +17,11 @@ from ngphase.analytic import (
     StateFamily,
     baseline_phase_errors,
     cat_error_rates,
-    cat_false_positive_product_form,
-    cat_overlap,
-    cat_overlap_zero,
-    cat_parity,
-    cat_pn,
-    fock1_error_rates,
-    laguerre_first_root,
     threshold_phase,
 )
 from ngphase.cli import main
-from ngphase.fock import (
-    FockSpace,
-    apply,
-    cat_state,
-    displacement,
-    fock_state,
-    overlap,
-    parity_expectation,
-    photon_distribution,
-    recommend_dim,
-)
-from ngphase.loss import LossChannel, apply_loss
 from ngphase.protocols import evaluate, optimize_delta
+from ngphase.verification import run_checks
 
 
 def _report(criterion: int, label: str, ok: bool, detail: str) -> None:
@@ -47,95 +30,49 @@ def _report(criterion: int, label: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion} ({label}): {detail}"
 
 
-def test_criterion_1_fock_orthogonality():
+def _accept(criterion: int, label: str, tolerances: dict[str, float],
+            seconds: float | None = None) -> None:
+    """Run the named ``verify`` checks on the full grid.  Each must pass under
+    the criterion's own tolerance, which its registry entry must still carry,
+    and together they must finish within ``seconds``."""
     start = time.perf_counter()
-    worst = 0.0
-    for n in range(1, 11):
-        delta = math.sqrt(laguerre_first_root(n))
-        space = FockSpace(recommend_dim(math.sqrt(n), delta, 1e-12), 1e-12)
-        probe = fock_state(space, n)
-        worst = max(worst, abs(overlap(probe, apply(displacement(space, delta), probe))))
+    results = run_checks(grid="full", names=list(tolerances))
     elapsed = time.perf_counter() - start
-    _report(1, "Fock orthogonality at first Laguerre roots",
-            worst < 1e-8 and elapsed < 5.0,
-            f"max |<n|D(sqrt(R_n))|n>| = {worst:.3e} (tol 1e-8), {elapsed:.2f}s (< 5s)")
+    ok = sorted(r.name for r in results) == sorted(tolerances) and all(
+        r.passed and r.tolerance == tolerances[r.name] for r in results)
+    details = [f"{r.name} {r.discrepancy:.3e} (tol {r.tolerance:g})" for r in results]
+    if seconds is not None:
+        ok = ok and elapsed < seconds
+        details.append(f"{elapsed:.2f}s (< {seconds:g}s)")
+    _report(criterion, label, ok, ", ".join(details))
+
+
+def test_criterion_1_fock_orthogonality():
+    # max |<n|D(sqrt(R_n))|n>| over n = 1..10
+    _accept(1, "Fock orthogonality at first Laguerre roots",
+            {"fock_orthogonality": 1e-8}, seconds=5.0)
 
 
 def test_criterion_2_lossy_single_photon_operating_point():
-    start = time.perf_counter()
-    worst_analytic = 0.0
-    worst_numeric = 0.0
-    for eta in (0.8, 0.9, 0.98):
-        delta = 1.0 / math.sqrt(eta)  # d'^2 = 1
-        rates = fock1_error_rates(delta, eta)
-        worst_analytic = max(worst_analytic,
-                             abs(rates.p_fp - (1.0 - eta)),
-                             abs(rates.p_fn - (1.0 - eta) / math.e))
-        space = FockSpace(recommend_dim(1.0, delta))
-        channel = LossChannel(space, eta)
-        probe = fock_state(space, 1)
-        displaced = apply(displacement(space, delta), probe)
-        p_quiet = photon_distribution(apply_loss(channel, probe))
-        p_signal = photon_distribution(apply_loss(channel, displaced))
-        worst_numeric = max(worst_numeric,
-                            abs((1.0 - p_quiet[1]) - rates.p_fp),
-                            abs(p_signal[1] - rates.p_fn))
-    elapsed = time.perf_counter() - start
-    _report(2, "lossy single-photon operating point",
-            worst_analytic < 1e-12 and worst_numeric < 1e-8 and elapsed < 5.0,
-            f"analytic gap {worst_analytic:.3e} (tol 1e-12), "
-            f"Kraus gap {worst_numeric:.3e} (tol 1e-8), {elapsed:.2f}s (< 5s)")
+    # closed-form and Kraus-channel rates at d'^2 = 1 against (1-eta, (1-eta)/e)
+    _accept(2, "lossy single-photon operating point",
+            {"fock1_operating_point_analytic": 1e-12,
+             "fock1_operating_point_numeric": 1e-8}, seconds=5.0)
 
 
 def test_criterion_3_cat_overlap_zeros():
-    start = time.perf_counter()
-    worst_analytic = 0.0
-    worst_numeric = 0.0
-    for alpha in (1.5, 2.0, 3.0):
-        for k in (0, 1):
-            delta = cat_overlap_zero(alpha, k)
-            worst_analytic = max(worst_analytic, abs(cat_overlap(alpha, delta)))
-            space = FockSpace(recommend_dim(alpha, delta))
-            probe = cat_state(space, alpha)
-            worst_numeric = max(worst_numeric, abs(
-                overlap(probe, apply(displacement(space, delta), probe))))
-    elapsed = time.perf_counter() - start
-    _report(3, "cat overlap zeros",
-            worst_analytic < 1e-12 and worst_numeric < 1e-8 and elapsed < 10.0,
-            f"analytic {worst_analytic:.3e} (tol 1e-12), "
-            f"numeric {worst_numeric:.3e} (tol 1e-8), {elapsed:.2f}s (< 10s)")
+    _accept(3, "cat overlap zeros",
+            {"cat_overlap_zeros_analytic": 1e-12,
+             "cat_overlap_zeros_numeric": 1e-8}, seconds=10.0)
 
 
 def test_criterion_4_lossy_cat_parity_and_distribution():
-    start = time.perf_counter()
-    worst = 0.0
-    for alpha in (1.0, 2.0, 3.0):
-        for delta in (0.1, 0.4, 0.8):
-            space = FockSpace(recommend_dim(alpha, delta))
-            displaced = apply(displacement(space, delta), cat_state(space, alpha))
-            for eta in (0.5, 0.9, 0.98):
-                rho = apply_loss(LossChannel(space, eta), displaced)
-                worst = max(worst, abs(
-                    parity_expectation(rho) - cat_parity(alpha, delta, eta)))
-                numeric_pn = photon_distribution(rho)
-                closed_pn = np.array(
-                    [cat_pn(alpha, delta, eta, n) for n in range(space.dim)])
-                worst = max(worst, float(np.max(np.abs(numeric_pn - closed_pn))))
-    elapsed = time.perf_counter() - start
-    _report(4, "lossy cat parity and photon distribution",
-            worst < 1e-8 and elapsed < 60.0,
-            f"max gap {worst:.3e} (tol 1e-8), {elapsed:.2f}s (< 60s)")
+    _accept(4, "lossy cat parity and photon distribution",
+            {"lossy_cat_statistics": 1e-8}, seconds=60.0)
 
 
 def test_criterion_5_false_positive_identity():
-    worst = 0.0
-    for alpha in (1.0, 2.0, 3.0):
-        for eta in (0.5, 0.9, 0.98):
-            difference_form = 0.5 * (1.0 - cat_parity(alpha, 0.0, eta))
-            product_form = cat_false_positive_product_form(alpha, eta)
-            worst = max(worst, abs(difference_form - product_form))
-    _report(5, "false-positive product identity",
-            worst < 1e-12, f"max gap {worst:.3e} (tol 1e-12)")
+    _accept(5, "false-positive product identity", {"cat_fp_product_identity": 1e-12})
 
 
 def test_criterion_6_optimized_cat_miss_probability():

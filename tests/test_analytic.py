@@ -35,9 +35,8 @@ from ngphase.analytic import (
 )
 from ngphase.fock import (
     FockSpace,
-    apply,
     cat_state,
-    displacement,
+    displace,
     fock_state,
     overlap,
     recommend_dim,
@@ -136,7 +135,7 @@ def test_fock_overlap_against_numeric():
     n, delta = 3, 0.5
     space = FockSpace(recommend_dim(math.sqrt(n), delta))
     probe = fock_state(space, n)
-    numeric = overlap(probe, apply(displacement(space, delta), probe))
+    numeric = overlap(probe, displace(probe, [delta])[0])
     assert abs(numeric - fock_overlap(n, delta)) < 1e-9
 
 
@@ -154,7 +153,7 @@ def test_cat_overlap_against_numeric():
     alpha, delta = 1.5, 0.3
     space = FockSpace(recommend_dim(alpha, delta))
     probe = cat_state(space, alpha)
-    numeric = overlap(probe, apply(displacement(space, delta), probe))
+    numeric = overlap(probe, displace(probe, [delta])[0])
     assert abs(numeric - cat_overlap(alpha, delta)) < 1e-8
 
 

@@ -1,11 +1,17 @@
 """CLI tests: schemas, anchor rows, exit codes, deterministic output."""
 
+import contextlib
+import io
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngphase.analytic import cat_overlap_zero
 from ngphase.cli import main
+from ngphase.fock import MAX_DIM, MAX_STEPS
 
 
 def run_cli(capsys, *argv):
@@ -276,3 +282,110 @@ def test_output_file_writing(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("phi,delta,delta_detected,p_fp,p_fn,helstrom\n")
     assert text.endswith("\n")
+
+
+def test_undersized_basis_is_computation_error(capsys):
+    # at 6 levels D(3)|1> is wrong: p_fn_numeric would read 0.2027 against 0.0140
+    code, out, err = run_cli(capsys, "evaluate", "--family", "fock", "--n", "1", "--eta", "0.9",
+                             "--delta", "3", "--oracle", "--dim", "6")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "top 1 levels" in err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (("--photons", "inf", "--oracle"), "photons"),
+    (("--photons", "nan"), "photons"),
+    (("--r", "inf"), "squeeze factor r"),
+    (("--r", "nan"), "squeeze factor r"),
+    (("--alpha", "inf"), "alpha"),
+    (("--alpha", "nan"), "alpha"),
+    (("--phi", "inf"), "phi"),
+    (("--phi", "nan"), "phi"),
+    (("--phi", "1e307"), "phi"),
+    (("--delta", "inf"), "delta"),
+    (("--tail-tol", "2"), "--tail-tol"),
+    (("--tail-tol", "0"), "--tail-tol"),
+])
+def test_non_finite_scenario_input_is_validation_error(capsys, flags, field):
+    family = ("--family", "cat") if "--alpha" in flags else ("--family", "fock", "--n", "1")
+    where = () if {"--phi", "--delta"} & set(flags) else ("--delta", "3")
+    code, out, err = run_cli(capsys, "evaluate", *family, "--eta", "0.9", *where, *flags)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and field in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("overlap", "--family", "fock", "--steps", str(MAX_STEPS + 1)),
+    ("parity", "--alpha", "1.5", "--steps", str(MAX_STEPS + 1)),
+    ("figure", "--id", "3", "--steps", str(MAX_STEPS + 1)),
+    ("sweep", "--family", "cat", "--alpha", "2", "--axis", "eta",
+     "--grid", "0.5", "1", str(MAX_STEPS + 1)),
+    ("figure", "--id", "2", "--levels", "-3"),
+    ("figure", "--id", "2", "--levels", "0"),
+])
+def test_grid_length_out_of_range_is_validation_error(capsys, argv):
+    main(list(argv))  # first call builds what the parser caches
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    # a grid of MAX_STEPS floats takes 32 bytes per point; none was built
+    assert peak < 16 * MAX_STEPS
+
+
+def _flag(name, values):
+    # --flag=value, so that argparse reads "-inf" or "-1e-05" as a value
+    return st.one_of(st.just(()), values.map(lambda v: (f"{name}={v!r}",)))
+
+
+FLOATS = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -1.0, 1e300, -1e300]),
+                   st.floats(min_value=-4.0, max_value=4.0))
+# Valid grid and basis sizes stay small so an example takes milliseconds (so
+# overlap and parity always get --steps: their defaults are 300 and 250); the
+# values just past each cap check that it is enforced before any work.
+STEPS = st.one_of(st.integers(-2, 12), st.just(MAX_STEPS + 1))
+DIMS = st.one_of(st.integers(-2, 24), st.just(MAX_DIM + 1))
+LEVELS = st.integers(-2, MAX_DIM + 1)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["evaluate", "overlap", "parity", "figure"]))
+    if command == "figure":
+        argv = ["figure", f"--id={draw(st.integers(2, 6))}"]
+        for flags in (_flag("--steps", STEPS), _flag("--delta", FLOATS),
+                      _flag("--levels", LEVELS), _flag("--tail-tol", FLOATS)):
+            argv += draw(flags)
+        return argv
+    argv = [command, f"--family={draw(st.sampled_from(['fock', 'cat']))}"]
+    if command == "evaluate":
+        argv.append(f"--{draw(st.sampled_from(['phi', 'delta']))}={draw(FLOATS)!r}")
+    else:
+        argv += (f"--steps={draw(STEPS)}",) + draw(_flag("--delta-max", FLOATS))
+    for flags in (_flag("--n", st.integers(-1, 4)), _flag("--alpha", FLOATS),
+                  _flag("--eta", FLOATS), _flag("--r", FLOATS), _flag("--photons", FLOATS),
+                  _flag("--p0", FLOATS), _flag("--dim", DIMS), _flag("--tail-tol", FLOATS),
+                  st.sampled_from([(), ("--oracle",)])):
+        argv += draw(flags)
+    return argv
+
+
+@given(argv=_argv())
+@settings(max_examples=100, deadline=None)
+def test_cli_contract_holds_for_any_flag_values(argv):
+    # main() must return a documented exit code with at most one line on
+    # stderr; an exception escaping main() would end the CLI in a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()

@@ -26,19 +26,12 @@ from ngphase.fock import (
     LeakageError,
     PureState,
     SpaceMismatchError,
+    _lowering,
     _quadrature_eigenbasis,
-    annihilation,
-    apply,
     cat_state,
     coherent_state,
-    conjugate,
-    creation,
     displace,
-    displacement,
     fock_state,
-    identity,
-    mean_photon_number,
-    number_operator,
     overlap,
     parity_expectation,
     photon_distribution,
@@ -48,6 +41,21 @@ from ngphase.fock import (
 
 E_MINUS_HALF = 0.60653065971263342  # exp(-1/2)
 E_MINUS_ONE = 0.36787944117144233  # exp(-1)
+
+
+def displaced(state, delta):
+    return displace(state, [delta])[0]
+
+
+def unguarded(dim):
+    """A space whose tail_tol (above 1) lets every state through the truncation
+    guard, for comparing whole operators column by column."""
+    return FockSpace(dim, tail_tol=2.0)
+
+
+def mean_photon_number(state):
+    p = photon_distribution(state)
+    return float(np.dot(np.arange(p.size), p))
 
 
 # ---------------------------------------------------------------------------
@@ -94,48 +102,42 @@ def test_states_are_immutable():
 
 
 # ---------------------------------------------------------------------------
-# operators
+# generators and displacement
 
 
 def test_annihilation_dim2():
-    mat = annihilation(FockSpace(2)).matrix
-    np.testing.assert_array_equal(mat, np.array([[0, 1], [0, 0]], dtype=complex))
+    np.testing.assert_array_equal(_lowering(2), np.array([[0, 1], [0, 0]]))
 
 
 def test_annihilation_entry_sqrt2():
-    mat = annihilation(FockSpace(3)).matrix
-    assert mat[1, 2] == pytest.approx(math.sqrt(2))
+    assert _lowering(3)[1, 2] == pytest.approx(math.sqrt(2))
 
 
 def test_number_operator_from_ladders():
-    space = FockSpace(12)
-    n_op = creation(space).matrix @ annihilation(space).matrix
-    for n in range(space.dim):
-        vec = np.zeros(space.dim)
-        vec[n] = 1.0
-        np.testing.assert_allclose(n_op @ vec, n * vec, atol=1e-12)
-    np.testing.assert_allclose(n_op, number_operator(space).matrix, atol=1e-12)
+    a = _lowering(12)
+    np.testing.assert_allclose(a.T @ a, np.diag(np.arange(12.0)), atol=1e-12)
 
 
 def test_displacement_zero_is_identity():
     space = FockSpace(16)
-    np.testing.assert_allclose(displacement(space, 0.0).matrix, np.eye(16), atol=1e-14)
+    for state in (fock_state(space, 3), cat_state(space, 0.5)):
+        np.testing.assert_allclose(displaced(state, 0.0).amplitudes, state.amplitudes,
+                                   atol=1e-14)
 
 
 def test_displacement_vacuum_matrix_element():
-    mat = displacement(FockSpace(32), 1.0).matrix
-    assert abs(mat[0, 0] - E_MINUS_HALF) < 1e-9
+    space = FockSpace(32)
+    assert abs(displaced(fock_state(space, 0), 1.0).amplitudes[0] - E_MINUS_HALF) < 1e-9
 
 
 def test_displacement_single_photon_orthogonality():
     # first Laguerre root: <1|D(1)|1> = 0
-    mat = displacement(FockSpace(32), 1.0).matrix
-    assert abs(mat[1, 1]) < 1e-9
+    space = FockSpace(32)
+    assert abs(displaced(fock_state(space, 1), 1.0).amplitudes[1]) < 1e-9
 
 
 def test_squeeze_zero_is_identity():
-    space = FockSpace(16)
-    np.testing.assert_allclose(squeeze(space, 0.0).matrix, np.eye(16), atol=1e-14)
+    np.testing.assert_allclose(squeeze(FockSpace(16), 0.0), np.eye(16), atol=1e-14)
 
 
 def test_squeeze_conjugation_identity():
@@ -143,10 +145,10 @@ def test_squeeze_conjugation_identity():
     # so the comparison block must sit well below the truncation.
     r = 0.5
     space = FockSpace(128)
-    s_mat = squeeze(space, r).matrix
-    a = annihilation(space).matrix
+    s_mat = squeeze(space, r)
+    a = _lowering(space.dim)
     lhs = s_mat.conj().T @ a @ s_mat
-    rhs = a * math.cosh(r) + a.conj().T * math.sinh(r)
+    rhs = a * math.cosh(r) + a.T * math.sinh(r)
     block = 24
     assert np.linalg.norm((lhs - rhs)[:block, :block]) < 1e-8
 
@@ -156,29 +158,33 @@ def test_squeeze_amplifies_displacement():
     # multiplies the phase signal by e^r.
     amp, phi, r = 5.0, 0.01, 0.5
     space = FockSpace(128)
-    s_mat = squeeze(space, r).matrix
-    lhs = s_mat.conj().T @ displacement(space, amp * phi).matrix @ s_mat
-    rhs = displacement(space, amp * phi * math.exp(r)).matrix
+    s_mat = squeeze(space, r)
     block = 24
-    assert np.linalg.norm((lhs - rhs)[:block, :block]) < 1e-8
+    lhs = np.column_stack([s_mat.conj().T @ displaced(PureState(space, s_mat[:, n]),
+                                                      amp * phi).amplitudes
+                           for n in range(block)])
+    rhs = np.column_stack([displaced(fock_state(space, n), amp * phi * math.exp(r)).amplitudes
+                           for n in range(block)])
+    assert np.linalg.norm((lhs - rhs)[:block]) < 1e-8
 
 
 @pytest.mark.parametrize("dim", [8, 30, 76])
 @pytest.mark.parametrize("delta", [0.0, -1.3, 0.7, 3.0])
 def test_displacement_matches_expm(dim, delta):
-    a = annihilation(FockSpace(dim)).matrix
-    reference = expm(1j * delta * (a + a.conj().T))
-    got = displacement(FockSpace(dim), delta).matrix
+    a = _lowering(dim)
+    reference = expm(1j * delta * (a + a.T))
+    space = unguarded(dim)
+    got = np.column_stack([displaced(fock_state(space, k), delta).amplitudes
+                           for k in range(dim)])
     assert np.max(np.abs(got - reference)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [8, 30, 76])
 @pytest.mark.parametrize("r", [0.0, -0.4, 0.25, 0.5])
 def test_squeeze_matches_expm(dim, r):
-    a = annihilation(FockSpace(dim)).matrix
-    adag = a.conj().T
-    reference = expm(0.5 * r * (adag @ adag - a @ a))
-    got = squeeze(FockSpace(dim), r).matrix
+    a = _lowering(dim)
+    reference = expm(0.5 * r * (a.T @ a.T - a @ a))
+    got = squeeze(FockSpace(dim), r)
     assert np.max(np.abs(got - reference)) <= 1e-12
 
 
@@ -191,24 +197,40 @@ def test_quadrature_eigenvalues_are_hermite_roots():
     np.testing.assert_allclose(lam, math.sqrt(2.0) * np.sort(roots), rtol=0, atol=1e-12)
 
 
-def test_displace_grid_matches_apply():
+def test_displace_grid_matches_single_points():
     space = FockSpace(recommend_dim(1.7, 3.0))
     probe = cat_state(space, 1.7)
     deltas = [-2.0, 0.0, 0.3, 1.0, 3.0]
     batch = displace(probe, deltas)
     assert len(batch) == len(deltas)
     for delta, got in zip(deltas, batch):
-        want = apply(displacement(space, delta), probe)
+        want = displaced(probe, delta)
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-13
         assert got.leakage == pytest.approx(want.leakage, abs=1e-13)
         assert got.leakage >= probe.leakage
 
 
+def test_displace_leakage_is_top_block_mass():
+    space = FockSpace(recommend_dim(1.0, 2.0), tail_tol=1e-6)
+    probe = fock_state(space, 1)
+    for got in displace(probe, [0.5, 2.0]):
+        assert got.leakage == pytest.approx(float(np.sum(np.abs(got.amplitudes[-5:]) ** 2)),
+                                            rel=1e-12, abs=0)
+    # one level watched at dim 6: D(3)|1> puts a third of its weight on |5>
+    with pytest.raises(LeakageError, match=r"displace\(delta=3.0\).*top 1 levels"):
+        displace(fock_state(FockSpace(6), 1), [0.0, 3.0])
+
+
+def test_displace_guard_fires_where_truncation_shows():
+    # D(3)|1> is wrong by more than 1e-12 in any basis of at most 20 levels
+    for dim in range(2, 21):
+        with pytest.raises(LeakageError):
+            displace(fock_state(FockSpace(dim), 1), [3.0])
+
+
 @pytest.mark.parametrize("delta", [math.inf, math.nan])
 def test_non_finite_displacement_rejected(delta):
     space = FockSpace(16)
-    with pytest.raises(ConvergenceError, match="non-finite"):
-        displacement(space, delta)
     with pytest.raises(ConvergenceError, match="non-finite"):
         displace(fock_state(space, 1), [0.5, delta])
 
@@ -224,17 +246,17 @@ def test_import_does_not_load_scipy():
 
 @pytest.mark.parametrize("delta", [0.25, 1.0, 2.0])
 def test_displacement_unitary_on_low_block(delta):
-    space = FockSpace(recommend_dim(0.0, delta))
-    mat = displacement(space, delta).matrix
+    space = unguarded(recommend_dim(0.0, delta))
     half = space.dim // 2
-    gram = (mat.conj().T @ mat)[:half, :half]
-    assert np.linalg.norm(gram - np.eye(half)) < 1e-8
+    cols = np.column_stack([displaced(fock_state(space, k), delta).amplitudes
+                            for k in range(half)])
+    assert np.linalg.norm(cols.conj().T @ cols - np.eye(half)) < 1e-8
 
 
 @pytest.mark.parametrize("r", [0.25, 0.5])
 def test_squeeze_unitary_on_low_block(r):
     space = FockSpace(96)
-    mat = squeeze(space, r).matrix
+    mat = squeeze(space, r)
     half = space.dim // 2
     gram = (mat.conj().T @ mat)[:half, :half]
     assert np.linalg.norm(gram - np.eye(half)) < 1e-8
@@ -360,16 +382,14 @@ def test_cat_displaced_orthogonality_at_first_zero():
     delta0 = math.acos(-math.exp(-2.0 * alpha * alpha)) / (2.0 * alpha)
     space = FockSpace(recommend_dim(alpha, delta0))
     cat = cat_state(space, alpha)
-    displaced = apply(displacement(space, delta0), cat)
-    assert abs(overlap(cat, displaced)) < 1e-8
+    assert abs(overlap(cat, displaced(cat, delta0))) < 1e-8
 
 
 def test_displaced_single_photon_distribution():
     # oracle: displaced-Fock matrix elements |<n|D(1)|1>|^2 give
     # p0 = e^-1, p1 = 0, p2 = e^-1/2
     space = FockSpace(recommend_dim(1.0, 1.0))
-    state = apply(displacement(space, 1.0), fock_state(space, 1))
-    p = photon_distribution(state)
+    p = photon_distribution(displaced(fock_state(space, 1), 1.0))
     assert abs(p[1]) < 1e-9
     assert abs(p[0] - E_MINUS_ONE) < 1e-9
     assert abs(p[2] - E_MINUS_ONE / 2.0) < 1e-9
@@ -386,7 +406,7 @@ def test_displaced_cat_parity_matches_closed_form():
     # expression e^{-2 d^2} (cos 4 a d + e^{-2 a^2}) / (1 + e^{-2 a^2})
     alpha, delta = 1.5, 0.3
     space = FockSpace(recommend_dim(alpha, delta))
-    state = apply(displacement(space, delta), cat_state(space, alpha))
+    state = displaced(cat_state(space, alpha), delta)
     expected = math.exp(-2.0 * delta ** 2) * (
         math.cos(4.0 * alpha * delta) + math.exp(-2.0 * alpha ** 2)
     ) / (1.0 + math.exp(-2.0 * alpha ** 2))
@@ -394,44 +414,20 @@ def test_displaced_cat_parity_matches_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# apply / conjugate
-
-
-def test_apply_identity_is_noop():
-    space = FockSpace(12)
-    state = fock_state(space, 2)
-    np.testing.assert_array_equal(apply(identity(space), state).amplitudes,
-                                  state.amplitudes)
+# applying a displacement
 
 
 def test_apply_round_trip_displacement():
     space = FockSpace(32)
     for state in (fock_state(space, 1), cat_state(space, 1.0)):
-        there = apply(displacement(space, 0.5), state)
-        back = apply(displacement(space, -0.5), there)
+        back = displaced(displaced(state, 0.5), -0.5)
         assert np.linalg.norm(back.amplitudes - state.amplitudes) < 1e-9
 
 
 def test_apply_norm_change_controlled():
     space = FockSpace(recommend_dim(1.0, 0.5))
-    out = apply(displacement(space, 0.5), cat_state(space, 1.0))
+    out = displaced(cat_state(space, 1.0), 0.5)
     assert abs(out.norm - 1.0) < 1e-9
-
-
-def test_apply_renormalize_is_logged(caplog):
-    space = FockSpace(32)
-    with caplog.at_level("INFO", logger="ngphase.fock"):
-        out = apply(displacement(space, 0.5), fock_state(space, 1), renormalize=True)
-    assert abs(out.norm - 1.0) < 1e-15
-    assert any("renormalizing" in message for message in caplog.messages)
-
-
-def test_conjugate_density_round_trip():
-    space = FockSpace(32)
-    rho = cat_state(space, 1.0).density()
-    disp = displacement(space, 0.5)
-    back = conjugate(disp.dagger(), conjugate(disp, rho))
-    assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +514,7 @@ def test_cat_state_properties(alpha):
 @settings(max_examples=30, deadline=None)
 def test_displaced_fock_properties(delta, n):
     space = FockSpace(recommend_dim(2.0, 1.5))
-    state = apply(displacement(space, delta), fock_state(space, n))
+    state = displaced(fock_state(space, n), delta)
     p = photon_distribution(state)
     assert abs(p.sum() - 1.0) < 1e-10
     assert -1.0 - 1e-12 <= parity_expectation(state) <= 1.0 + 1e-12
