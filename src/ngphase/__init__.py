@@ -51,6 +51,7 @@ from .loss import (
     apply_loss_via_purification,
     lossy_displaced_cat,
     lossy_displaced_fock1,
+    thin,
 )
 from .protocols import (
     Evaluation,

@@ -17,11 +17,20 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .search import bisect_root
 
 PRIOR_ATOL = 1e-12
+
+# Largest Fock photon number.  The closed forms run the Laguerre recurrence,
+# O(n) per evaluation, and the first-root search about 40 of them: 0.09 s at
+# n = 10 000.  A number state in the oracle's basis needs n < MAX_DIM anyway.
+MAX_N = 10_000
+
+# Largest squeeze factor whose e^r is a finite float.
+MAX_R = math.log(sys.float_info.max)
 
 
 class StateFamily(enum.Enum):
@@ -50,8 +59,8 @@ class ProtocolParams:
 
     def __post_init__(self):
         if self.family is StateFamily.FOCK:
-            if self.n is None or self.n < 1:
-                raise ValueError("Fock family requires n >= 1")
+            if self.n is None or not 1 <= self.n <= MAX_N:
+                raise ValueError(f"Fock family requires n in [1, {MAX_N}], got {self.n}")
             if self.alpha is not None:
                 raise ValueError("alpha is a cat-family field")
         elif self.family is StateFamily.CAT:
@@ -61,8 +70,9 @@ class ProtocolParams:
                 raise ValueError("n is a Fock-family field")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if not 0 <= self.r < math.inf:
-            raise ValueError(f"squeeze factor r must be finite and >= 0, got {self.r}")
+        if not 0 <= self.r <= MAX_R:
+            raise ValueError(f"squeeze factor r must be in [0, {MAX_R:.6g}] so that e^r "
+                             f"is finite, got {self.r}")
         if not 0 < self.photons < math.inf:
             raise ValueError(f"photons must be finite and > 0, got {self.photons}")
         if not (0.0 <= self.p0 <= 1.0 and 0.0 <= self.p_delta <= 1.0):

@@ -27,11 +27,11 @@ from .fock import (
     displace,
     fock_state,
     overlap,
-    parity_expectation,
+    parity_signs,
     photon_distribution,
     recommend_dim,
 )
-from .loss import LossChannel, apply_loss
+from .loss import LossChannel, thin
 from .protocols import (
     Evaluation,
     _default_space,
@@ -57,9 +57,11 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; the CSV contract reserves 2
-    # for computation failures, so remap through an exception.
+    # for computation failures, so remap through an exception.  The usage
+    # text is folded onto the message's line: every error is one stderr line.
     def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
+        usage = " ".join(self.format_usage().split())
+        raise _UsageError(f"{self.prog}: error: {message}; {usage}")
 
 
 def fmt(value: float) -> str:
@@ -232,10 +234,10 @@ def _cmd_parity(args) -> int:
     deltas = _delta_grid(args.delta_max, args.steps)
     space = cfg.space_for(args.delta_max)
     probe = cat_state(space, params.alpha)
-    channel = LossChannel(space, params.eta)
+    probs = [photon_distribution(state) for state in displace(probe, deltas)]
+    parities = thin(LossChannel(space, params.eta), probs) @ parity_signs(space.dim)
     rows = []
-    for delta, displaced in zip(deltas, displace(probe, deltas)):
-        numeric = parity_expectation(apply_loss(channel, displaced))
+    for delta, numeric in zip(deltas, parities):
         a = analytic.cat_parity(params.alpha, delta, params.eta)
         rows.append([fmt(delta), fmt(a), fmt(numeric), fmt(abs(a - numeric))])
     _write_rows(cfg.out, ["delta", "analytic", "numeric", "abs_diff"], rows)
@@ -357,8 +359,17 @@ def _figure_4(args) -> tuple[list[str], list[list[str]]]:
     return ["alpha", "delta_opt", "p_even", "p_odd"], rows
 
 
-def _figure_5(args) -> tuple[list[str], list[list[str]]]:
+def _figure_etas(args) -> list[float]:
+    """The --etas grid of figures 5 and 6; every efficiency must lie in (0, 1]."""
     etas = [float(e) for e in args.etas.split(",") if e.strip()]
+    bad = [e for e in etas if not 0.0 < e <= 1.0]
+    if bad:
+        raise ValueError(f"--etas values must be in (0, 1], got {bad[0]}")
+    return etas
+
+
+def _figure_5(args) -> tuple[list[str], list[list[str]]]:
+    etas = _figure_etas(args)
     steps = _figure_steps(args, 200)
     header = ["alpha"] + [f"p_fp_eta_{e:g}" for e in etas]
     rows = []
@@ -371,7 +382,7 @@ def _figure_5(args) -> tuple[list[str], list[list[str]]]:
 
 
 def _figure_6(args) -> tuple[list[str], list[list[str]]]:
-    etas = [float(e) for e in args.etas.split(",") if e.strip()]
+    etas = _figure_etas(args)
     steps = _figure_steps(args, 200)
     header = ["alpha"] + [f"p_fn_eta_{e:g}" for e in etas]
     rows = []

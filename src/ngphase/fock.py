@@ -270,11 +270,15 @@ def photon_distribution(state: PureState | DensityOperator) -> np.ndarray:
     return np.real(np.diag(state.matrix)).copy()
 
 
+def parity_signs(dim: int) -> np.ndarray:
+    """(-1)^n for n = 0..dim-1: the parity readout of a photon-number distribution."""
+    return np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
+
+
 def parity_expectation(state: PureState | DensityOperator) -> float:
     """Expectation of (-1)^n; lies in [-1, 1]."""
     p = photon_distribution(state)
-    signs = np.where(np.arange(p.size) % 2 == 0, 1.0, -1.0)
-    return float(np.dot(signs, p))
+    return float(np.dot(parity_signs(p.size), p))
 
 
 def _top_levels(dim: int) -> int:

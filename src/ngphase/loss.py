@@ -1,10 +1,13 @@
 """Photon loss with detector quantum efficiency eta.
 
 The detector is modeled as a beamsplitter of power transmissivity eta mixing
-the signal with vacuum.  Two equivalent constructions are provided: the Kraus
-form (``apply_loss``) and a two-mode purification that traces out the bath
-(``apply_loss_via_purification``), plus closed-form lossy states for the
-single-photon and cat protocols.
+the signal with vacuum.  Counting statistics go through the binomial thinning
+table (``thin``): loss maps a photon-number distribution p to B p with
+B_mn = C(n, m) eta^m (1-eta)^(n-m) (Kelley & Kleiner, Phys. Rev. 136, A316,
+1964).  Two equivalent constructions of the full lossy state are kept as
+references: the Kraus form (``apply_loss``) and a two-mode purification that
+traces out the bath (``apply_loss_via_purification``), plus closed-form lossy
+states for the single-photon and cat protocols.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .fock import (
     FockSpace,
     PureState,
     _checked_eigenbasis,
+    _freeze,
     _lowering,
     coherent_state,
     displace,
@@ -66,21 +70,58 @@ class LossChannel:
         return k + 1
 
     def kraus_operators(self) -> list[np.ndarray]:
-        """E_k = sqrt((1-eta)^k / k!) eta^(n/2) a^k for k = 0..kraus_terms-1."""
-        d = self.space.dim
-        a = _lowering(d)
-        damp = np.diag(self.eta ** (0.5 * np.arange(d)))
-        ops = []
-        a_pow = np.eye(d, dtype=complex)
-        log_loss = math.log(1.0 - self.eta) if self.eta < 1.0 else -math.inf
-        for k in range(self.kraus_terms()):
-            if k == 0:
-                coeff = 1.0
-            else:
-                coeff = math.exp(0.5 * (k * log_loss - math.lgamma(k + 1)))
-            ops.append(coeff * damp @ a_pow)
-            a_pow = a_pow @ a
-        return ops
+        """E_k = sqrt((1-eta)^k / k!) eta^(n/2) a^k for k = 0..kraus_terms-1.
+
+        E_k lowers |m+k> to |m> with amplitude sqrt(B[m, m+k]), so it is the
+        k-th superdiagonal of the elementwise square root of the thinning table.
+        """
+        root = np.sqrt(_thinning_table(self.space.dim, self.eta))
+        return [np.diag(np.diagonal(root, k), k) for k in range(self.kraus_terms())]
+
+
+# One table takes 8 dim^2 bytes (512 KiB at MAX_DIM); a sweep along eta needs
+# one per point, a delta grid one per command.
+_THINNING_CACHE = 32
+
+
+@functools.lru_cache(maxsize=_THINNING_CACHE)
+def _thinning_table(dim: int, eta: float) -> np.ndarray:
+    """Read-only B[m, n] = C(n, m) eta^m (1-eta)^(n-m): the probability that n
+    photons leave m after loss.  Upper triangular, columns sum to 1, and the
+    identity at eta = 1.  Built from log-factorials on the triangle m <= n, so
+    no factorial overflows and no 0 log 0 is formed."""
+    if eta == 1.0:
+        return _freeze(np.eye(dim))
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
+    m, n = np.triu_indices(dim)
+    log_b = (log_fact[n] - log_fact[m] - log_fact[n - m]
+             + m * math.log(eta) + (n - m) * math.log1p(-eta))
+    table = np.zeros((dim, dim))
+    table[m, n] = np.exp(log_b)
+    return _freeze(table)
+
+
+def thin(channel: LossChannel, probs) -> np.ndarray:
+    """Photon-number distribution after loss, q = B p, for one distribution p
+    or for each row of a stack of them.
+
+    Every result entry must be >= -EIG_ATOL and every result must sum to 1
+    within TRACE_ATOL, the bounds ``DensityOperator`` holds a lossy state
+    to; otherwise ValueError.
+    """
+    probs = np.asarray(probs, dtype=float)
+    d = channel.space.dim
+    if probs.shape[-1:] != (d,):
+        raise ValueError(f"distribution has shape {probs.shape}, expected (..., {d})")
+    out = probs @ _thinning_table(d, channel.eta).T
+    low = float(np.min(out))
+    if not low >= -DensityOperator.EIG_ATOL:
+        raise ValueError(f"thinned distribution not positive: min entry {low:.3e}")
+    defect = float(np.max(np.abs(np.sum(out, axis=-1) - 1.0)))
+    if not defect <= DensityOperator.TRACE_ATOL:
+        raise ValueError(f"thinned distribution sums to 1 only within {defect:.3e}, "
+                         f"beyond {DensityOperator.TRACE_ATOL}")
+    return out
 
 
 def apply_loss(channel: LossChannel, state: PureState | DensityOperator) -> DensityOperator:

@@ -21,11 +21,11 @@ from .fock import (
     displace,
     fock_state,
     overlap,
-    parity_expectation,
+    parity_signs,
     photon_distribution,
     recommend_dim,
 )
-from .loss import LossChannel, apply_loss
+from .loss import LossChannel, thin
 from .search import golden_section_minimize
 
 
@@ -105,22 +105,22 @@ def _default_space(params: ProtocolParams, delta: float, tail_tol: float) -> Foc
 
 def _numeric_rates(params: ProtocolParams, delta: float, space: FockSpace) -> ErrorRates:
     """Rates from the truncated-basis simulation: build the probe, displace it,
-    push both through the Kraus loss channel, and read off the counting
-    statistics."""
+    thin the photon-number distributions of both through the loss channel, and
+    read off the counting statistics."""
     if params.family is StateFamily.FOCK:
         probe = fock_state(space, params.n)
     else:
         probe = cat_state(space, params.alpha)
     displaced = displace(probe, [delta])[0]
-    channel = LossChannel(space, params.eta)
-    rho_quiet = apply_loss(channel, probe)
-    rho_signal = apply_loss(channel, displaced)
+    q_quiet, q_signal = thin(LossChannel(space, params.eta),
+                             [photon_distribution(probe), photon_distribution(displaced)])
     if params.family is StateFamily.FOCK:
-        p_fp = 1.0 - photon_distribution(rho_quiet)[params.n]
-        p_fn = photon_distribution(rho_signal)[params.n]
+        p_fp = 1.0 - q_quiet[params.n]
+        p_fn = q_signal[params.n]
     else:
-        p_fp = 0.5 * (1.0 - parity_expectation(rho_quiet))
-        p_fn = 0.5 * (1.0 + parity_expectation(rho_signal))
+        signs = parity_signs(space.dim)
+        p_fp = 0.5 * (1.0 - float(signs @ q_quiet))
+        p_fn = 0.5 * (1.0 + float(signs @ q_signal))
     overlap_sq = abs(overlap(probe, displaced)) ** 2
     return ErrorRates(
         p_fp=min(max(p_fp, 0.0), 1.0),

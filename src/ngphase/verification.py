@@ -36,6 +36,7 @@ from .loss import (
     apply_loss_via_purification,
     lossy_displaced_cat,
     lossy_displaced_fock1,
+    thin,
 )
 from .protocols import evaluate, optimize_delta, sweep
 
@@ -285,6 +286,22 @@ def _kraus_purification(grid: str) -> float:
             worst = max(worst, trace_distance(
                 apply_loss(channel, state),
                 apply_loss_via_purification(channel, state)))
+    return worst
+
+
+@_check("loss_thinning_vs_purification", 1e-9)
+def _thinning_purification(grid: str) -> float:
+    """Binomial thinning of |psi|^2 matches the diagonal of the purified lossy state."""
+    space = FockSpace(24)
+    states = (fock_state(space, 2), cat_state(space, 1.0),
+              displace(cat_state(space, 1.0), [0.6])[0])
+    worst = 0.0
+    for eta in (0.5, 0.9, 0.98):
+        channel = LossChannel(space, eta)
+        thinned = thin(channel, [photon_distribution(state) for state in states])
+        for q, state in zip(thinned, states):
+            purified = photon_distribution(apply_loss_via_purification(channel, state))
+            worst = max(worst, float(np.max(np.abs(q - purified))))
     return worst
 
 

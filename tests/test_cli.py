@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ngphase.analytic import cat_overlap_zero
 from ngphase.cli import main
 from ngphase.fock import MAX_DIM, MAX_STEPS
+from ngphase.protocols import SWEEP_AXES
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +184,20 @@ def test_figure_6_lossy_fn_exceeds_lossless(capsys):
         assert float(row[1]) >= float(row[2]) - 1e-12
 
 
+@pytest.mark.parametrize("figure, etas", [
+    ("5", "0,2"),
+    ("5", "0.9,-0.5"),
+    ("6", "1.5"),
+    ("6", "0.9,nan"),
+])
+def test_figure_efficiency_out_of_range_is_validation_error(capsys, figure, etas):
+    # figure 5 printed p_fp_eta_2 = -3.9e13 for --etas 0,2
+    code, out, err = run_cli(capsys, "figure", "--id", figure, "--etas", etas, "--steps", "2")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "--etas" in err
+
+
 def test_figure_unknown_id(capsys):
     code, _, _ = run_cli(capsys, "figure", "--id", "7")
     assert code == 1
@@ -306,11 +321,18 @@ def test_undersized_basis_is_computation_error(capsys):
     (("--delta", "inf"), "delta"),
     (("--tail-tol", "2"), "--tail-tol"),
     (("--tail-tol", "0"), "--tail-tol"),
+    # finite, but e^r is not: "math range error" (exit 2) before
+    (("--r", "1e300"), "squeeze factor r"),
+    (("optimize", "--alpha", "2", "--r", "1e300"), "squeeze factor r"),
+    # int(1e300) photons: the Laguerre recurrence would never finish
+    (("sweep", "--axis", "n", "--values", "1e300"), "n in [1, 10000]"),
 ])
 def test_non_finite_scenario_input_is_validation_error(capsys, flags, field):
+    # an entry may name its subcommand first; evaluate otherwise
+    command, flags = (flags[0], flags[1:]) if not flags[0].startswith("-") else ("evaluate", flags)
     family = ("--family", "cat") if "--alpha" in flags else ("--family", "fock", "--n", "1")
-    where = () if {"--phi", "--delta"} & set(flags) else ("--delta", "3")
-    code, out, err = run_cli(capsys, "evaluate", *family, "--eta", "0.9", *where, *flags)
+    where = () if command != "evaluate" or {"--phi", "--delta"} & set(flags) else ("--delta", "3")
+    code, out, err = run_cli(capsys, command, *family, "--eta", "0.9", *where, *flags)
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and field in err
@@ -346,10 +368,15 @@ def _flag(name, values):
     return st.one_of(st.just(()), values.map(lambda v: (f"{name}={v!r}",)))
 
 
+# The (0, 1] branch is valid for every float flag, so that some examples with
+# several flags set get past validation into the computation.
 FLOATS = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -1.0, 1e300, -1e300]),
-                   st.floats(min_value=-4.0, max_value=4.0))
-# Valid grid and basis sizes stay small so an example takes milliseconds (so
-# overlap and parity always get --steps: their defaults are 300 and 250); the
+                   st.floats(min_value=-4.0, max_value=4.0),
+                   st.floats(min_value=0.05, max_value=1.0))
+# Valid grid and basis sizes stay small so an example takes milliseconds: a
+# figure or sweep grid runs the optimizer (and, for sweep, the oracle) per
+# point.  overlap and parity may take their default grids (300 and 250
+# points), one displacement product and one thinning product each.  The
 # values just past each cap check that it is enforced before any work.
 STEPS = st.one_of(st.integers(-2, 12), st.just(MAX_STEPS + 1))
 DIMS = st.one_of(st.integers(-2, 24), st.just(MAX_DIM + 1))
@@ -357,8 +384,17 @@ LEVELS = st.integers(-2, MAX_DIM + 1)
 
 
 @st.composite
+def _axis_values(draw):
+    if draw(st.booleans()):
+        values = draw(st.lists(FLOATS, min_size=1, max_size=4))
+        return (f"--values={','.join(repr(v) for v in values)}",)
+    return ("--grid", repr(draw(FLOATS)), repr(draw(FLOATS)), str(draw(STEPS)))
+
+
+@st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(["evaluate", "overlap", "parity", "figure"]))
+    command = draw(st.sampled_from(["evaluate", "optimize", "sweep", "overlap", "parity",
+                                    "figure"]))
     if command == "figure":
         argv = ["figure", f"--id={draw(st.integers(2, 6))}"]
         for flags in (_flag("--steps", STEPS), _flag("--delta", FLOATS),
@@ -368,8 +404,11 @@ def _argv(draw):
     argv = [command, f"--family={draw(st.sampled_from(['fock', 'cat']))}"]
     if command == "evaluate":
         argv.append(f"--{draw(st.sampled_from(['phi', 'delta']))}={draw(FLOATS)!r}")
-    else:
-        argv += (f"--steps={draw(STEPS)}",) + draw(_flag("--delta-max", FLOATS))
+    elif command == "sweep":
+        argv.append(f"--axis={draw(st.sampled_from(SWEEP_AXES))}")
+        argv += draw(_axis_values())
+    elif command in ("overlap", "parity"):
+        argv += draw(_flag("--steps", STEPS)) + draw(_flag("--delta-max", FLOATS))
     for flags in (_flag("--n", st.integers(-1, 4)), _flag("--alpha", FLOATS),
                   _flag("--eta", FLOATS), _flag("--r", FLOATS), _flag("--photons", FLOATS),
                   _flag("--p0", FLOATS), _flag("--dim", DIMS), _flag("--tail-tol", FLOATS),

@@ -1,12 +1,15 @@
-"""Loss-channel tests: Kraus action, closed lossy states, purification."""
+"""Loss-channel tests: binomial thinning, Kraus action, closed lossy states,
+purification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from ngphase.fock import (
+    MAX_DIM,
     FockSpace,
     _lowering,
     cat_state,
@@ -24,6 +27,8 @@ from ngphase.loss import (
     apply_loss_via_purification,
     lossy_displaced_cat,
     lossy_displaced_fock1,
+    thin,
+    _thinning_table,
 )
 
 
@@ -54,6 +59,68 @@ def test_kraus_completeness():
         half = space.dim // 2
         defect = np.linalg.norm(total[:half, :half] - np.eye(half))
         assert defect < 1e-9
+
+
+@pytest.mark.parametrize("eta", [1e-3, 0.5, 0.9, 0.999, 1.0 - 1e-12])
+def test_thinning_table_is_column_stochastic_and_upper_triangular(eta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = _thinning_table.__wrapped__(MAX_DIM, eta)  # built here, not cached
+    assert np.max(np.abs(table.sum(axis=0) - 1.0)) <= 1e-11
+    assert np.all(np.tril(table, -1) == 0.0)
+    assert np.min(table) >= 0.0
+
+
+def test_thinning_table_eta_one_is_identity():
+    assert np.array_equal(_thinning_table(12, 1.0), np.eye(12))
+
+
+@pytest.mark.parametrize("eta1, eta2", [(0.9, 0.8), (0.95, 0.5), (0.3, 0.99)])
+def test_thinning_tables_compose(eta1, eta2):
+    d = 60
+    product = _thinning_table(d, eta1) @ _thinning_table(d, eta2)
+    assert np.max(np.abs(product - _thinning_table(d, eta1 * eta2))) <= 1e-12
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.9, 0.98])
+def test_thin_matches_kraus_diagonal(eta):
+    space = FockSpace(recommend_dim(2.0, 1.2))
+    channel = LossChannel(space, eta)
+    states = [displace(fock_state(space, 1), [0.7])[0],
+              displace(fock_state(space, 3), [1.2])[0],
+              displace(cat_state(space, 2.0), [0.4])[0]]
+    thinned = thin(channel, [photon_distribution(s) for s in states])
+    for q, state in zip(thinned, states):
+        reference = photon_distribution(apply_loss(channel, state))
+        assert np.max(np.abs(q - reference)) <= 1e-12
+        # one distribution gives the row of the stack, up to summation order
+        assert np.max(np.abs(thin(channel, photon_distribution(state)) - q)) <= 1e-15
+
+
+@pytest.mark.parametrize("probs, message", [
+    (np.full(8, 1.1 / 8), "sums to 1"),
+    (np.r_[1.1, -0.1, np.zeros(6)], "not positive"),
+    (np.full(7, 1.0 / 7), "shape"),
+])
+def test_thin_rejects_invalid_distributions(probs, message):
+    with pytest.raises(ValueError, match=message):
+        thin(LossChannel(FockSpace(8), 0.9), probs)
+
+
+@pytest.mark.parametrize("dim", [8, 30, 76])
+def test_kraus_operators_match_ladder_construction(dim):
+    # reference: E_k = sqrt((1-eta)^k / k!) eta^(n/2) a^k from matrix powers
+    a = _lowering(dim)
+    for eta in (0.3, 0.9, 0.98):
+        channel = LossChannel(FockSpace(dim), eta)
+        damp = np.diag(eta ** (0.5 * np.arange(dim)))
+        a_pow = np.eye(dim)
+        ops = channel.kraus_operators()
+        assert len(ops) == channel.kraus_terms()
+        for k, ek in enumerate(ops):
+            coeff = math.exp(0.5 * (k * math.log(1.0 - eta) - math.lgamma(k + 1)))
+            assert np.max(np.abs(ek - coeff * damp @ a_pow)) <= 1e-12
+            a_pow = a_pow @ a
 
 
 def test_single_photon_loss_matrix():
