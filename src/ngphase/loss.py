@@ -23,7 +23,6 @@ from .fock import (
     FockSpace,
     PureState,
     _checked_eigenbasis,
-    _freeze,
     _lowering,
     coherent_state,
     displace,
@@ -79,26 +78,22 @@ class LossChannel:
         return [np.diag(np.diagonal(root, k), k) for k in range(self.kraus_terms())]
 
 
-# One table takes 8 dim^2 bytes (512 KiB at MAX_DIM); a sweep along eta needs
-# one per point, a delta grid one per command.
-_THINNING_CACHE = 32
-
-
-@functools.lru_cache(maxsize=_THINNING_CACHE)
 def _thinning_table(dim: int, eta: float) -> np.ndarray:
-    """Read-only B[m, n] = C(n, m) eta^m (1-eta)^(n-m): the probability that n
-    photons leave m after loss.  Upper triangular, columns sum to 1, and the
-    identity at eta = 1.  Built from log-factorials on the triangle m <= n, so
-    no factorial overflows and no 0 log 0 is formed."""
+    """B[m, n] = C(n, m) eta^m (1-eta)^(n-m): the probability that n photons
+    leave m after loss.  Upper triangular, columns sum to 1, and the identity
+    at eta = 1.  Built from log-factorials on the triangle m <= n, so no
+    factorial overflows and no 0 log 0 is formed.  Not cached: the build costs
+    the same order, O(dim^2), as the product it feeds, and the oracle rarely
+    asks twice for one (dim, eta)."""
     if eta == 1.0:
-        return _freeze(np.eye(dim))
+        return np.eye(dim)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
     m, n = np.triu_indices(dim)
     log_b = (log_fact[n] - log_fact[m] - log_fact[n - m]
              + m * math.log(eta) + (n - m) * math.log1p(-eta))
     table = np.zeros((dim, dim))
     table[m, n] = np.exp(log_b)
-    return _freeze(table)
+    return table
 
 
 def thin(channel: LossChannel, probs) -> np.ndarray:

@@ -24,7 +24,7 @@ from .fock import (
     displace,
     fock_state,
     overlap,
-    parity_expectation,
+    parity_signs,
     photon_distribution,
     recommend_dim,
     squeeze,
@@ -132,16 +132,16 @@ def _fock1_point_analytic(grid: str) -> float:
 
 @_check("fock1_operating_point_numeric", 1e-8)
 def _fock1_point_numeric(grid: str) -> float:
-    """Kraus-channel photon statistics reproduce the closed-form rates."""
+    """Thinned photon statistics, read as the oracle reads them, reproduce the
+    closed-form rates."""
     worst = 0.0
     for eta in (0.8, 0.9, 0.98):
         delta = 1.0 / math.sqrt(eta)
         space = _space_for(1.0, delta)
         probe = fock_state(space, 1)
         displaced = displace(probe, [delta])[0]
-        channel = LossChannel(space, eta)
-        p_quiet = photon_distribution(apply_loss(channel, probe))
-        p_signal = photon_distribution(apply_loss(channel, displaced))
+        p_quiet, p_signal = thin(LossChannel(space, eta),
+                                 [photon_distribution(probe), photon_distribution(displaced)])
         worst = max(worst, abs((1.0 - p_quiet[1]) - (1.0 - eta)),
                     abs(p_signal[1] - (1.0 - eta) / math.e))
     return worst
@@ -171,8 +171,9 @@ def _cat_zeros_numeric(grid: str) -> float:
 
 @_check("lossy_cat_statistics", 1e-8)
 def _lossy_cat_statistics(grid: str) -> float:
-    """Kraus-channel parity and per-n photon probabilities of the displaced cat
-    against their closed forms, from one lossy state per grid point."""
+    """Parity of the thinned distribution (the oracle's readout) and per-n
+    photon probabilities of the Kraus-channel state, for the displaced cat,
+    against their closed forms."""
     alphas = (1.0, 3.0) if grid == "small" else (1.0, 2.0, 3.0)
     deltas = (0.4,) if grid == "small" else (0.1, 0.4, 0.8)
     worst = 0.0
@@ -181,11 +182,14 @@ def _lossy_cat_statistics(grid: str) -> float:
             space = _space_for(alpha, delta)
             displaced = displace(cat_state(space, alpha), [delta])[0]
             for eta in _etas(grid):
-                rho = apply_loss(LossChannel(space, eta), displaced)
+                channel = LossChannel(space, eta)
+                q = thin(channel, photon_distribution(displaced))
+                rho = apply_loss(channel, displaced)
                 closed = np.array([analytic.cat_pn(alpha, delta, eta, n)
                                    for n in range(space.dim)])
                 worst = max(worst,
-                            abs(parity_expectation(rho) - analytic.cat_parity(alpha, delta, eta)),
+                            abs(float(parity_signs(space.dim) @ q)
+                                - analytic.cat_parity(alpha, delta, eta)),
                             float(np.max(np.abs(photon_distribution(rho) - closed))))
     return worst
 
