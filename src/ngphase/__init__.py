@@ -19,6 +19,7 @@ from .analytic import (
     cat_overlap,
     cat_overlap_zero,
     cat_parity,
+    cat_parity_curve,
     cat_pn,
     fock1_error_rates,
     fock_overlap,

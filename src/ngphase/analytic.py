@@ -19,6 +19,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from .search import bisect_root
 
@@ -31,6 +32,12 @@ MAX_N = 10_000
 
 # Largest squeeze factor whose e^r is a finite float.
 MAX_R = math.log(sys.float_info.max)
+
+
+def cat_amplitude_in_range(alpha: float) -> bool:
+    """Whether alpha > 0 and 2 alpha^2, the exponent of the cat's norm and
+    parity, is a finite float (alpha up to about 9.5e153)."""
+    return alpha > 0 and math.isfinite(2.0 * alpha * alpha)
 
 
 class StateFamily(enum.Enum):
@@ -64,8 +71,9 @@ class ProtocolParams:
             if self.alpha is not None:
                 raise ValueError("alpha is a cat-family field")
         elif self.family is StateFamily.CAT:
-            if self.alpha is None or not 0 < self.alpha < math.inf:
-                raise ValueError(f"cat family requires a finite alpha > 0, got {self.alpha}")
+            if self.alpha is None or not cat_amplitude_in_range(self.alpha):
+                raise ValueError(f"cat family requires alpha > 0 with 2 alpha^2 a finite "
+                                 f"float, got {self.alpha}")
             if self.n is not None:
                 raise ValueError("n is a Fock-family field")
         if not 0.0 < self.eta <= 1.0:
@@ -228,23 +236,40 @@ def fock1_error_rates(delta: float, eta: float,
 # cat protocol (odd count means "signal")
 
 
-def cat_parity(alpha: float, delta: float, eta: float = 1.0) -> float:
-    """Parity of the displaced cat after detection loss:
+def cat_parity_curve(alpha: float, eta: float = 1.0) -> Callable[[float], float]:
+    """Lossy parity of the displaced cat as a function of delta, for one
+    (alpha, eta):
     (2 exp(-2 d'^2) / K) (exp(-2 (1-eta) alpha^2) cos(4 a' d') + exp(-2 a'^2)).
 
     The coherence damping exponent eps^2 alpha'^2 with
-    eps = sqrt((1-eta)/eta) reduces to (1-eta) alpha^2.
+    eps = sqrt((1-eta)/eta) reduces to (1-eta) alpha^2.  Every delta-free
+    factor is computed here once; the returned function does one exp and one
+    cos per delta.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
-    alpha_p = math.sqrt(eta) * alpha
-    delta_p = math.sqrt(eta) * delta
+    root_eta = math.sqrt(eta)
+    alpha_p = root_eta * alpha
+    four_alpha_p = 4.0 * alpha_p
+    k = cat_norm(alpha)
     damping = math.exp(-2.0 * (1.0 - eta) * alpha * alpha)
-    return (2.0 * math.exp(-2.0 * delta_p * delta_p) / cat_norm(alpha)) * (
-        damping * math.cos(4.0 * alpha_p * delta_p) + math.exp(-2.0 * alpha_p * alpha_p)
-    )
+    floor = math.exp(-2.0 * alpha_p * alpha_p)
+
+    def parity(delta: float) -> float:
+        delta_p = root_eta * delta
+        return (2.0 * math.exp(-2.0 * delta_p * delta_p) / k) * (
+            damping * math.cos(four_alpha_p * delta_p) + floor
+        )
+
+    return parity
+
+
+def cat_parity(alpha: float, delta: float, eta: float = 1.0) -> float:
+    """Parity of the displaced cat after detection loss at one delta; see
+    ``cat_parity_curve``."""
+    return cat_parity_curve(alpha, eta)(delta)
 
 
 def cat_false_positive_product_form(alpha: float, eta: float) -> float:

@@ -236,9 +236,10 @@ def _cmd_parity(args) -> int:
     probe = cat_state(space, params.alpha)
     probs = [photon_distribution(state) for state in displace(probe, deltas)]
     parities = thin(LossChannel(space, params.eta), probs) @ parity_signs(space.dim)
+    closed_form = analytic.cat_parity_curve(params.alpha, params.eta)
     rows = []
     for delta, numeric in zip(deltas, parities):
-        a = analytic.cat_parity(params.alpha, delta, params.eta)
+        a = closed_form(delta)
         rows.append([fmt(delta), fmt(a), fmt(numeric), fmt(abs(a - numeric))])
     _write_rows(cfg.out, ["delta", "analytic", "numeric", "abs_diff"], rows)
     return EXIT_OK
@@ -287,12 +288,18 @@ def _cmd_optimize(args) -> int:
     return EXIT_OK
 
 
+def _flag_list(text: str, flag: str) -> list[float]:
+    """The comma-separated values of a list flag; an empty list is an error."""
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise ValueError(f"{flag} is empty")
+    return values
+
+
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args)
     if args.values is not None:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-        if not values:
-            raise ValueError("--values is empty")
+        values = _flag_list(args.values, "--values")
     else:
         lo, hi, steps = args.grid
         _check_steps(steps, "--grid STEPS", 2)
@@ -333,13 +340,18 @@ def _figure_steps(args, default: int) -> int:
 
 
 def _figure_3(args) -> tuple[list[str], list[list[str]]]:
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
+    alphas = _flag_list(args.alphas, "--alphas")
+    bad = [a for a in alphas if not analytic.cat_amplitude_in_range(a)]
+    if bad:
+        raise ValueError(f"--alphas values must be > 0 with 2 alpha^2 a finite float, "
+                         f"got {bad[0]}")
     steps = _figure_steps(args, 500)
     header = ["delta"] + [f"parity_alpha_{a:g}" for a in alphas]
+    curves = [analytic.cat_parity_curve(a, 1.0) for a in alphas]
     rows = []
     for i in range(steps):
         delta = (i * 2.5) / (steps - 1)
-        rows.append([fmt(delta)] + [fmt(analytic.cat_parity(a, delta, 1.0)) for a in alphas])
+        rows.append([fmt(delta)] + [fmt(curve(delta)) for curve in curves])
     return header, rows
 
 
@@ -361,7 +373,7 @@ def _figure_4(args) -> tuple[list[str], list[list[str]]]:
 
 def _figure_etas(args) -> list[float]:
     """The --etas grid of figures 5 and 6; every efficiency must lie in (0, 1]."""
-    etas = [float(e) for e in args.etas.split(",") if e.strip()]
+    etas = _flag_list(args.etas, "--etas")
     bad = [e for e in etas if not 0.0 < e <= 1.0]
     if bad:
         raise ValueError(f"--etas values must be in (0, 1], got {bad[0]}")

@@ -178,7 +178,9 @@ def optimize_delta(params: ProtocolParams) -> OperatingPoint:
     d' = sqrt(R_n) (for n = 1 this is d'^2 = 1, which also minimizes the lossy
     false-negative rate).  Cat: golden-section minimization of the lossy
     parity over d' in (0, pi / (2 alpha')), seeded by a coarse scan since the
-    parity develops a secondary ripple inside the bracket.
+    parity develops a secondary ripple inside the bracket.  The objective is
+    one ``analytic.cat_parity_curve`` per operating point, so the scan and the
+    search pay only for the delta-dependent factors.
     """
     if params.family is StateFamily.FOCK:
         if params.n != 1 and params.eta < 1.0:
@@ -188,17 +190,22 @@ def optimize_delta(params: ProtocolParams) -> OperatingPoint:
         delta_detected = math.sqrt(analytic.laguerre_first_root(params.n))
         source = OperatingPointSource.ANALYTIC_THRESHOLD
     else:
-        alpha_p = math.sqrt(params.eta) * params.alpha
-        hi = 0.5 * math.pi / alpha_p
+        root_eta = math.sqrt(params.eta)
+        hi = 0.5 * math.pi / (root_eta * params.alpha)
+        curve = analytic.cat_parity_curve(params.alpha, params.eta)
 
         def parity_at(delta_p: float) -> float:
-            return analytic.cat_parity(params.alpha, delta_p / math.sqrt(params.eta), params.eta)
+            return curve(delta_p / root_eta)
 
+        # Cell i ends at d' = i hi / n_cells; the first lowest cell wins a tie.
         n_cells = 64
-        probes = [(i * hi / n_cells, parity_at(i * hi / n_cells)) for i in range(1, n_cells + 1)]
-        best = min(range(len(probes)), key=lambda i: probes[i][1])
-        lo_cell = probes[best - 1][0] if best > 0 else probes[0][0] / 2.0
-        hi_cell = probes[best + 1][0] if best + 1 < len(probes) else hi
+        best = 0
+        for i in range(1, n_cells + 1):
+            parity = parity_at(i * hi / n_cells)
+            if best == 0 or parity < best_parity:
+                best, best_parity = i, parity
+        lo_cell = (best - 1) * hi / n_cells if best > 1 else (hi / n_cells) / 2.0
+        hi_cell = (best + 1) * hi / n_cells if best < n_cells else hi
         delta_detected, _ = golden_section_minimize(parity_at, lo_cell, hi_cell, tol=1e-10)
         source = OperatingPointSource.PARITY_MINIMIZED
     phi0 = delta_detected / (math.sqrt(params.eta * params.photons) * math.exp(params.r))
@@ -238,6 +245,8 @@ class SweepResult:
 
 def _params_at(params: ProtocolParams, axis: str, value: float) -> ProtocolParams:
     if axis == "n":
+        if not float(value).is_integer():
+            raise ValueError(f"n axis values must be finite integers, got {value!r}")
         return dataclasses.replace(params, n=int(value))
     return dataclasses.replace(params, **{axis: value})
 

@@ -23,7 +23,9 @@ from ngphase.analytic import (
     cat_norm,
     cat_overlap,
     cat_overlap_zero,
+    cat_amplitude_in_range,
     cat_parity,
+    cat_parity_curve,
     cat_pn,
     fock1_error_rates,
     fock1_false_negative,
@@ -60,6 +62,19 @@ def test_params_family_consistency():
         ProtocolParams(family=StateFamily.CAT, photons=1e6)  # alpha missing
     with pytest.raises(ValueError):
         ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=2.0, n=1)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, 1e300, 9.49e153])
+def test_params_reject_alpha_whose_norm_exponent_overflows(alpha):
+    assert not cat_amplitude_in_range(alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=alpha)
+
+
+def test_params_accept_largest_cat_amplitudes():
+    for alpha in (1e-300, 1e150, 9.48e153):
+        assert cat_amplitude_in_range(alpha)
+        ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=alpha)
 
 
 def test_params_priors_must_sum_to_one():
@@ -306,6 +321,41 @@ def test_cat_parity_against_numeric():
     space = FockSpace(recommend_dim(alpha, delta))
     numeric = parity_expectation(lossy_displaced_cat(space, alpha, delta, eta))
     assert cat_parity(alpha, delta, eta) == pytest.approx(numeric, abs=1e-8)
+
+
+def _cat_parity_term_by_term(alpha, delta, eta):
+    # every factor evaluated at each delta, in the curve's operation order
+    alpha_p = math.sqrt(eta) * alpha
+    delta_p = math.sqrt(eta) * delta
+    damping = math.exp(-2.0 * (1.0 - eta) * alpha * alpha)
+    return (2.0 * math.exp(-2.0 * delta_p * delta_p) / cat_norm(alpha)) * (
+        damping * math.cos(4.0 * alpha_p * delta_p) + math.exp(-2.0 * alpha_p * alpha_p)
+    )
+
+
+CURVE_DELTAS = [0.0, -0.0, 1e-300, -1e-9, math.pi / 8.0, -math.pi / 8.0] + [
+    k / 40.0 for k in range(-100, 101)]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.0, 3.9])
+@pytest.mark.parametrize("eta", [0.5, 0.8, 0.93, 1.0])
+def test_cat_parity_curve_is_bit_identical_to_term_by_term_formula(alpha, eta):
+    # the optimizer's comparisons and the printed digits rest on exact equality
+    curve = cat_parity_curve(alpha, eta)
+    root_eta = math.sqrt(eta)
+    for delta in CURVE_DELTAS:
+        expected = _cat_parity_term_by_term(alpha, delta, eta)
+        assert curve(delta) == expected
+        assert cat_parity(alpha, delta, eta) == expected
+        # the optimizer's detector-side round trip d' -> d'/sqrt(eta)
+        assert curve(delta / root_eta) == _cat_parity_term_by_term(alpha, delta / root_eta, eta)
+
+
+@pytest.mark.parametrize("alpha, eta", [(0.0, 1.0), (-1.0, 0.9), (math.nan, 0.9),
+                                        (1.0, 0.0), (1.0, 1.5), (1.0, math.nan)])
+def test_cat_parity_curve_rejects_invalid_parameters(alpha, eta):
+    with pytest.raises(ValueError):
+        cat_parity_curve(alpha, eta)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])

@@ -198,6 +198,25 @@ def test_figure_efficiency_out_of_range_is_validation_error(capsys, figure, etas
     assert err.count("\n") == 1 and "--etas" in err
 
 
+@pytest.mark.parametrize("figure, flag, values", [
+    ("3", "--alphas", ",,"),
+    ("3", "--alphas", "inf"),
+    ("3", "--alphas", "1.5,0"),
+    ("3", "--alphas", "nan"),
+    ("3", "--alphas", "1e300"),
+    ("5", "--etas", ","),
+    ("6", "--etas", ","),
+])
+def test_figure_list_flag_empty_or_out_of_range_is_validation_error(capsys, figure, flag,
+                                                                    values):
+    # empty lists printed a grid-only CSV; --alphas inf reported "math domain error"
+    code, out, err = run_cli(capsys, "figure", "--id", figure, f"{flag}={values}",
+                             "--steps", "2")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and flag in err
+
+
 def test_figure_unknown_id(capsys):
     code, _, _ = run_cli(capsys, "figure", "--id", "7")
     assert code == 1
@@ -326,6 +345,11 @@ def test_undersized_basis_is_computation_error(capsys):
     (("optimize", "--alpha", "2", "--r", "1e300"), "squeeze factor r"),
     # int(1e300) photons: the Laguerre recurrence would never finish
     (("sweep", "--axis", "n", "--values", "1e300"), "n in [1, 10000]"),
+    # int(value) evaluated n = 1 and 2 under rows labelled 1.5 and 2.9
+    (("sweep", "--axis", "n", "--values", "1.5,2.9"), "n axis values must be finite integers"),
+    (("sweep", "--axis", "n", "--values", "inf"), "n axis values must be finite integers"),
+    # 2 alpha^2 overflows: "p_fp out of range: nan" before
+    (("sweep", "--alpha", "2", "--axis", "alpha", "--values", "1e300"), "alpha"),
 ])
 def test_non_finite_scenario_input_is_validation_error(capsys, flags, field):
     # an entry may name its subcommand first; evaluate otherwise
@@ -383,10 +407,20 @@ DIMS = st.one_of(st.integers(-2, 24), st.just(MAX_DIM + 1))
 LEVELS = st.integers(-2, MAX_DIM + 1)
 
 
+# n axis values mix photon numbers, some valid, with non-integral floats.
+N_VALUES = st.one_of(st.integers(-1, 5).map(float), FLOATS)
+
+
+def _list_flag(name, values):
+    # from the empty list up; FLOATS holds inf, nan, 0 and 1e300
+    return st.one_of(st.just(()), st.lists(values, max_size=4).map(
+        lambda vs: (f"{name}={','.join(repr(v) for v in vs)}",)))
+
+
 @st.composite
-def _axis_values(draw):
+def _axis_values(draw, axis):
     if draw(st.booleans()):
-        values = draw(st.lists(FLOATS, min_size=1, max_size=4))
+        values = draw(st.lists(N_VALUES if axis == "n" else FLOATS, min_size=1, max_size=4))
         return (f"--values={','.join(repr(v) for v in values)}",)
     return ("--grid", repr(draw(FLOATS)), repr(draw(FLOATS)), str(draw(STEPS)))
 
@@ -398,15 +432,17 @@ def _argv(draw):
     if command == "figure":
         argv = ["figure", f"--id={draw(st.integers(2, 6))}"]
         for flags in (_flag("--steps", STEPS), _flag("--delta", FLOATS),
-                      _flag("--levels", LEVELS), _flag("--tail-tol", FLOATS)):
+                      _flag("--levels", LEVELS), _flag("--tail-tol", FLOATS),
+                      _list_flag("--alphas", FLOATS), _list_flag("--etas", FLOATS)):
             argv += draw(flags)
         return argv
     argv = [command, f"--family={draw(st.sampled_from(['fock', 'cat']))}"]
     if command == "evaluate":
         argv.append(f"--{draw(st.sampled_from(['phi', 'delta']))}={draw(FLOATS)!r}")
     elif command == "sweep":
-        argv.append(f"--axis={draw(st.sampled_from(SWEEP_AXES))}")
-        argv += draw(_axis_values())
+        axis = draw(st.sampled_from(SWEEP_AXES))
+        argv.append(f"--axis={axis}")
+        argv += draw(_axis_values(axis))
     elif command in ("overlap", "parity"):
         argv += draw(_flag("--steps", STEPS)) + draw(_flag("--delta-max", FLOATS))
     for flags in (_flag("--n", st.integers(-1, 4)), _flag("--alpha", FLOATS),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ngphase import analytic
 from ngphase.analytic import ProtocolParams, StateFamily, cat_overlap_zero, cat_parity
 from ngphase.protocols import (
     OperatingPointSource,
@@ -16,6 +17,7 @@ from ngphase.protocols import (
     phi_to_delta,
     sweep,
 )
+from ngphase.search import golden_section_minimize
 
 FOCK1 = dict(family=StateFamily.FOCK, photons=1e6, n=1)
 CAT2 = dict(family=StateFamily.CAT, photons=1e6, alpha=2.0)
@@ -137,6 +139,51 @@ def test_optimize_cat_beats_overlap_zero_point():
             assert p_opt <= p_alt + 1e-12
 
 
+def _reference_cat_optimum(alpha, eta):
+    """The cat operating point recomputed independently: the parity formula
+    evaluated term by term per delta, a 64-cell scan kept as (d', parity)
+    pairs and ranked by ``min``, then the golden-section search."""
+    def parity_at(delta_p):
+        delta = delta_p / math.sqrt(eta)
+        a_p, d_p = math.sqrt(eta) * alpha, math.sqrt(eta) * delta
+        k = 2.0 * (1.0 + math.exp(-2.0 * alpha * alpha))
+        return (2.0 * math.exp(-2.0 * d_p * d_p) / k) * (
+            math.exp(-2.0 * (1.0 - eta) * alpha * alpha) * math.cos(4.0 * a_p * d_p)
+            + math.exp(-2.0 * a_p * a_p))
+
+    hi = 0.5 * math.pi / (math.sqrt(eta) * alpha)
+    n_cells = 64
+    probes = [(i * hi / n_cells, parity_at(i * hi / n_cells)) for i in range(1, n_cells + 1)]
+    best = min(range(len(probes)), key=lambda i: probes[i][1])
+    lo_cell = probes[best - 1][0] if best > 0 else probes[0][0] / 2.0
+    hi_cell = probes[best + 1][0] if best + 1 < len(probes) else hi
+    return golden_section_minimize(parity_at, lo_cell, hi_cell, tol=1e-10)[0]
+
+
+@pytest.mark.parametrize("eta", [0.8, 0.9, 0.95, 0.98, 1.0])
+def test_optimize_cat_is_bit_identical_to_reference_search(eta):
+    # figures 4 and 6 and every cat sweep print these digits
+    for alpha in [0.5 + 0.125 * k for k in range(29)]:
+        params = ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=alpha, eta=eta)
+        op = optimize_delta(params)
+        assert op.delta == _reference_cat_optimum(alpha, eta), alpha
+
+
+def test_optimize_cat_builds_one_parity_curve_per_operating_point(monkeypatch):
+    # a count, not a timing: the objective's (alpha, eta) factors are computed
+    # once per call, not once per objective evaluation (about 108 of them)
+    built, norms = [], []
+    curve, norm = analytic.cat_parity_curve, analytic.cat_norm
+    monkeypatch.setattr(analytic, "cat_parity_curve",
+                        lambda *args: built.append(args) or curve(*args))
+    monkeypatch.setattr(analytic, "cat_norm", lambda alpha: norms.append(alpha) or norm(alpha))
+    points = [(alpha, eta) for alpha in (0.5, 2.0, 3.9) for eta in (0.8, 1.0)]
+    for alpha, eta in points:
+        optimize_delta(ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=alpha, eta=eta))
+    assert built == points
+    assert norms == [alpha for alpha, _ in points]
+
+
 def test_optimize_lossy_multiphoton_refused():
     params = ProtocolParams(family=StateFamily.FOCK, photons=1e6, n=2, eta=0.9)
     with pytest.raises(UnsupportedProtocolError):
@@ -201,6 +248,16 @@ def test_sweep_wraps_point_failures_with_index():
     assert err.value.index == 1
     assert err.value.value == 2.0
     # the cause is a validation error, so the wrapper is one too
+    assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.9, math.inf, -math.inf, math.nan])
+def test_sweep_n_axis_rejects_non_integral_values(value):
+    # int(1.5) would evaluate n = 1 under a row labelled 1.5
+    params = ProtocolParams(**FOCK1)
+    with pytest.raises(SweepPointError, match="finite integers") as err:
+        sweep(params, "n", (1.0, value))
+    assert err.value.index == 1
     assert isinstance(err.value, ValueError)
 
 
