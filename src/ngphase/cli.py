@@ -290,7 +290,10 @@ def _cmd_optimize(args) -> int:
 
 def _flag_list(text: str, flag: str) -> list[float]:
     """The comma-separated values of a list flag; an empty list is an error."""
-    values = [float(v) for v in text.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
     if not values:
         raise ValueError(f"{flag} is empty")
     return values

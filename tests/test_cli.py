@@ -206,9 +206,9 @@ def test_figure_efficiency_out_of_range_is_validation_error(capsys, figure, etas
     ("3", "--alphas", "1e300"),
     ("5", "--etas", ","),
     ("6", "--etas", ","),
+    ("3", "--alphas", "1.5,abc"),
 ])
-def test_figure_list_flag_empty_or_out_of_range_is_validation_error(capsys, figure, flag,
-                                                                    values):
+def test_figure_list_flag_is_validated(capsys, figure, flag, values):
     # empty lists printed a grid-only CSV; --alphas inf reported "math domain error"
     code, out, err = run_cli(capsys, "figure", "--id", figure, f"{flag}={values}",
                              "--steps", "2")
