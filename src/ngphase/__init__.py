@@ -30,7 +30,6 @@ from .analytic import (
 )
 from .fock import (
     ConvergenceError,
-    DensityOperator,
     FockSpace,
     LeakageError,
     PureState,
@@ -40,18 +39,13 @@ from .fock import (
     displace,
     fock_state,
     overlap,
-    parity_expectation,
     photon_distribution,
     recommend_dim,
     squeeze,
-    trace_distance,
 )
 from .loss import (
     LossChannel,
-    apply_loss,
     apply_loss_via_purification,
-    lossy_displaced_cat,
-    lossy_displaced_fock1,
     thin,
 )
 from .protocols import (

@@ -422,13 +422,17 @@ def _cmd_figure(args) -> int:
 def _cmd_verify(args) -> int:
     results = run_checks(grid=args.grid, tolerance=args.tolerance)
     header = ["status", "check", "max_discrepancy", "tolerance", "seconds"]
-    rows = [["PASS" if r.passed else "FAIL", r.name, fmt(r.discrepancy),
-             fmt(r.tolerance), f"{r.seconds:.3f}"] for r in results]
+    rows = [[r.status, r.name, fmt(r.discrepancy), fmt(r.tolerance), f"{r.seconds:.3f}"]
+            for r in results]
     _write_rows(args.out, header, rows)
     if args.out is not None:
         _write_rows(None, header, rows)
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed", file=sys.stderr)
+    summary = f"{len(results) - len(failed)}/{len(results)} checks passed"
+    errored = [f"{r.name} ({' '.join(r.error.split())})" for r in results if r.error]
+    if errored:
+        summary += "; errors: " + ", ".join(errored)
+    print(summary, file=sys.stderr)
     return EXIT_OK if not failed else EXIT_VERIFICATION
 
 

@@ -24,11 +24,10 @@ DIM_MARGIN = 20
 DEFAULT_TAIL_TOL = 1e-12
 
 # Largest basis any space may have.  A dense matrix takes 16 dim^2 bytes
-# (1 MiB at 256), a cached eigenbasis at most as much, and the Kraus stack of
-# the loss channel up to dim such matrices (256 MiB at 256 levels and
-# eta -> 0); eigh costs O(dim^3).  256 levels hold |alpha|^2 + delta^2 up to
-# 143 at the default tail tolerance, far past the alpha <= 4 of the paper's
-# figures (84 levels at delta = 2.5).
+# (1 MiB at 256), a cached eigenbasis at most as much and a thinning table
+# half as much; eigh costs O(dim^3).  256 levels hold |alpha|^2 + delta^2 up
+# to 143 at the default tail tolerance, far past the alpha <= 4 of the
+# paper's figures (84 levels at delta = 2.5).
 MAX_DIM = 256
 
 # Longest delta (or axis) grid a command may ask for.  ``displace`` holds a
@@ -64,10 +63,6 @@ class FockSpace:
             raise ValueError(f"dim must be in [2, {MAX_DIM}], got {self.dim}")
         if not self.tail_tol > 0:
             raise ValueError(f"tail_tol must be > 0, got {self.tail_tol}")
-
-    @property
-    def levels(self) -> np.ndarray:
-        return np.arange(self.dim)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -107,43 +102,6 @@ class PureState:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def density(self) -> "DensityOperator":
-        """Rank-one density operator |psi><psi|."""
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityOperator(self.space, rho)
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Hermitian, unit-trace, positive matrix over the Fock basis."""
-
-    space: FockSpace
-    matrix: np.ndarray
-
-    HERM_ATOL = 1e-12
-    TRACE_ATOL = 1e-10
-    EIG_ATOL = 1e-10
-
-    def __post_init__(self):
-        mat = np.ascontiguousarray(self.matrix, dtype=complex)
-        d = self.space.dim
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix has shape {mat.shape}, expected ({d}, {d})")
-        herm_defect = np.max(np.abs(mat - mat.conj().T))
-        if herm_defect > self.HERM_ATOL:
-            raise ValueError(f"matrix not Hermitian: defect {herm_defect:.3e}")
-        tr = mat.trace().real
-        if abs(tr - 1.0) > self.TRACE_ATOL:
-            raise ValueError(f"trace {tr!r} differs from 1 beyond {self.TRACE_ATOL}")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < -self.EIG_ATOL:
-            raise ValueError(f"matrix not positive: min eigenvalue {min_eig:.3e}")
-        object.__setattr__(self, "matrix", _freeze(mat))
-
-    @property
-    def trace(self) -> float:
-        return float(self.matrix.trace().real)
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +221,14 @@ def overlap(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def photon_distribution(state: PureState | DensityOperator) -> np.ndarray:
+def photon_distribution(state: PureState) -> np.ndarray:
     """Probability of each photon number; sums to 1 for valid inputs."""
-    if isinstance(state, PureState):
-        return np.abs(state.amplitudes) ** 2
-    return np.real(np.diag(state.matrix)).copy()
+    return np.abs(state.amplitudes) ** 2
 
 
 def parity_signs(dim: int) -> np.ndarray:
     """(-1)^n for n = 0..dim-1: the parity readout of a photon-number distribution."""
     return np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-
-
-def parity_expectation(state: PureState | DensityOperator) -> float:
-    """Expectation of (-1)^n; lies in [-1, 1]."""
-    p = photon_distribution(state)
-    return float(np.dot(parity_signs(p.size), p))
 
 
 def _top_levels(dim: int) -> int:
@@ -316,17 +266,6 @@ def displace(state: PureState, deltas) -> list[PureState]:
         )
     return [PureState(space, row, leakage=max(state.leakage, float(t)))
             for row, t in zip(rows, top)]
-
-
-# ---------------------------------------------------------------------------
-# metrics
-
-
-def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """(1/2)||rho - sigma||_1."""
-    _check_same_space(rho, sigma)
-    eigs = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return 0.5 * float(np.sum(np.abs(eigs)))
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,10 @@ def _params_at(params: ProtocolParams, axis: str, value: float) -> ProtocolParam
     if axis == "n":
         if not float(value).is_integer():
             raise ValueError(f"n axis values must be finite integers, got {value!r}")
+        # checked before int(), which would spell out a huge value in full
+        if not 1 <= value <= analytic.MAX_N:
+            raise ValueError(f"n axis values require n in [1, {analytic.MAX_N}], "
+                             f"got {value!r}")
         return dataclasses.replace(params, n=int(value))
     return dataclasses.replace(params, **{axis: value})
 

@@ -28,26 +28,28 @@ from .fock import (
     photon_distribution,
     recommend_dim,
     squeeze,
-    trace_distance,
 )
-from .loss import (
-    LossChannel,
-    apply_loss,
-    apply_loss_via_purification,
-    lossy_displaced_cat,
-    lossy_displaced_fock1,
-    thin,
-)
+from .loss import LossChannel, apply_loss_via_purification, thin
 from .protocols import evaluate, optimize_delta, sweep
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome.  A check that raised carries its message in
+    ``error``, an infinite discrepancy and ``passed`` False."""
+
     name: str
     passed: bool
     discrepancy: float
     tolerance: float
     seconds: float
+    error: str | None = None
+
+    @property
+    def status(self) -> str:
+        if self.error is not None:
+            return "ERROR"
+        return "PASS" if self.passed else "FAIL"
 
 
 _REGISTRY: list[tuple[str, float, Callable[[str], float]]] = []
@@ -70,7 +72,8 @@ def run_checks(grid: str = "full", tolerance: float | None = None,
 
     ``tolerance`` overrides every check's own threshold (useful to probe how
     tight the agreement actually is); ``grid='small'`` shrinks the parameter
-    grids for a quick smoke run.
+    grids for a quick smoke run.  A check that raises is recorded as an
+    ERROR result and the remaining checks still run.
     """
     if grid not in ("small", "full"):
         raise ValueError(f"grid must be 'small' or 'full', got {grid!r}")
@@ -80,9 +83,13 @@ def run_checks(grid: str = "full", tolerance: float | None = None,
             continue
         tol = default_tol if tolerance is None else tolerance
         start = time.perf_counter()
-        disc = fn(grid)
+        try:
+            disc, error = fn(grid), None
+        except Exception as exc:
+            disc, error = math.inf, f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
-        results.append(CheckResult(name, disc < tol, disc, tol, elapsed))
+        results.append(CheckResult(name, error is None and disc < tol, disc, tol,
+                                   elapsed, error))
     return results
 
 
@@ -171,9 +178,8 @@ def _cat_zeros_numeric(grid: str) -> float:
 
 @_check("lossy_cat_statistics", 1e-8)
 def _lossy_cat_statistics(grid: str) -> float:
-    """Parity of the thinned distribution (the oracle's readout) and per-n
-    photon probabilities of the Kraus-channel state, for the displaced cat,
-    against their closed forms."""
+    """Parity and per-n photon probabilities of the thinned distribution (the
+    oracle's readout) of the displaced cat against their closed forms."""
     alphas = (1.0, 3.0) if grid == "small" else (1.0, 2.0, 3.0)
     deltas = (0.4,) if grid == "small" else (0.1, 0.4, 0.8)
     worst = 0.0
@@ -182,15 +188,13 @@ def _lossy_cat_statistics(grid: str) -> float:
             space = _space_for(alpha, delta)
             displaced = displace(cat_state(space, alpha), [delta])[0]
             for eta in _etas(grid):
-                channel = LossChannel(space, eta)
-                q = thin(channel, photon_distribution(displaced))
-                rho = apply_loss(channel, displaced)
+                q = thin(LossChannel(space, eta), photon_distribution(displaced))
                 closed = np.array([analytic.cat_pn(alpha, delta, eta, n)
                                    for n in range(space.dim)])
                 worst = max(worst,
                             abs(float(parity_signs(space.dim) @ q)
                                 - analytic.cat_parity(alpha, delta, eta)),
-                            float(np.max(np.abs(photon_distribution(rho) - closed))))
+                            float(np.max(np.abs(q - closed))))
     return worst
 
 
@@ -252,50 +256,23 @@ def _cat_overlap_formula(grid: str) -> float:
     return worst
 
 
-@_check("loss_trace_positivity", 1e-9)
-def _loss_trace_positivity(grid: str) -> float:
-    """Channel outputs stay unit-trace and positive."""
-    worst = 0.0
-    for eta in _etas(grid):
-        for make in (lambda s: fock_state(s, 3), lambda s: cat_state(s, 1.5),
-                     lambda s: displace(cat_state(s, 1.5), [0.7])[0]):
-            space = _space_for(1.5, 0.7)
-            rho = apply_loss(LossChannel(space, eta), make(space))
-            worst = max(worst, abs(rho.trace - 1.0))
-            worst = max(worst, max(0.0, -float(np.linalg.eigvalsh(rho.matrix)[0])))
-    return worst
-
-
 @_check("loss_composition", 1e-8)
 def _loss_composition(grid: str) -> float:
-    """loss(eta1) after loss(eta2) equals loss(eta1 * eta2)."""
+    """Thinning at eta1 after thinning at eta2 equals thinning at eta1 * eta2."""
     space = _space_for(1.5, 0.5)
-    state = displace(cat_state(space, 1.5), [0.5])[0]
+    p = photon_distribution(displace(cat_state(space, 1.5), [0.5])[0])
     worst = 0.0
     for eta1, eta2 in ((0.9, 0.8), (0.95, 0.5)):
-        seq = apply_loss(LossChannel(space, eta1), apply_loss(LossChannel(space, eta2), state))
-        direct = apply_loss(LossChannel(space, eta1 * eta2), state)
-        worst = max(worst, trace_distance(seq, direct))
-    return worst
-
-
-@_check("kraus_purification_equivalence", 1e-9)
-def _kraus_purification(grid: str) -> float:
-    """Tracing the bath out of the beamsplitter purification matches the Kraus sum."""
-    space = FockSpace(24)
-    worst = 0.0
-    for eta in (0.5, 0.9, 0.98):
-        channel = LossChannel(space, eta)
-        for state in (fock_state(space, 2), cat_state(space, 1.0)):
-            worst = max(worst, trace_distance(
-                apply_loss(channel, state),
-                apply_loss_via_purification(channel, state)))
+        seq = thin(LossChannel(space, eta1), thin(LossChannel(space, eta2), p))
+        direct = thin(LossChannel(space, eta1 * eta2), p)
+        worst = max(worst, float(np.max(np.abs(seq - direct))))
     return worst
 
 
 @_check("loss_thinning_vs_purification", 1e-9)
 def _thinning_purification(grid: str) -> float:
-    """Binomial thinning of |psi|^2 matches the diagonal of the purified lossy state."""
+    """Binomial thinning of |psi|^2 matches the diagonal of the lossy state
+    built by the beamsplitter purification, which shares no code with it."""
     space = FockSpace(24)
     states = (fock_state(space, 2), cat_state(space, 1.0),
               displace(cat_state(space, 1.0), [0.6])[0])
@@ -304,25 +281,8 @@ def _thinning_purification(grid: str) -> float:
         channel = LossChannel(space, eta)
         thinned = thin(channel, [photon_distribution(state) for state in states])
         for q, state in zip(thinned, states):
-            purified = photon_distribution(apply_loss_via_purification(channel, state))
+            purified = np.diagonal(apply_loss_via_purification(channel, state)).real
             worst = max(worst, float(np.max(np.abs(q - purified))))
-    return worst
-
-
-@_check("lossy_closed_forms_vs_kraus", 1e-9)
-def _lossy_closed_forms(grid: str) -> float:
-    """The commuted closed-form lossy states equal the Kraus-channel outputs."""
-    worst = 0.0
-    space = _space_for(1.0, 0.8)
-    displaced = displace(fock_state(space, 1), [0.8])[0]
-    worst = max(worst, trace_distance(
-        lossy_displaced_fock1(space, 0.8, 0.9),
-        apply_loss(LossChannel(space, 0.9), displaced)))
-    space = _space_for(1.5, 0.3)
-    displaced = displace(cat_state(space, 1.5), [0.3])[0]
-    worst = max(worst, trace_distance(
-        lossy_displaced_cat(space, 1.5, 0.3, 0.8),
-        apply_loss(LossChannel(space, 0.8), displaced)))
     return worst
 
 

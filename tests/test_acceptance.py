@@ -54,7 +54,7 @@ def test_criterion_1_fock_orthogonality():
 
 
 def test_criterion_2_lossy_single_photon_operating_point():
-    # closed-form and Kraus-channel rates at d'^2 = 1 against (1-eta, (1-eta)/e)
+    # closed-form and thinned-distribution rates at d'^2 = 1 against (1-eta, (1-eta)/e)
     _accept(2, "lossy single-photon operating point",
             {"fock1_operating_point_analytic": 1e-12,
              "fock1_operating_point_numeric": 1e-8}, seconds=5.0)

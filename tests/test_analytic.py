@@ -41,8 +41,11 @@ from ngphase.fock import (
     displace,
     fock_state,
     overlap,
+    parity_signs,
+    photon_distribution,
     recommend_dim,
 )
+from ngphase.loss import LossChannel, thin
 from ngphase.search import bisect_root, golden_section_minimize
 
 L2_FIRST_ROOT = 0.58578643762690495  # 2 - sqrt(2)
@@ -314,12 +317,11 @@ def test_cat_parity_no_signal_value(alpha):
 
 
 def test_cat_parity_against_numeric():
-    from ngphase.fock import parity_expectation
-    from ngphase.loss import lossy_displaced_cat
-
     alpha, delta, eta = 2.0, 0.35, 0.95
     space = FockSpace(recommend_dim(alpha, delta))
-    numeric = parity_expectation(lossy_displaced_cat(space, alpha, delta, eta))
+    displaced = displace(cat_state(space, alpha), [delta])[0]
+    q = thin(LossChannel(space, eta), photon_distribution(displaced))
+    numeric = float(parity_signs(space.dim) @ q)
     assert cat_parity(alpha, delta, eta) == pytest.approx(numeric, abs=1e-8)
 
 

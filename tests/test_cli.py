@@ -360,6 +360,8 @@ def test_non_finite_scenario_input_is_validation_error(capsys, flags, field):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and field in err
+    # a huge value is quoted as given, never spelled out as a 301-digit integer
+    assert len(err) < 160
 
 
 @pytest.mark.parametrize("argv", [

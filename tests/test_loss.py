@@ -1,5 +1,6 @@
-"""Loss-channel tests: binomial thinning, Kraus action, closed lossy states,
-purification."""
+"""Loss-channel tests: binomial thinning against the ladder-operator Kraus
+form and the closed forms, and the beamsplitter purification against the
+Kraus form and scipy's matrix exponential."""
 
 import math
 import warnings
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from ngphase.analytic import cat_parity, cat_pn
 from ngphase.fock import (
     MAX_DIM,
     FockSpace,
@@ -16,25 +18,21 @@ from ngphase.fock import (
     coherent_state,
     displace,
     fock_state,
-    parity_expectation,
+    parity_signs,
     photon_distribution,
     recommend_dim,
-    trace_distance,
 )
-from ngphase.loss import (
-    LossChannel,
-    apply_loss,
-    apply_loss_via_purification,
-    lossy_displaced_cat,
-    lossy_displaced_fock1,
-    thin,
-    _thinning_table,
-)
+from ngphase.loss import LossChannel, apply_loss_via_purification, thin, _thinning_table
 
 
 def fidelity_with_pure(psi, rho):
     """<psi|rho|psi>."""
-    return float(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes).real)
+    return float(np.vdot(psi.amplitudes, rho @ psi.amplitudes).real)
+
+
+def trace_distance(rho, sigma):
+    """(1/2)||rho - sigma||_1."""
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
 
 
 def test_channel_rejects_bad_eta():
@@ -45,20 +43,11 @@ def test_channel_rejects_bad_eta():
 
 
 def test_eta_one_is_identity_channel():
-    space = FockSpace(16)
+    space = FockSpace(24)
     state = cat_state(space, 1.0)
-    rho = apply_loss(LossChannel(space, 1.0), state)
-    np.testing.assert_allclose(rho.matrix, state.density().matrix, atol=1e-14)
-
-
-def test_kraus_completeness():
-    space = FockSpace(40)
-    for eta in (0.5, 0.9, 0.98):
-        ops = LossChannel(space, eta).kraus_operators()
-        total = sum(ek.conj().T @ ek for ek in ops)
-        half = space.dim // 2
-        defect = np.linalg.norm(total[:half, :half] - np.eye(half))
-        assert defect < 1e-9
+    rho = apply_loss_via_purification(LossChannel(space, 1.0), state)
+    np.testing.assert_allclose(rho, np.outer(state.amplitudes, state.amplitudes.conj()),
+                               atol=1e-14)
 
 
 @pytest.mark.parametrize("eta", [1e-3, 0.5, 0.9, 0.999, 1.0 - 1e-12])
@@ -96,6 +85,21 @@ def ladder_kraus(dim, eta, terms):
     return ops
 
 
+def ladder_kraus_channel(state, eta):
+    """sum_k E_k |psi><psi| E_k† over all dim ladder Kraus terms."""
+    dim = state.space.dim
+    vecs = [ek @ state.amplitudes for ek in ladder_kraus(dim, eta, dim)]
+    return sum(np.outer(v, v.conj()) for v in vecs)
+
+
+def test_kraus_completeness():
+    # the reference is a channel: sum_k E_k† E_k = 1 once all dim terms are kept
+    dim = 40
+    for eta in (0.5, 0.9, 0.98):
+        total = sum(ek.T @ ek for ek in ladder_kraus(dim, eta, dim))
+        assert np.max(np.abs(total - np.eye(dim))) < 1e-9
+
+
 @pytest.mark.parametrize("eta", [0.5, 0.9, 0.98])
 def test_thin_matches_ladder_kraus_diagonal(eta):
     space = FockSpace(recommend_dim(2.0, 1.2))
@@ -124,47 +128,46 @@ def test_thin_rejects_invalid_distributions(probs, message):
 
 @pytest.mark.parametrize("dim", [8, 30, 76])
 def test_kraus_operators_match_ladder_construction(dim):
+    # E_k lowers |m+k> to |m>: its squared entries are the table's k-th superdiagonal
     for eta in (0.3, 0.9, 0.98):
-        channel = LossChannel(FockSpace(dim), eta)
-        ops = channel.kraus_operators()
-        assert len(ops) == channel.kraus_terms()
-        for ek, reference in zip(ops, ladder_kraus(dim, eta, len(ops))):
-            assert np.max(np.abs(ek - reference)) <= 1e-12
+        table = _thinning_table(dim, eta)
+        for k, ek in enumerate(ladder_kraus(dim, eta, dim)):
+            assert np.max(np.abs(np.diagonal(ek, k) ** 2 - np.diagonal(table, k))) <= 1e-12
 
 
 def test_single_photon_loss_matrix():
-    space = FockSpace(8)
-    rho = apply_loss(LossChannel(space, 0.98), fock_state(space, 1))
-    expected = np.zeros((8, 8), dtype=complex)
+    space = FockSpace(24)
+    rho = apply_loss_via_purification(LossChannel(space, 0.98), fock_state(space, 1))
+    expected = np.zeros((24, 24), dtype=complex)
     expected[0, 0] = 0.02
     expected[1, 1] = 0.98
-    np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
+    np.testing.assert_allclose(rho, expected, atol=1e-12)
 
 
 def test_coherent_stays_coherent():
     alpha, eta = 1.5, 0.9
-    space = FockSpace(recommend_dim(alpha, 0.0))
-    rho = apply_loss(LossChannel(space, eta), coherent_state(space, alpha))
+    space = FockSpace(24)
+    rho = apply_loss_via_purification(LossChannel(space, eta), coherent_state(space, alpha))
     target = coherent_state(space, math.sqrt(eta) * alpha)
     assert fidelity_with_pure(target, rho) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("eta", [0.5, 0.8, 0.95])
 def test_trace_preserved_and_positive(eta):
-    space = FockSpace(recommend_dim(1.5, 0.7))
+    # 24 levels leave 3e-11 of D(0.7)|cat 1.5> in their top five
+    space = FockSpace(24, tail_tol=1e-9)
     state = displace(cat_state(space, 1.5), [0.7])[0]
-    rho = apply_loss(LossChannel(space, eta), state)
-    assert abs(rho.trace - 1.0) < 1e-9
-    assert np.linalg.eigvalsh(rho.matrix)[0] > -1e-9
+    rho = apply_loss_via_purification(LossChannel(space, eta), state)
+    assert abs(np.trace(rho).real - 1.0) < 1e-9
+    assert np.linalg.eigvalsh(rho)[0] > -1e-9
 
 
 def test_loss_composition():
     space = FockSpace(recommend_dim(1.5, 0.5))
-    state = displace(cat_state(space, 1.5), [0.5])[0]
-    two_step = apply_loss(LossChannel(space, 0.9),
-                          apply_loss(LossChannel(space, 0.8), state))
-    one_step = apply_loss(LossChannel(space, 0.72), state)
-    assert trace_distance(two_step, one_step) < 1e-8
+    p = photon_distribution(displace(cat_state(space, 1.5), [0.5])[0])
+    two_step = thin(LossChannel(space, 0.9), thin(LossChannel(space, 0.8), p))
+    one_step = thin(LossChannel(space, 0.72), p)
+    assert np.max(np.abs(two_step - one_step)) < 1e-8
 
 
 @pytest.mark.parametrize("eta", [0.5, 0.9, 0.98])
@@ -173,7 +176,7 @@ def test_purification_matches_kraus(eta):
     channel = LossChannel(space, eta)
     for state in (fock_state(space, 2), cat_state(space, 1.0),
                   displace(fock_state(space, 1), [0.4])[0]):
-        direct = apply_loss(channel, state)
+        direct = ladder_kraus_channel(state, eta)
         purified = apply_loss_via_purification(channel, state)
         assert trace_distance(direct, purified) < 1e-9
 
@@ -194,7 +197,7 @@ def test_purification_matches_expm_unitary(eta):
         psi = (unitary @ joint).reshape(d, d)
         reference = psi @ psi.conj().T
         got = apply_loss_via_purification(LossChannel(space, eta), state)
-        assert np.max(np.abs(got.matrix - reference)) <= 1e-12
+        assert np.max(np.abs(got - reference)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +206,11 @@ def test_purification_matches_expm_unitary(eta):
 
 def test_lossy_fock1_no_displacement():
     space = FockSpace(16)
-    rho = lossy_displaced_fock1(space, 0.0, 0.98)
-    expected = np.zeros((16, 16), dtype=complex)
-    expected[0, 0] = 0.02
-    expected[1, 1] = 0.98
-    np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
+    q = thin(LossChannel(space, 0.98), photon_distribution(fock_state(space, 1)))
+    expected = np.zeros(16)
+    expected[0] = 0.02
+    expected[1] = 0.98
+    np.testing.assert_allclose(q, expected, atol=1e-12)
 
 
 def test_lossy_fock1_miss_probability():
@@ -216,17 +219,9 @@ def test_lossy_fock1_miss_probability():
     d2 = eta * delta * delta
     expected = (eta * (1.0 - d2) ** 2 + (1.0 - eta) * d2) * math.exp(-d2)
     space = FockSpace(recommend_dim(1.0, delta))
-    rho = lossy_displaced_fock1(space, delta, eta)
-    assert photon_distribution(rho)[1] == pytest.approx(expected, abs=1e-9)
-
-
-def test_lossy_fock1_matches_kraus_path():
-    # oracle: push the displaced photon through the Kraus channel directly
-    delta, eta = 0.8, 0.9
-    space = FockSpace(recommend_dim(1.0, delta))
     displaced = displace(fock_state(space, 1), [delta])[0]
-    oracle = apply_loss(LossChannel(space, eta), displaced)
-    assert trace_distance(lossy_displaced_fock1(space, delta, eta), oracle) < 1e-9
+    q = thin(LossChannel(space, eta), photon_distribution(displaced))
+    assert q[1] == pytest.approx(expected, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -234,35 +229,28 @@ def test_lossy_fock1_matches_kraus_path():
 
 
 def test_lossy_cat_lossless_limit_is_pure():
+    # at eta = 1 the closed-form statistics are those of the pure displaced cat
     alpha, delta = 1.5, 0.3
     space = FockSpace(recommend_dim(alpha, delta))
-    rho = lossy_displaced_cat(space, alpha, delta, 1.0)
-    target = displace(cat_state(space, alpha), [delta])[0]
-    assert fidelity_with_pure(target, rho) == pytest.approx(1.0, abs=1e-9)
+    p = photon_distribution(displace(cat_state(space, alpha), [delta])[0])
+    closed = np.array([cat_pn(alpha, delta, 1.0, n) for n in range(space.dim)])
+    assert np.max(np.abs(closed - p)) < 1e-9
 
 
 def test_lossy_cat_photon_distribution_termwise():
-    from ngphase.analytic import cat_pn
-
     alpha, delta, eta = 1.5, 0.4, 0.9
     space = FockSpace(recommend_dim(alpha, delta))
-    p = photon_distribution(lossy_displaced_cat(space, alpha, delta, eta))
+    displaced = displace(cat_state(space, alpha), [delta])[0]
+    q = thin(LossChannel(space, eta), photon_distribution(displaced))
     for n in range(space.dim):
-        assert p[n] == pytest.approx(cat_pn(alpha, delta, eta, n), abs=1e-9)
+        assert q[n] == pytest.approx(cat_pn(alpha, delta, eta, n), abs=1e-9)
 
 
 def test_lossy_cat_parity_closed_form():
-    from ngphase.analytic import cat_parity
-
-    alpha, delta, eta = 2.0, 0.35, 0.95
-    space = FockSpace(recommend_dim(alpha, delta))
-    rho = lossy_displaced_cat(space, alpha, delta, eta)
-    assert parity_expectation(rho) == pytest.approx(cat_parity(alpha, delta, eta), abs=1e-8)
-
-
-def test_lossy_cat_matches_kraus_path():
-    alpha, delta, eta = 1.5, 0.3, 0.8
-    space = FockSpace(recommend_dim(alpha, delta))
+    # parity of the purified lossy state: a reference that shares no code with thin
+    alpha, delta, eta = 1.0, 0.35, 0.95
+    space = FockSpace(24)
     displaced = displace(cat_state(space, alpha), [delta])[0]
-    oracle = apply_loss(LossChannel(space, eta), displaced)
-    assert trace_distance(lossy_displaced_cat(space, alpha, delta, eta), oracle) < 1e-8
+    rho = apply_loss_via_purification(LossChannel(space, eta), displaced)
+    parity = float(parity_signs(space.dim) @ np.diagonal(rho).real)
+    assert parity == pytest.approx(cat_parity(alpha, delta, eta), abs=1e-8)
