@@ -9,56 +9,42 @@ strategies, and a CSV-emitting CLI, with every closed form verified against
 the independent numeric route.
 """
 
-from .analytic import (
-    ErrorRates,
-    ProtocolParams,
-    StateFamily,
-    baseline_phase_errors,
-    cat_error_rates,
-    cat_norm,
-    cat_overlap,
-    cat_overlap_zero,
-    cat_parity,
-    cat_parity_curve,
-    cat_pn,
-    fock1_error_rates,
-    fock_overlap,
-    helstrom,
-    laguerre,
-    laguerre_first_root,
-    threshold_phase,
-)
-from .fock import (
-    ConvergenceError,
-    FockSpace,
-    LeakageError,
-    PureState,
-    SpaceMismatchError,
-    cat_state,
-    coherent_state,
-    displace,
-    fock_state,
-    overlap,
-    photon_distribution,
-    recommend_dim,
-    squeeze,
-)
-from .loss import (
-    LossChannel,
-    apply_loss_via_purification,
-    thin,
-)
-from .protocols import (
-    Evaluation,
-    OperatingPoint,
-    OperatingPointSource,
-    SweepResult,
-    UnsupportedProtocolError,
-    delta_to_phi,
-    evaluate,
-    optimize_delta,
-    phi_to_delta,
-    sweep,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# Public name -> its submodule, imported on first access (PEP 562), so that
+# ``import ngphase`` loads numpy only once a ``fock`` or ``loss`` name is used.
+_HOME = {
+    **dict.fromkeys((
+        "ErrorRates", "ProtocolParams", "StateFamily", "baseline_phase_errors",
+        "cat_error_rates", "cat_norm", "cat_overlap", "cat_overlap_zero", "cat_parity",
+        "cat_parity_curve", "cat_pn", "fock1_error_rates", "fock_overlap", "helstrom",
+        "laguerre", "laguerre_first_root", "threshold_phase",
+    ), "analytic"),
+    **dict.fromkeys((
+        "ConvergenceError", "FockSpace", "LeakageError", "PureState",
+        "SpaceMismatchError", "cat_state", "coherent_state", "displace", "fock_state",
+        "overlap", "photon_distribution", "recommend_dim", "squeeze",
+    ), "fock"),
+    **dict.fromkeys(("LossChannel", "apply_loss_via_purification", "thin"), "loss"),
+    **dict.fromkeys((
+        "Evaluation", "OperatingPoint", "OperatingPointSource", "SweepResult",
+        "UnsupportedProtocolError", "delta_to_phi", "evaluate", "optimize_delta",
+        "phi_to_delta", "sweep",
+    ), "protocols"),
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -4,7 +4,9 @@ Subcommands: ``overlap``, ``parity``, ``evaluate``, ``optimize``, ``sweep``,
 ``figure``, ``verify``.  Identical flags produce byte-identical output:
 numbers are printed with 17 significant digits, '.' decimal separator and
 '\\n' line endings.  Exit codes: 0 success, 1 validation error, 2 computation
-failure, 3 verification failure.
+failure, 3 verification failure.  The oracle modules (``fock``, ``loss``,
+``verification``) are imported by the commands that use them, so the
+closed-form commands run without numpy.
 """
 
 from __future__ import annotations
@@ -13,25 +15,11 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import analytic
 from .analytic import ProtocolParams, StateFamily
-from .fock import (
-    DEFAULT_TAIL_TOL,
-    MAX_DIM,
-    MAX_STEPS,
-    ConvergenceError,
-    FockSpace,
-    LeakageError,
-    cat_state,
-    displace,
-    fock_state,
-    overlap,
-    parity_signs,
-    photon_distribution,
-    recommend_dim,
-)
-from .loss import LossChannel, thin
+from .limits import DEFAULT_TAIL_TOL, MAX_DIM, MAX_STEPS
 from .protocols import (
     Evaluation,
     _default_space,
@@ -41,7 +29,9 @@ from .protocols import (
     phi_to_delta,
     sweep,
 )
-from .verification import run_checks
+
+if TYPE_CHECKING:
+    from .fock import FockSpace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -74,7 +64,11 @@ def _write_rows(out_path: str | None, header: list[str], rows: list[list[str]]) 
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", newline="") as fh:
+        try:
+            fh = open(out_path, "w", newline="")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out: {exc}") from None
+        with fh:
             fh.write(text)
 
 
@@ -89,6 +83,8 @@ class RunConfig:
     out: str | None
 
     def space_for(self, max_delta: float) -> FockSpace:
+        from .fock import FockSpace
+
         if self.dim is not None:
             return FockSpace(self.dim, self.tail_tol)
         return _default_space(self.params, max_delta, self.tail_tol)
@@ -207,6 +203,8 @@ def _delta_grid(delta_max: float, steps: int) -> list[float]:
 
 
 def _cmd_overlap(args) -> int:
+    from .fock import cat_state, displace, fock_state, overlap
+
     cfg = _build_config(args)
     params = cfg.params
     deltas = _delta_grid(args.delta_max, args.steps)
@@ -227,6 +225,9 @@ def _cmd_overlap(args) -> int:
 
 
 def _cmd_parity(args) -> int:
+    from .fock import cat_state, displace, parity_signs, photon_distribution
+    from .loss import LossChannel, thin
+
     cfg = _build_config(args)
     params = cfg.params
     if params.family is not StateFamily.CAT:
@@ -322,6 +323,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _figure_2(args) -> tuple[list[str], list[list[str]]]:
+    from .fock import FockSpace, displace, fock_state, photon_distribution, recommend_dim
+
     _check_tail_tol(args.tail_tol)
     space = FockSpace(recommend_dim(1.0, abs(args.delta), args.tail_tol), args.tail_tol)
     if not 1 <= args.levels <= space.dim:
@@ -420,6 +423,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verification import run_checks
+
     results = run_checks(grid=args.grid, tolerance=args.tolerance)
     header = ["status", "check", "max_discrepancy", "tolerance", "seconds"]
     rows = [[r.status, r.name, fmt(r.discrepancy), fmt(r.tolerance), f"{r.seconds:.3f}"]
@@ -459,7 +464,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"ngphase: invalid request: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (LeakageError, ConvergenceError, ArithmeticError, RuntimeError) as exc:
+    # LeakageError and ConvergenceError are RuntimeErrors
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"ngphase: computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
 

@@ -15,25 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .limits import DEFAULT_TAIL_TOL, MAX_DIM, MAX_STEPS  # noqa: F401 (MAX_STEPS re-exported)
+
 # Extra levels on top of the leakage-based cutoff.  Truncating the generator
 # a + a† makes exp(i delta (a + a†)) wrong near the top of the basis, however
 # exactly it is exponentiated; the margin quarantines that block, and
 # ``displace`` raises where a state reaches it anyway.
 DIM_MARGIN = 20
-
-DEFAULT_TAIL_TOL = 1e-12
-
-# Largest basis any space may have.  A dense matrix takes 16 dim^2 bytes
-# (1 MiB at 256), a cached eigenbasis at most as much and a thinning table
-# half as much; eigh costs O(dim^3).  256 levels hold |alpha|^2 + delta^2 up
-# to 143 at the default tail tolerance, far past the alpha <= 4 of the
-# paper's figures (84 levels at delta = 2.5).
-MAX_DIM = 256
-
-# Longest delta (or axis) grid a command may ask for.  ``displace`` holds a
-# steps x dim complex array, 41 MB at MAX_DIM; the benchmark's largest grid
-# has 1009 points.
-MAX_STEPS = 10_000
 
 # Eigenbases kept per generator, one per basis size.
 _EIGENBASIS_CACHE = 32

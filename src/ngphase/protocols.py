@@ -3,6 +3,8 @@
 Maps a candidate phase to the effective displacement, produces error rates
 through the closed forms and (optionally) through the full truncated-basis
 numeric path, and locates the optimal operating point for each probe family.
+The oracle modules (``fock``, ``loss``) are imported inside the functions that
+use them, so the closed-form route runs without numpy.
 """
 
 from __future__ import annotations
@@ -11,22 +13,15 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import analytic
 from .analytic import ErrorRates, ProtocolParams, StateFamily
-from .fock import (
-    DEFAULT_TAIL_TOL,
-    FockSpace,
-    cat_state,
-    displace,
-    fock_state,
-    overlap,
-    parity_signs,
-    photon_distribution,
-    recommend_dim,
-)
-from .loss import LossChannel, thin
+from .limits import DEFAULT_TAIL_TOL
 from .search import golden_section_minimize
+
+if TYPE_CHECKING:
+    from .fock import FockSpace
 
 
 class UnsupportedProtocolError(ValueError):
@@ -99,6 +94,8 @@ def _probe_amplitude(params: ProtocolParams) -> float:
 
 
 def _default_space(params: ProtocolParams, delta: float, tail_tol: float) -> FockSpace:
+    from .fock import FockSpace, recommend_dim
+
     dim = recommend_dim(_probe_amplitude(params), abs(delta), tail_tol)
     return FockSpace(dim, tail_tol)
 
@@ -107,6 +104,9 @@ def _numeric_rates(params: ProtocolParams, delta: float, space: FockSpace) -> Er
     """Rates from the truncated-basis simulation: build the probe, displace it,
     thin the photon-number distributions of both through the loss channel, and
     read off the counting statistics."""
+    from .fock import cat_state, displace, fock_state, overlap, parity_signs, photon_distribution
+    from .loss import LossChannel, thin
+
     if params.family is StateFamily.FOCK:
         probe = fock_state(space, params.n)
     else:

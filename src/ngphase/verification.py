@@ -73,10 +73,17 @@ def run_checks(grid: str = "full", tolerance: float | None = None,
     ``tolerance`` overrides every check's own threshold (useful to probe how
     tight the agreement actually is); ``grid='small'`` shrinks the parameter
     grids for a quick smoke run.  A check that raises is recorded as an
-    ERROR result and the remaining checks still run.
+    ERROR result and the remaining checks still run.  A ``tolerance`` that is
+    not finite and > 0 would pass or fail every check whatever it measured, so
+    it is a ValueError; so is an unknown name in ``names``.
     """
     if grid not in ("small", "full"):
         raise ValueError(f"grid must be 'small' or 'full', got {grid!r}")
+    if tolerance is not None and not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+    unknown = sorted(set(names or ()) - set(check_names()))
+    if unknown:
+        raise ValueError(f"no check named {', '.join(unknown)}")
     results = []
     for name, default_tol, fn in _REGISTRY:
         if names is not None and name not in names:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ngphase.analytic import cat_overlap_zero
 from ngphase.cli import main
-from ngphase.fock import MAX_DIM, MAX_STEPS
+from ngphase.limits import MAX_DIM, MAX_STEPS
 from ngphase.protocols import SWEEP_AXES
 
 
@@ -257,6 +257,27 @@ def test_verify_impossible_tolerance_fails_cleanly(capsys):
     _, rows = parse_csv(out)
     assert any(r[0] == "FAIL" for r in rows)
     assert all(float(r[2]) >= 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-1", "0"])
+def test_verify_tolerance_must_be_finite_and_positive(capsys, tolerance):
+    # inf passed every check and nan or -1 failed every one, whatever they measured
+    code, out, err = run_cli(capsys, "verify", "--grid", "small", f"--tolerance={tolerance}")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "tolerance must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("figure", "--id", "5", "--steps", "3"),
+    ("verify", "--grid", "small"),
+])
+def test_unwritable_out_is_validation_error(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "--out" in err
+    assert "Traceback" not in err
 
 
 def test_validation_error_exit_code(capsys):

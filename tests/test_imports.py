@@ -1,0 +1,58 @@
+"""Import contract: numpy is a cost of the oracle only.
+
+The closed-form commands run ``analytic`` and ``search`` alone, which use
+``math``; ``import ngphase`` and those commands must not load numpy.  The
+oracle commands still must, which shows the imports moved into them rather
+than vanished.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ngphase
+
+# Runs argv through cli.main (or only imports ngphase, for no argv) and
+# reports the exit code and whether numpy was loaded on the last stderr line.
+PROBE = """
+import sys
+import ngphase
+code = 0
+if sys.argv[1:]:
+    from ngphase.cli import main
+    code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def _run_probe(argv):
+    src = str(Path(ngphase.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
+    code, numpy_loaded = out.stderr.splitlines()[-1].split()
+    return int(code), numpy_loaded == "True"
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    ((), False),
+    (("figure", "--id", "5", "--steps", "3"), False),
+    (("optimize", "--family", "cat", "--alpha", "2", "--eta", "0.9"), False),
+    (("sweep", "--family", "cat", "--alpha", "2", "--eta", "0.9", "--axis", "eta",
+      "--values", "0.8,0.9"), False),
+    (("parity", "--alpha", "1.5", "--steps", "5"), True),
+    (("verify", "--grid", "small"), True),
+])
+def test_numpy_is_loaded_by_the_oracle_only(argv, loads_numpy):
+    assert _run_probe(argv) == (0, loads_numpy)
+
+
+def test_public_names_resolve_lazily():
+    for name in ngphase.__all__:
+        assert callable(getattr(ngphase, name)), name
+    assert set(ngphase.__all__) <= set(dir(ngphase))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ngphase.no_such_name  # noqa: B018

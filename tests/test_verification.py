@@ -7,6 +7,8 @@ without it the check must PASS, on the full grid that ``verify`` runs by
 default.
 """
 
+import math
+
 import pytest
 
 from ngphase import analytic, loss, verification
@@ -110,6 +112,15 @@ def test_raising_check_is_an_error_row(monkeypatch):
     assert result.status == "ERROR" and not result.passed
     assert result.discrepancy == float("inf")
     assert "sums to 1 only within" in result.error
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tolerance": math.nan}, "tolerance must be finite"),
+    ({"names": ["parity_bounds", "no_such_check"]}, "no check named no_such_check"),
+])
+def test_run_checks_rejects_vacuous_tolerances_and_unknown_names(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        run_checks(grid="small", **kwargs)
 
 
 def _verify(capsys, *flags):
