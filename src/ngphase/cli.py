@@ -12,6 +12,7 @@ closed-form commands run without numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -59,17 +60,23 @@ def fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _write_rows(out_path: str | None, header: list[str], rows: list[list[str]]) -> None:
-    text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+def _open_out(out_path: str | None):
+    """The --out file opened for writing, or None for stdout (no path or "-")."""
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            fh = open(out_path, "w", newline="")
-        except OSError as exc:
-            raise ValueError(f"cannot write --out: {exc}") from None
-        with fh:
-            fh.write(text)
+        return None
+    try:
+        return open(out_path, "w", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out: {exc}") from None
+
+
+def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+    return "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+
+
+def _write_rows(out_path: str | None, header: list[str], rows: list[list[str]]) -> None:
+    with _open_out(out_path) or contextlib.nullcontext(sys.stdout) as out:
+        out.write(_csv_text(header, rows))
 
 
 @dataclass(frozen=True)
@@ -425,13 +432,17 @@ def _cmd_figure(args) -> int:
 def _cmd_verify(args) -> int:
     from .verification import run_checks
 
-    results = run_checks(grid=args.grid, tolerance=args.tolerance)
-    header = ["status", "check", "max_discrepancy", "tolerance", "seconds"]
-    rows = [[r.status, r.name, fmt(r.discrepancy), fmt(r.tolerance), f"{r.seconds:.3f}"]
-            for r in results]
-    _write_rows(args.out, header, rows)
-    if args.out is not None:
-        _write_rows(None, header, rows)
+    # open --out first, so an unwritable path fails before the suite runs
+    fh = _open_out(args.out)
+    with fh or contextlib.nullcontext():
+        results = run_checks(grid=args.grid, tolerance=args.tolerance)
+        header = ["status", "check", "max_discrepancy", "tolerance", "seconds"]
+        text = _csv_text(header, [
+            [r.status, r.name, fmt(r.discrepancy), fmt(r.tolerance), f"{r.seconds:.3f}"]
+            for r in results])
+        if fh:
+            fh.write(text)
+    sys.stdout.write(text)
     failed = [r for r in results if not r.passed]
     summary = f"{len(results) - len(failed)}/{len(results)} checks passed"
     errored = [f"{r.name} ({' '.join(r.error.split())})" for r in results if r.error]

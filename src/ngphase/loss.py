@@ -6,7 +6,10 @@ table (``thin``): loss maps a photon-number distribution p to B p with
 B_mn = C(n, m) eta^m (1-eta)^(n-m) (Kelley & Kleiner, Phys. Rev. 136, A316,
 1964).  The full lossy state is built only as an independent reference: a
 two-mode purification that traces out the bath
-(``apply_loss_via_purification``), which shares no code with ``thin``.
+(``apply_loss_via_purification``), which shares no code with ``thin``.  The
+beamsplitter conserves total photon number (Campos, Saleh & Teich, Phys. Rev.
+A 40, 1371, 1989), so the purification diagonalizes its generator once per
+photon-number sector rather than on the whole two-mode space.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, PureState, _checked_eigenbasis, _lowering
+from .fock import FockSpace, PureState, _check_same_space, _checked_eigenbasis
 
 # Bounds ``thin`` holds every lossy distribution to: no entry below
 # -NEGATIVITY_ATOL, and every distribution sums to 1 within TRACE_ATOL.
@@ -77,20 +80,24 @@ def thin(channel: LossChannel, probs) -> np.ndarray:
     return out
 
 
-# The two-mode eigenbasis takes 16 d^4 bytes (5 MiB at d = 24): keep two.
+# One eigenbasis per photon-number sector N < d, 16 (N+1)^2 bytes each and
+# about 16 d^3 / 3 bytes in all (78 KB at d = 24): keep two.
 @functools.lru_cache(maxsize=2)
-def _beamsplitter_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of H = i(a b† - a† b) on the dim^2 signal ⊗ bath space.
+def _beamsplitter_eigenbasis(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Eigenpairs of H = i(a b† - a† b) in each sector of total photon number
+    N = 0..dim-1, on the basis |k>|N-k> for k = 0..N.
 
-    exp(-i theta H) maps a -> a cos(theta) + b sin(theta): coherent
-    |alpha>|0> goes to |sqrt(eta) alpha>|sqrt(1-eta) alpha> at
-    cos(theta)^2 = eta.
+    H conserves N, and a b† |k, N-k> = sqrt(k (N-k+1)) |k-1, N-k+1>, so each
+    sector's generator is tridiagonal.  exp(-i theta H) maps
+    a -> a cos(theta) + b sin(theta): coherent |alpha>|0> goes to
+    |sqrt(eta) alpha>|sqrt(1-eta) alpha> at cos(theta)^2 = eta.
     """
-    a = _lowering(dim)
-    eye = np.eye(dim)
-    a_sig = np.kron(a, eye)
-    a_bath = np.kron(eye, a)
-    return _checked_eigenbasis(1j * (a_sig @ a_bath.T - a_sig.T @ a_bath), "beamsplitter")
+    sectors = []
+    for n in range(dim):
+        k = np.arange(1, n + 1)
+        hop = np.diag(np.sqrt(k * (n - k + 1.0)), k=1)  # a b† on |k>|n-k>
+        sectors.append(_checked_eigenbasis(1j * (hop - hop.T), "beamsplitter"))
+    return tuple(sectors)
 
 
 def apply_loss_via_purification(channel: LossChannel, state: PureState) -> np.ndarray:
@@ -98,16 +105,18 @@ def apply_loss_via_purification(channel: LossChannel, state: PureState) -> np.nd
     beamsplitter unitary, then trace the bath out.
 
     Exact on the truncated space because the beamsplitter conserves total
-    photon number; intended for cross-validation at small dimensions.  The
-    joint state is evolved in the beamsplitter's eigenbasis, so the d^2 x d^2
-    unitary is never formed.
+    photon number; intended for cross-validation at small dimensions.  Each
+    amplitude psi_n of |n>|0> is evolved inside its own sector N = n, in that
+    sector's eigenbasis, so no d^2-dimensional operator is ever formed.
+    ``state`` must live in ``channel.space`` (else SpaceMismatchError).
     """
+    _check_same_space(state, channel)
     d = channel.space.dim
-    lam, vec = _beamsplitter_eigenbasis(d)
     theta = math.acos(math.sqrt(channel.eta))
-    joint = np.zeros(d * d, dtype=complex)
-    joint[::d] = state.amplitudes  # signal ⊗ |0>
-    joint = vec @ (np.exp(-1j * theta * lam) * (vec.conj().T @ joint))
-    psi = joint.reshape(d, d)
+    psi = np.zeros((d, d), dtype=complex)  # psi[k, m]: signal k, bath m
+    for n, (lam, vec) in enumerate(_beamsplitter_eigenbasis(d)):
+        k = np.arange(n + 1)
+        # |n>|0> is the sector's last basis vector, so V† e_last = conj(V[-1])
+        psi[k, n - k] = vec @ (np.exp(-1j * theta * lam) * vec[-1].conj()) * state.amplitudes[n]
     rho = psi @ psi.conj().T
     return 0.5 * (rho + rho.conj().T)

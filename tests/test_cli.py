@@ -280,6 +280,46 @@ def test_unwritable_out_is_validation_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_verify_out_dash_prints_report_once(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--grid", "small", "--out", "-")
+    assert code == 0
+    assert out.count("status,check,") == 1
+
+
+def _recording_run_checks(monkeypatch):
+    from ngphase import verification
+
+    calls = []
+    real = verification.run_checks
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "run_checks", recording)
+    return calls
+
+
+def test_verify_unwritable_out_fails_before_any_check(tmp_path, capsys, monkeypatch):
+    calls = _recording_run_checks(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "--grid", "small",
+                             "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "cannot write --out" in err
+    assert calls == []
+
+
+def test_verify_out_file_holds_the_stdout_report(tmp_path, capsys, monkeypatch):
+    calls = _recording_run_checks(monkeypatch)
+    target = tmp_path / "report.csv"
+    code, out, _ = run_cli(capsys, "verify", "--grid", "small", "--out", str(target))
+    assert code == 0
+    assert len(calls) == 1
+    assert out.count("status,check,") == 1
+    assert target.read_text() == out
+
+
 def test_validation_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "evaluate", "--family", "fock", "--n", "2",
                            "--eta", "0.9", "--phi", "1e-3")

@@ -1,8 +1,9 @@
 """Loss-channel tests: binomial thinning against the ladder-operator Kraus
 form and the closed forms, and the beamsplitter purification against the
-Kraus form and scipy's matrix exponential."""
+Kraus form, scipy's matrix exponential and the dense two-mode generator."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from ngphase.analytic import cat_parity, cat_pn
 from ngphase.fock import (
     MAX_DIM,
     FockSpace,
+    SpaceMismatchError,
     _lowering,
     cat_state,
     coherent_state,
@@ -22,7 +24,13 @@ from ngphase.fock import (
     photon_distribution,
     recommend_dim,
 )
-from ngphase.loss import LossChannel, apply_loss_via_purification, thin, _thinning_table
+from ngphase.loss import (
+    LossChannel,
+    _beamsplitter_eigenbasis,
+    _thinning_table,
+    apply_loss_via_purification,
+    thin,
+)
 
 
 def fidelity_with_pure(psi, rho):
@@ -198,6 +206,47 @@ def test_purification_matches_expm_unitary(eta):
         reference = psi @ psi.conj().T
         got = apply_loss_via_purification(LossChannel(space, eta), state)
         assert np.max(np.abs(got - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [8, 24])
+def test_beamsplitter_sectors_match_dense_generator(d):
+    # the dense i(a b† - a† b) on the d^2 joint space, index k d + m for |k>|m>
+    a = _lowering(d)
+    eye = np.eye(d)
+    a_sig, a_bath = np.kron(a, eye), np.kron(eye, a)
+    dense = 1j * (a_sig @ a_bath.T - a_sig.T @ a_bath)
+    sectors = _beamsplitter_eigenbasis(d)
+    assert len(sectors) == d
+    total = np.add.outer(np.arange(d), np.arange(d)).ravel()
+    # no coupling between different total photon numbers
+    assert np.all(dense[total[:, None] != total[None, :]] == 0.0)
+    for n, (lam, vec) in enumerate(sectors):
+        k = np.arange(n + 1)
+        idx = k * d + n - k
+        block = (vec * lam) @ vec.conj().T
+        assert np.max(np.abs(block - dense[np.ix_(idx, idx)])) <= 1e-12
+
+
+def test_purification_memory_is_per_sector():
+    # the dense d^2 x d^2 eigenbasis put 15.5 MiB through the allocator at d = 24
+    space = FockSpace(24)
+    state = displace(cat_state(space, 1.0), [0.6])[0]
+    channel = LossChannel(space, 0.9)
+    _beamsplitter_eigenbasis.cache_clear()
+    tracemalloc.start()
+    try:
+        apply_loss_via_purification(channel, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("state_dim, channel_dim", [(8, 10), (10, 8)])
+def test_purification_rejects_other_space(state_dim, channel_dim):
+    state = fock_state(FockSpace(state_dim), 3)
+    with pytest.raises(SpaceMismatchError):
+        apply_loss_via_purification(LossChannel(FockSpace(channel_dim), 0.9), state)
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,11 @@ def thinning_table_doubled(mp):
 
 
 def purification_theta_nudged(mp):
-    """The beamsplitter angle is off by a factor 1 + 1e-6."""
+    """The beamsplitter angle is off by a factor 1 + 1e-6 in every photon-number
+    sector."""
     def make(eigenbasis):
         def nudged(dim):
-            lam, vec = eigenbasis(dim)
-            return lam * (1.0 + NUDGE), vec
+            return tuple((lam * (1.0 + NUDGE), vec) for lam, vec in eigenbasis(dim))
         return nudged
     _wrap(mp, loss, "_beamsplitter_eigenbasis", make)
 
