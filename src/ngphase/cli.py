@@ -6,13 +6,15 @@ numbers are printed with 17 significant digits, '.' decimal separator and
 '\\n' line endings.  Exit codes: 0 success, 1 validation error, 2 computation
 failure, 3 verification failure.  The oracle modules (``fock``, ``loss``,
 ``verification``) are imported by the commands that use them, so the
-closed-form commands run without numpy.
+closed-form commands run without numpy.  ``main()`` builds its parser once
+per process, on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -122,9 +124,12 @@ def _check_tail_tol(tail_tol: float) -> None:
 
 
 def _check_steps(steps, flag: str, least: int) -> None:
-    """Grid lengths are checked before any list of that length is built."""
+    """A grid length must be a whole number in [least, MAX_STEPS]; it is
+    checked before any list of that length is built."""
     if not least <= steps <= MAX_STEPS:
         raise ValueError(f"{flag} must be in [{least}, {MAX_STEPS}], got {steps}")
+    if steps != int(steps):
+        raise ValueError(f"{flag} must be a whole number, got {steps}")
 
 
 def _build_config(args) -> RunConfig:
@@ -196,6 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override every check's tolerance")
     p.add_argument("--out", help="write the report CSV here as well as stdout")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main()`` reuses: parsing leaves no state in it."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +475,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION

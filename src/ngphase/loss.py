@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace, PureState, _check_same_space, _checked_eigenbasis
+from .limits import MAX_DIM
 
 # Bounds ``thin`` holds every lossy distribution to: no entry below
 # -NEGATIVITY_ATOL, and every distribution sums to 1 within TRACE_ATOL.
@@ -40,22 +41,36 @@ class LossChannel:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
 
 
+# One MAX_DIM x MAX_DIM float64 matrix, 8 MAX_DIM^2 bytes (512 KiB at 256),
+# shared by every dim and built once per process; the build peaks below
+# 1 MiB.
+@functools.cache
+def _log_binomials() -> np.ndarray:
+    """L[m, n] = log C(n, m) = log n! - log m! - log (n-m)! for m <= n, and
+    -inf below the diagonal, where exp(L + ...) is then zero.  Read-only."""
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, MAX_DIM)))))
+    # window i is padded[i:i + MAX_DIM], so reversed window m holds log (n-m)!
+    # at n >= m and +inf (making L = -inf) at n < m; a view, not a matrix
+    padded = np.concatenate((np.full(MAX_DIM - 1, np.inf), log_fact))
+    log_binom = log_fact - log_fact[:, None]
+    log_binom -= np.lib.stride_tricks.sliding_window_view(padded, MAX_DIM)[::-1]
+    log_binom.flags.writeable = False
+    return log_binom
+
+
 def _thinning_table(dim: int, eta: float) -> np.ndarray:
     """B[m, n] = C(n, m) eta^m (1-eta)^(n-m): the probability that n photons
     leave m after loss.  Upper triangular, columns sum to 1, and the identity
-    at eta = 1.  Built from log-factorials on the triangle m <= n, so no
-    factorial overflows and no 0 log 0 is formed.  Not cached: the build costs
-    the same order, O(dim^2), as the product it feeds, and the oracle rarely
-    asks twice for one (dim, eta)."""
+    at eta = 1.  Built from log-factorials, so no factorial overflows and no
+    0 log 0 is formed.  The eta-free half, log C(n, m), is cached once per
+    process (``_log_binomials``); the eta half and the exp are built per
+    call."""
     if eta == 1.0:
         return np.eye(dim)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
-    m, n = np.triu_indices(dim)
-    log_b = (log_fact[n] - log_fact[m] - log_fact[n - m]
-             + m * math.log(eta) + (n - m) * math.log1p(-eta))
-    table = np.zeros((dim, dim))
-    table[m, n] = np.exp(log_b)
-    return table
+    k = np.arange(dim)
+    log_b = _log_binomials()[:dim, :dim] + k[:, None] * math.log(eta)
+    log_b += (k - k[:, None]) * math.log1p(-eta)
+    return np.exp(log_b, out=log_b)
 
 
 def thin(channel: LossChannel, probs) -> np.ndarray:

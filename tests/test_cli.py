@@ -3,12 +3,18 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ngphase
+from ngphase import cli
 from ngphase.analytic import cat_overlap_zero
 from ngphase.cli import main
 from ngphase.limits import MAX_DIM, MAX_STEPS
@@ -450,6 +456,25 @@ def test_grid_length_out_of_range_is_validation_error(capsys, argv):
     assert peak < 16 * MAX_STEPS
 
 
+SWEEP_GRID = ("sweep", "--family", "cat", "--alpha", "2", "--eta", "0.9", "--axis", "eta",
+              "--grid", "0.8", "0.9")
+
+
+# the float just above 2 is as close to a whole STEPS as a non-whole one gets
+@pytest.mark.parametrize("steps", ["2.5", "3.9", repr(math.nextafter(2.0, 3.0))])
+def test_grid_steps_not_whole_is_validation_error(capsys, steps):
+    code, out, err = run_cli(capsys, *SWEEP_GRID, steps)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "--grid STEPS" in err and "whole number" in err
+
+
+def test_grid_steps_whole_float_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, *SWEEP_GRID, "5.0")
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 5
+
+
 def _flag(name, values):
     # --flag=value, so that argparse reads "-inf" or "-1e-05" as a value
     return st.one_of(st.just(()), values.map(lambda v: (f"{name}={v!r}",)))
@@ -527,3 +552,55 @@ def test_cli_contract_holds_for_any_flag_values(argv):
     assert code in (0, 1, 2, 3)
     assert err.getvalue().count("\n") <= 1
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for argv in [("overlap", "--family", "fock", "--steps", "5"),
+                     ("overlap", "--family", "cat", "--alpha", "1.5", "--steps", "5"),
+                     ("parity", "--alpha", "1.5", "--steps", "5"),
+                     ("parity", "--alpha", "2", "--eta", "0.9", "--steps", "5"),
+                     ("sweep", "--family", "cat", "--alpha", "2", "--eta", "0.9",
+                      "--axis", "eta", "--values", "0.8,0.9"),
+                     SWEEP_GRID + ("3",),
+                     ("figure", "--id", "5", "--steps", "3"),
+                     ("figure", "--id", "3", "--steps", "3"),
+                     ("verify", "--grid", "small"),
+                     ("overlap", "--family", "fock", "--steps", "5")]:
+            assert main(list(argv)) == 0, argv
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def _fresh_process(argv):
+    src = str(Path(ngphase.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "ngphase", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_reused_parser_prints_what_a_fresh_process_prints(capsys):
+    overlap = ("overlap", "--family", "fock", "--n", "2", "--delta-max", "2", "--steps", "7")
+    # parity relies on its subparser's family="cat" default after an overlap
+    # that set --family fock; the rejected flag leaves nothing behind either
+    sequence = [overlap, ("parity", "--alpha", "1.5", "--steps", "7"),
+                ("overlap", "--family", "fock", "--no-such-flag"), overlap]
+    in_process = [run_cli(capsys, *argv) for argv in sequence]
+    assert in_process[2][0] == 1 and in_process[2][2].count("\n") == 1
+    assert in_process == [_fresh_process(argv) for argv in sequence]

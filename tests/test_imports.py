@@ -28,12 +28,16 @@ print(code, "numpy" in sys.modules, file=sys.stderr)
 """
 
 
-def _run_probe(argv):
+def _python(source, *argv):
     src = str(Path(ngphase.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
-    code, numpy_loaded = out.stderr.splitlines()[-1].split()
+    return subprocess.run([sys.executable, "-c", source, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+                          timeout=120)
+
+
+def _run_probe(argv):
+    code, numpy_loaded = _python(PROBE, *argv).stderr.splitlines()[-1].split()
     return int(code), numpy_loaded == "True"
 
 
@@ -56,3 +60,32 @@ def test_public_names_resolve_lazily():
     assert set(ngphase.__all__) <= set(dir(ngphase))
     with pytest.raises(AttributeError, match="no_such_name"):
         ngphase.no_such_name  # noqa: B018
+
+
+# Imports ngphase.cli with every argparse parser construction counted, and
+# reports the count and whether numpy was loaded.
+CLI_IMPORT_PROBE = """
+import argparse, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import ngphase.cli
+print(len(built), ngphase.cli._parser.cache_info().currsize, "numpy" in sys.modules)
+"""
+
+
+def _import_cli():
+    built, cached, numpy_loaded = _python(CLI_IMPORT_PROBE).stdout.split()
+    return int(built), int(cached), numpy_loaded == "True"
+
+
+def test_importing_cli_builds_no_parser():
+    built, cached, _ = _import_cli()
+    assert (built, cached) == (0, 0)
+
+
+def test_importing_cli_loads_no_numpy():
+    assert _import_cli()[2] is False

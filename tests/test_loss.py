@@ -27,6 +27,7 @@ from ngphase.fock import (
 from ngphase.loss import (
     LossChannel,
     _beamsplitter_eigenbasis,
+    _log_binomials,
     _thinning_table,
     apply_loss_via_purification,
     thin,
@@ -70,6 +71,48 @@ def test_thinning_table_is_column_stochastic_and_upper_triangular(eta):
 
 def test_thinning_table_eta_one_is_identity():
     assert np.array_equal(_thinning_table(12, 1.0), np.eye(12))
+
+
+def per_call_thinning_table(dim, eta):
+    """The table as built before the log-binomials were cached: indices and
+    log-factorials on each call, the same additions in the same order."""
+    if eta == 1.0:
+        return np.eye(dim)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
+    m, n = np.triu_indices(dim)
+    log_b = (log_fact[n] - log_fact[m] - log_fact[n - m]
+             + m * math.log(eta) + (n - m) * math.log1p(-eta))
+    table = np.zeros((dim, dim))
+    table[m, n] = np.exp(log_b)
+    return table
+
+
+@pytest.mark.parametrize("eta", [1e-9, 0.01, 0.3, 0.5, 0.9, 0.98, 0.999999, 1.0 - 1e-15])
+def test_cached_log_binomials_keep_the_table_bits(eta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dim in [*range(2, 81), 128, 200, MAX_DIM]:
+            assert np.array_equal(_thinning_table(dim, eta), per_call_thinning_table(dim, eta)), dim
+
+
+def test_cached_log_binomials_are_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        _log_binomials()[0, 1] = 0.0
+    table = _thinning_table(8, 0.9)
+    table[0, 1] = 0.0  # each call still returns its own table
+
+
+def test_log_binomial_cache_memory_is_bounded():
+    # the bounds stated at _log_binomials: 512 KiB held, a build below 1 MiB
+    _log_binomials.cache_clear()
+    tracemalloc.start()
+    try:
+        _thinning_table(2, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _log_binomials().nbytes == 8 * MAX_DIM ** 2 <= 2 ** 19
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("eta1, eta2", [(0.9, 0.8), (0.95, 0.5), (0.3, 0.99)])
