@@ -25,6 +25,7 @@ from .analytic import ProtocolParams, StateFamily
 from .limits import DEFAULT_TAIL_TOL, MAX_DIM, MAX_STEPS
 from .protocols import (
     Evaluation,
+    _cat_parity_minimum,
     _default_space,
     delta_to_phi,
     evaluate,
@@ -363,14 +364,27 @@ def _figure_steps(args, default: int) -> int:
     return steps
 
 
+def _column_labels(prefix: str, values: list[float], flag: str) -> list[str]:
+    """One CSV column label per list-flag value; {:g} keeps 6 significant
+    digits, so two values that print alike would give two columns one name."""
+    labels = [f"{prefix}{v:g}" for v in values]
+    first = {}
+    for value, label in zip(values, labels):
+        if label in first:
+            raise ValueError(f"{flag} values {first[label]!r} and {value!r} share the "
+                             f"column label {label}")
+        first[label] = value
+    return labels
+
+
 def _figure_3(args) -> tuple[list[str], list[list[str]]]:
     alphas = _flag_list(args.alphas, "--alphas")
     bad = [a for a in alphas if not analytic.cat_amplitude_in_range(a)]
     if bad:
         raise ValueError(f"--alphas values must be > 0 with 2 alpha^2 a finite float, "
                          f"got {bad[0]}")
+    header = ["delta"] + _column_labels("parity_alpha_", alphas, "--alphas")
     steps = _figure_steps(args, 500)
-    header = ["delta"] + [f"parity_alpha_{a:g}" for a in alphas]
     curves = [analytic.cat_parity_curve(a, 1.0) for a in alphas]
     rows = []
     for i in range(steps):
@@ -387,27 +401,26 @@ def _figure_4(args) -> tuple[list[str], list[list[str]]]:
     steps = _figure_steps(args, 200)
     rows = []
     for alpha in _alpha_grid(steps):
-        params = ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=alpha)
-        op = optimize_delta(params)
-        parity = analytic.cat_parity(alpha, op.delta, 1.0)
+        delta_opt, parity = _cat_parity_minimum(alpha, 1.0)
         p_even = 0.5 * (1.0 + parity)
-        rows.append([fmt(alpha), fmt(op.delta), fmt(p_even), fmt(1.0 - p_even)])
+        rows.append([fmt(alpha), fmt(delta_opt), fmt(p_even), fmt(1.0 - p_even)])
     return ["alpha", "delta_opt", "p_even", "p_odd"], rows
 
 
-def _figure_etas(args) -> list[float]:
-    """The --etas grid of figures 5 and 6; every efficiency must lie in (0, 1]."""
+def _figure_etas(args, prefix: str) -> tuple[list[float], list[str]]:
+    """The --etas grid of figures 5 and 6 and its column labels; every
+    efficiency must lie in (0, 1] and have a label of its own."""
     etas = _flag_list(args.etas, "--etas")
     bad = [e for e in etas if not 0.0 < e <= 1.0]
     if bad:
         raise ValueError(f"--etas values must be in (0, 1], got {bad[0]}")
-    return etas
+    return etas, _column_labels(prefix, etas, "--etas")
 
 
 def _figure_5(args) -> tuple[list[str], list[list[str]]]:
-    etas = _figure_etas(args)
+    etas, labels = _figure_etas(args, "p_fp_eta_")
     steps = _figure_steps(args, 200)
-    header = ["alpha"] + [f"p_fp_eta_{e:g}" for e in etas]
+    header = ["alpha"] + labels
     rows = []
     for alpha in _alpha_grid(steps):
         cells = [fmt(alpha)]
@@ -418,16 +431,14 @@ def _figure_5(args) -> tuple[list[str], list[list[str]]]:
 
 
 def _figure_6(args) -> tuple[list[str], list[list[str]]]:
-    etas = _figure_etas(args)
+    etas, labels = _figure_etas(args, "p_fn_eta_")
     steps = _figure_steps(args, 200)
-    header = ["alpha"] + [f"p_fn_eta_{e:g}" for e in etas]
+    header = ["alpha"] + labels
     rows = []
     for alpha in _alpha_grid(steps):
         cells = [fmt(alpha)]
         for eta in etas:
-            params = ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=alpha, eta=eta)
-            op = optimize_delta(params)
-            parity = analytic.cat_parity(alpha, op.delta / math.sqrt(eta), eta)
+            _, parity = _cat_parity_minimum(alpha, eta)
             cells.append(fmt(0.5 * (1.0 + parity)))
         rows.append(cells)
     return header, rows

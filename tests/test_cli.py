@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngphase
-from ngphase import cli
-from ngphase.analytic import cat_overlap_zero
+from ngphase import analytic, cli
+from ngphase.analytic import ProtocolParams, StateFamily, cat_overlap_zero, cat_parity
 from ngphase.cli import main
 from ngphase.limits import MAX_DIM, MAX_STEPS
-from ngphase.protocols import SWEEP_AXES
+from ngphase.protocols import SWEEP_AXES, optimize_delta
 
 
 def run_cli(capsys, *argv):
@@ -188,6 +188,90 @@ def test_figure_6_lossy_fn_exceeds_lossless(capsys):
     _, rows = parse_csv(out)
     for row in rows:
         assert float(row[1]) >= float(row[2]) - 1e-12
+
+
+def _cat_figure_reference(figure, steps, etas):
+    """Figure 4 or 6 rebuilt one cell at a time: a ProtocolParams, its
+    optimize_delta operating point, then cat_parity evaluated there."""
+    fmt = cli.fmt
+    alphas = [0.5 + i * 3.5 / (steps - 1) for i in range(steps)]
+    if figure == "4":
+        lines = ["alpha,delta_opt,p_even,p_odd"]
+        for alpha in alphas:
+            op = optimize_delta(ProtocolParams(family=StateFamily.CAT, photons=1e6,
+                                               alpha=alpha))
+            p_even = 0.5 * (1.0 + cat_parity(alpha, op.delta, 1.0))
+            lines.append(",".join([fmt(alpha), fmt(op.delta), fmt(p_even),
+                                   fmt(1.0 - p_even)]))
+    else:
+        lines = [",".join(["alpha"] + [f"p_fn_eta_{e:g}" for e in etas])]
+        for alpha in alphas:
+            cells = [fmt(alpha)]
+            for eta in etas:
+                op = optimize_delta(ProtocolParams(family=StateFamily.CAT, photons=1e6,
+                                                   alpha=alpha, eta=eta))
+                parity = cat_parity(alpha, op.delta / math.sqrt(eta), eta)
+                cells.append(fmt(0.5 * (1.0 + parity)))
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+FIGURE_6_ETAS = (0.5, 0.8, 0.95, 1.0)
+
+
+@pytest.mark.parametrize("figure", ["4", "6"])
+@pytest.mark.parametrize("steps", [2, 3, 200, 1001])
+def test_cat_figures_match_a_per_cell_optimize_delta_reference(capsys, figure, steps):
+    # the figures reuse the search's own minimum; the digits must not move
+    etas = ",".join(str(e) for e in FIGURE_6_ETAS)
+    code, out, err = run_cli(capsys, "figure", "--id", figure, "--steps", str(steps),
+                             "--etas", etas)
+    assert (code, err) == (0, "")
+    assert out == _cat_figure_reference(figure, steps, FIGURE_6_ETAS)
+
+
+@pytest.mark.parametrize("argv, cells", [
+    (("figure", "--id", "4", "--steps", "7"), 7),
+    (("figure", "--id", "6", "--steps", "5", "--etas", "0.5,0.9,1"), 15),
+])
+def test_cat_figures_build_one_parity_curve_per_cell(capsys, monkeypatch, argv, cells):
+    # a count, not a timing: the cell's minimum is not evaluated a second time
+    built = []
+    curve = analytic.cat_parity_curve
+    monkeypatch.setattr(analytic, "cat_parity_curve",
+                        lambda *args: built.append(args) or curve(*args))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(built) == cells
+
+
+@pytest.mark.parametrize("figure, flag, values", [
+    ("3", "--alphas", "1.5,1.5000001"),
+    ("3", "--alphas", "2,3,2"),
+    ("5", "--etas", "0.95,0.9500001"),
+    ("5", "--etas", "0.9,0.9"),
+    ("6", "--etas", "0.8,0.95,0.9500001"),
+    ("6", "--etas", "1,1.0"),
+])
+def test_figure_column_label_collision_is_validation_error(capsys, figure, flag, values):
+    # labels keep 6 significant digits: 0.95,0.9500001 printed two p_fp_eta_0.95 columns
+    code, out, err = run_cli(capsys, "figure", "--id", figure, f"{flag}={values}",
+                             "--steps", "2")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and flag in err and "column label" in err
+
+
+@pytest.mark.parametrize("figure, flag, values, labels", [
+    ("3", "--alphas", "1.5,1.50001", ["parity_alpha_1.5", "parity_alpha_1.50001"]),
+    ("5", "--etas", "0.95,0.95001", ["p_fp_eta_0.95", "p_fp_eta_0.95001"]),
+    ("6", "--etas", "0.9,1", ["p_fn_eta_0.9", "p_fn_eta_1"]),
+])
+def test_figure_distinct_labels_are_accepted(capsys, figure, flag, values, labels):
+    code, out, _ = run_cli(capsys, "figure", "--id", figure, f"{flag}={values}",
+                           "--steps", "2")
+    assert code == 0
+    assert parse_csv(out)[0][1:] == labels
 
 
 @pytest.mark.parametrize("figure, etas", [

@@ -49,6 +49,10 @@ def _run_probe(argv):
       "--values", "0.8,0.9"), False),
     (("parity", "--alpha", "1.5", "--steps", "5"), True),
     (("verify", "--grid", "small"), True),
+    (("figure", "--id", "4", "--steps", "3"), False),
+    (("figure", "--id", "6", "--steps", "3"), False),
+    (("sweep", "--family", "cat", "--alpha", "2", "--eta", "0.9", "--axis", "alpha",
+      "--grid", "0.5", "4", "5"), False),
 ])
 def test_numpy_is_loaded_by_the_oracle_only(argv, loads_numpy):
     assert _run_probe(argv) == (0, loads_numpy)

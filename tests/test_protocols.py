@@ -11,13 +11,15 @@ from ngphase.protocols import (
     OperatingPointSource,
     SweepPointError,
     UnsupportedProtocolError,
+    _cat_parity_minimum,
     delta_to_phi,
     evaluate,
     optimize_delta,
     phi_to_delta,
     sweep,
 )
-from ngphase.search import golden_section_minimize
+
+from reference_search import golden_section_minimize
 
 FOCK1 = dict(family=StateFamily.FOCK, photons=1e6, n=1)
 CAT2 = dict(family=StateFamily.CAT, photons=1e6, alpha=2.0)
@@ -182,6 +184,16 @@ def test_optimize_cat_builds_one_parity_curve_per_operating_point(monkeypatch):
         optimize_delta(ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=alpha, eta=eta))
     assert built == points
     assert norms == [alpha for alpha, _ in points]
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.8, 0.95, 1.0])
+def test_cat_parity_minimum_returns_the_curve_at_the_optimum(eta):
+    # figures 4 and 6 print this parity in place of a second evaluation
+    for alpha in [0.5 + 0.25 * k for k in range(15)] + [1e-200, 9e153]:
+        delta, parity = _cat_parity_minimum(alpha, eta)
+        params = ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=alpha, eta=eta)
+        assert delta == optimize_delta(params).delta, alpha
+        assert parity == analytic.cat_parity_curve(alpha, eta)(delta / math.sqrt(eta)), alpha
 
 
 def test_optimize_lossy_multiphoton_refused():
