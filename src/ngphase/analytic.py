@@ -21,8 +21,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .search import bisect_root
-
 PRIOR_ATOL = 1e-12
 
 # Largest Fock photon number.  The closed forms run the Laguerre recurrence,
@@ -122,6 +120,28 @@ def laguerre(n: int, x: float) -> float:
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
     return cur
+
+
+def bisect_root(f: Callable[[float], float], lo: float, hi: float,
+                tol: float = 1e-12, max_iter: int = 200) -> float:
+    """Root of f in [lo, hi] by bisection; f(lo) and f(hi) must differ in sign."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        raise ValueError(f"no sign change on [{lo}, {hi}]")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0 or (hi - lo) < tol:
+            return mid
+        if flo * fmid < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
 
 
 def laguerre_first_root(n: int) -> float:
@@ -244,7 +264,9 @@ def cat_parity_curve(alpha: float, eta: float = 1.0) -> Callable[[float], float]
     The coherence damping exponent eps^2 alpha'^2 with
     eps = sqrt((1-eta)/eta) reduces to (1-eta) alpha^2.  Every delta-free
     factor is computed here once; the returned function does one exp and one
-    cos per delta.
+    cos per delta, and carries those factors as the attributes ``norm`` (K),
+    ``damping`` (exp(-2 (1-eta) alpha^2)) and ``floor`` (exp(-2 a'^2)), so a
+    caller can bound the curve without rebuilding them.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
@@ -263,6 +285,7 @@ def cat_parity_curve(alpha: float, eta: float = 1.0) -> Callable[[float], float]
             damping * math.cos(four_alpha_p * delta_p) + floor
         )
 
+    parity.norm, parity.damping, parity.floor = k, damping, floor
     return parity
 
 

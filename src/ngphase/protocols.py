@@ -56,13 +56,6 @@ class Evaluation:
     numeric: ErrorRates | None
 
     @property
-    def rates(self) -> ErrorRates:
-        rates = self.analytic if self.analytic is not None else self.numeric
-        if rates is None:
-            raise ValueError("evaluation carries no rates")
-        return rates
-
-    @property
     def max_discrepancy(self) -> float | None:
         if self.analytic is None or self.numeric is None:
             return None
@@ -172,6 +165,20 @@ def evaluate(params: ProtocolParams, phi: float, *, with_oracle: bool = False,
 
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
+# The scan's cells: cell i ends at d' = i hi / 64, where the parity's cosine
+# argument 4 alpha' d' is i pi / 32 for every (alpha, eta).
+_N_CELLS = 64
+_CELL_COS = [math.cos(i * math.pi / 32) for i in range(_N_CELLS + 1)]
+# Blocks of 4 cells as (first, last, least cosine on them), deepest first.  The
+# cosine falls to -1 at cell 32 and rises after it, so a block without cell 32
+# has its least cosine at an end.
+_SCAN_BLOCKS = sorted(
+    ((a, a + 3, -1.0 if a <= 32 <= a + 3 else min(_CELL_COS[a], _CELL_COS[a + 3]))
+     for a in range(1, _N_CELLS + 1, 4)),
+    key=lambda block: block[2])
+# Rounding moves a parity value and its bound by about 1e-15 each.
+_SCAN_MARGIN = 1e-12
+
 
 def _cat_parity_minimum(alpha: float, eta: float) -> tuple[float, float]:
     """Detector-side displacement d' that minimizes the lossy cat parity over
@@ -181,6 +188,22 @@ def _cat_parity_minimum(alpha: float, eta: float) -> tuple[float, float]:
     ripple inside the bracket), then a golden-section search narrows it.  Both
     call one ``analytic.cat_parity_curve`` at delta = d' / sqrt(eta); the
     parity returned is the curve's value at the returned d'.
+
+    The scan takes the cells in blocks of 4, deepest cosine first, and skips a
+    block whose lower bound is at least the lowest parity read so far plus
+    ``_SCAN_MARGIN``.
+    The parity is (2/K) e^{-2 d'^2} g with g = D cos(4 alpha' d') + F, where
+    K, D and F are the curve's own factors.  On cells a..b, g is at least
+    g_min = D c_min + F, with c_min the least tabled cosine there, and
+    e^{-2 d'^2} falls with d'; so the parity is at least (2/K) e^{-2 x^2} g_min,
+    with x the d' of cell b if g_min >= 0 and of cell a if not.  Each computed
+    value and each computed bound is off by about 1e-15 (at most 8.3e-16
+    apart over 30,000 random and figure-grid (alpha, eta)), far inside the
+    1e-12 margin, so every skipped cell lies strictly above a value already
+    read: it can neither be the lowest cell nor tie it.  The lowest cell, the
+    first of equal ones, is the one a full scan finds, and the search, which
+    only it feeds, returns the same bits.  Where every parity underflows to
+    zero (tiny alpha), every bound is zero too and all 64 cells are read.
     """
     # The search runs in d' and the curve takes delta, which it scales by
     # sqrt(eta) again; the d' -> delta -> d' round trip is kept because
@@ -188,16 +211,20 @@ def _cat_parity_minimum(alpha: float, eta: float) -> tuple[float, float]:
     root_eta = math.sqrt(eta)
     hi = 0.5 * math.pi / (root_eta * alpha)
     curve = analytic.cat_parity_curve(alpha, eta)
+    scale, damping, floor = 2.0 / curve.norm, curve.damping, curve.floor
 
-    # Cell i ends at d' = i hi / n_cells; the first lowest cell wins a tie.
-    n_cells = 64
-    best = 0
-    for i in range(1, n_cells + 1):
-        parity = curve(i * hi / n_cells / root_eta)
-        if best == 0 or parity < best_parity:
-            best, best_parity = i, parity
-    lo = (best - 1) * hi / n_cells if best > 1 else (hi / n_cells) / 2.0
-    hi = (best + 1) * hi / n_cells if best < n_cells else hi
+    best, best_parity = 0, math.inf
+    for first, last, c_min in _SCAN_BLOCKS:
+        g_min = damping * c_min + floor
+        x = (last if g_min >= 0.0 else first) * hi / _N_CELLS
+        if scale * math.exp(-2.0 * x * x) * g_min >= best_parity + _SCAN_MARGIN:
+            continue
+        for i in range(first, last + 1):
+            parity = curve(i * hi / _N_CELLS / root_eta)
+            if parity < best_parity or (parity == best_parity and i < best):
+                best, best_parity = i, parity
+    lo = (best - 1) * hi / _N_CELLS if best > 1 else (hi / _N_CELLS) / 2.0
+    hi = (best + 1) * hi / _N_CELLS if best < _N_CELLS else hi
 
     # Golden-section search on [lo, hi] down to a width of 1e-10.
     x1 = hi - _GOLDEN_RATIO * (hi - lo)
@@ -264,7 +291,6 @@ class SweepResult:
     axis: str
     values: tuple[float, ...]
     points: tuple[Evaluation, ...]
-    operating_points: tuple[OperatingPoint | None, ...]
 
     @property
     def max_discrepancy(self) -> float | None:
@@ -294,26 +320,21 @@ def sweep(params: ProtocolParams, axis: str, values, *, with_oracle: bool = Fals
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     evaluations = []
-    operating = []
     for index, value in enumerate(values):
         try:
             if axis == "delta":
                 point_params = params
                 phi = delta_to_phi(params, float(value))
-                op = None
             else:
                 point_params = _params_at(params, axis, value)
-                op = optimize_delta(point_params)
-                phi = op.phi0
+                phi = optimize_delta(point_params).phi0
             ev = evaluate(point_params, phi, with_oracle=with_oracle, tail_tol=tail_tol)
         except Exception as exc:
             error = InvalidSweepPointError if isinstance(exc, ValueError) else SweepPointError
             raise error(index, float(value), exc) from exc
         evaluations.append(ev)
-        operating.append(op)
     return SweepResult(
         axis=axis,
         values=tuple(float(v) for v in values),
         points=tuple(evaluations),
-        operating_points=tuple(operating),
     )

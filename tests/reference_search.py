@@ -1,11 +1,16 @@
-"""Golden-section minimization kept in the tests as an independent reference.
+"""Searches kept in the tests as independent references.
 
-The program's own search lives inline in ``protocols._cat_parity_minimum``;
-the tests that check its optimum, and the Fock-1 minimum, use this copy, so a
-reference never shares its search with the code it checks.
+``golden_section_minimize`` is the golden-section search, and
+``full_scan_cat_parity_minimum`` the cat operating point by a full scan: all 64
+cells read in order, then that search.  The program's scan skips the cells its
+bound rules out and must agree with it bit for bit.  The tests that check the
+program's optimum, and the Fock-1 minimum, use these copies, so a reference
+never shares its search with the code it checks.
 """
 
 import math
+
+from ngphase import analytic
 
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -30,3 +35,21 @@ def golden_section_minimize(f, lo, hi, tol=1e-10, max_iter=500):
             f2 = f(x2)
     xm = 0.5 * (lo + hi)
     return xm, f(xm)
+
+
+def full_scan_cat_parity_minimum(alpha, eta):
+    """(d', parity) at the lossy cat parity's minimum: every one of the 64
+    cells i hi / 64 evaluated, the first lowest taken, then the golden-section
+    search on its neighbours, all in d' with the d' -> delta -> d' round trip."""
+    root_eta = math.sqrt(eta)
+    hi = 0.5 * math.pi / (root_eta * alpha)
+    curve = analytic.cat_parity_curve(alpha, eta)
+    n_cells = 64
+    best = 0
+    for i in range(1, n_cells + 1):
+        parity = curve(i * hi / n_cells / root_eta)
+        if best == 0 or parity < best_parity:
+            best, best_parity = i, parity
+    lo = (best - 1) * hi / n_cells if best > 1 else (hi / n_cells) / 2.0
+    hi = (best + 1) * hi / n_cells if best < n_cells else hi
+    return golden_section_minimize(lambda x: curve(x / root_eta), lo, hi)

@@ -18,6 +18,7 @@ from ngphase.analytic import (
     ProtocolParams,
     StateFamily,
     baseline_phase_errors,
+    bisect_root,
     cat_error_rates,
     cat_false_positive_product_form,
     cat_norm,
@@ -46,7 +47,6 @@ from ngphase.fock import (
     recommend_dim,
 )
 from ngphase.loss import LossChannel, thin
-from ngphase.search import bisect_root
 from reference_search import golden_section_minimize
 
 L2_FIRST_ROOT = 0.58578643762690495  # 2 - sqrt(2)

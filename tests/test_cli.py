@@ -1,6 +1,7 @@
 """CLI tests: schemas, anchor rows, exit codes, deterministic output."""
 
 import contextlib
+import functools
 import io
 import math
 import os
@@ -63,6 +64,15 @@ def test_overlap_cat_zero_crossing(capsys):
         if float(a[1]) * float(b[1]) < 0.0
     ]
     assert any(abs(c - zero) <= step for c in crossings)
+
+
+@pytest.mark.parametrize("delta_max", ["-1", "nan", "inf"])
+def test_overlap_delta_max_outside_range_is_validation_error(capsys, delta_max):
+    code, out, err = run_cli(capsys, "overlap", "--family", "fock", "--n", "1",
+                             "--delta-max", delta_max)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "--delta-max" in err
 
 
 def test_overlap_missing_family_flag(capsys):
@@ -243,6 +253,30 @@ def test_cat_figures_build_one_parity_curve_per_cell(capsys, monkeypatch, argv, 
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(built) == cells
+
+
+def test_cat_figures_read_few_parity_values_per_operating_point(capsys, monkeypatch):
+    # a count, not a timing: the scan skips the blocks of cells its bound
+    # rules out; reading all 64 cells costs about 108 values per point
+    built, evaluations = [], [0]
+    build = analytic.cat_parity_curve
+
+    def counting_build(*args):
+        curve = build(*args)
+        built.append(args)
+
+        @functools.wraps(curve)  # keeps the curve's factors for the scan's bound
+        def counted(delta):
+            evaluations[0] += 1
+            return curve(delta)
+        return counted
+
+    monkeypatch.setattr(analytic, "cat_parity_curve", counting_build)
+    for figure in ("4", "6"):
+        code, _, _ = run_cli(capsys, "figure", "--id", figure)
+        assert code == 0
+    assert len(built) == 200 + 200 * 4
+    assert evaluations[0] / len(built) <= 70
 
 
 @pytest.mark.parametrize("figure, flag, values", [

@@ -1,6 +1,6 @@
 """Import contract: numpy is a cost of the oracle only.
 
-The closed-form commands run ``analytic`` and ``search`` alone, which use
+The closed-form commands run ``analytic`` and ``protocols`` alone, which use
 ``math``; ``import ngphase`` and those commands must not load numpy.  The
 oracle commands still must, which shows the imports moved into them rather
 than vanished.
