@@ -17,8 +17,6 @@ import contextlib
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import analytic
 from .analytic import ProtocolParams, StateFamily
@@ -26,16 +24,14 @@ from .limits import DEFAULT_TAIL_TOL, MAX_DIM, MAX_STEPS
 from .protocols import (
     Evaluation,
     _cat_parity_minimum,
-    _default_space,
+    _oracle_space,
+    _probe_state,
+    _readout,
     delta_to_phi,
     evaluate,
     optimize_delta,
-    phi_to_delta,
     sweep,
 )
-
-if TYPE_CHECKING:
-    from .fock import FockSpace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -82,24 +78,6 @@ def _write_rows(out_path: str | None, header: list[str], rows: list[list[str]]) 
         out.write(_csv_text(header, rows))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag bundle shared by the scenario subcommands."""
-
-    params: ProtocolParams
-    dim: int | None
-    tail_tol: float
-    oracle: bool
-    out: str | None
-
-    def space_for(self, max_delta: float) -> FockSpace:
-        from .fock import FockSpace
-
-        if self.dim is not None:
-            return FockSpace(self.dim, self.tail_tol)
-        return _default_space(self.params, max_delta, self.tail_tol)
-
-
 def _add_scenario_flags(parser: argparse.ArgumentParser, *, family_required: bool) -> None:
     parser.add_argument("--family", choices=["fock", "cat"], required=family_required,
                         help="probe state family")
@@ -133,7 +111,8 @@ def _check_steps(steps, flag: str, least: int) -> None:
         raise ValueError(f"{flag} must be a whole number, got {steps}")
 
 
-def _build_config(args) -> RunConfig:
+def _scenario(args) -> ProtocolParams:
+    """The scenario the flags describe; --dim and --tail-tol are checked too."""
     family = StateFamily(args.family)
     if family is StateFamily.FOCK:
         n = 1 if args.n is None else args.n
@@ -147,8 +126,7 @@ def _build_config(args) -> RunConfig:
     if args.dim is not None and not 2 <= args.dim <= MAX_DIM:
         raise ValueError(f"--dim must be in [2, {MAX_DIM}]")
     _check_tail_tol(args.tail_tol)
-    return RunConfig(params=params, dim=args.dim, tail_tol=args.tail_tol,
-                     oracle=args.oracle, out=args.out)
+    return params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,46 +200,37 @@ def _delta_grid(delta_max: float, steps: int) -> list[float]:
 
 
 def _cmd_overlap(args) -> int:
-    from .fock import cat_state, displace, fock_state, overlap
+    from .fock import displace, overlap
 
-    cfg = _build_config(args)
-    params = cfg.params
+    params = _scenario(args)
     deltas = _delta_grid(args.delta_max, args.steps)
-    space = cfg.space_for(args.delta_max)
+    probe = _probe_state(params, _oracle_space(params, args.delta_max, args.dim, args.tail_tol))
     if params.family is StateFamily.FOCK:
-        probe = fock_state(space, params.n)
         closed_form = lambda d: analytic.fock_overlap(params.n, d)
     else:
-        probe = cat_state(space, params.alpha)
         closed_form = lambda d: analytic.cat_overlap(params.alpha, d)
     rows = []
     for delta, displaced in zip(deltas, displace(probe, deltas)):
         numeric = overlap(probe, displaced)
         a = closed_form(delta)
         rows.append([fmt(delta), fmt(a), fmt(numeric.real), fmt(abs(a - numeric))])
-    _write_rows(cfg.out, ["delta", "analytic", "numeric", "abs_diff"], rows)
+    _write_rows(args.out, ["delta", "analytic", "numeric", "abs_diff"], rows)
     return EXIT_OK
 
 
 def _cmd_parity(args) -> int:
-    from .fock import cat_state, displace, parity_signs, photon_distribution
-    from .loss import LossChannel, thin
-
-    cfg = _build_config(args)
-    params = cfg.params
+    params = _scenario(args)
     if params.family is not StateFamily.CAT:
         raise ValueError("parity needs --family cat")
     deltas = _delta_grid(args.delta_max, args.steps)
-    space = cfg.space_for(args.delta_max)
-    probe = cat_state(space, params.alpha)
-    probs = [photon_distribution(state) for state in displace(probe, deltas)]
-    parities = thin(LossChannel(space, params.eta), probs) @ parity_signs(space.dim)
+    space = _oracle_space(params, args.delta_max, args.dim, args.tail_tol)
+    _, parities, _ = _readout(params, deltas, space)
     closed_form = analytic.cat_parity_curve(params.alpha, params.eta)
     rows = []
     for delta, numeric in zip(deltas, parities):
         a = closed_form(delta)
         rows.append([fmt(delta), fmt(a), fmt(numeric), fmt(abs(a - numeric))])
-    _write_rows(cfg.out, ["delta", "analytic", "numeric", "abs_diff"], rows)
+    _write_rows(args.out, ["delta", "analytic", "numeric", "abs_diff"], rows)
     return EXIT_OK
 
 
@@ -281,30 +250,26 @@ def _rate_cells(ev: Evaluation, oracle: bool) -> list[str]:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _build_config(args)
-    phi = args.phi if args.phi is not None else delta_to_phi(cfg.params, args.delta)
-    space = None
-    if cfg.oracle:
-        space = cfg.space_for(abs(phi_to_delta(cfg.params, phi)))
-    ev = evaluate(cfg.params, phi, with_oracle=cfg.oracle, space=space,
-                  tail_tol=cfg.tail_tol)
+    params = _scenario(args)
+    phi = args.phi if args.phi is not None else delta_to_phi(params, args.delta)
+    ev = evaluate(params, phi, with_oracle=args.oracle, dim=args.dim, tail_tol=args.tail_tol)
     header = ["phi", "delta", "delta_detected"] + _RATE_HEADER
-    if cfg.oracle:
+    if args.oracle:
         header += _NUMERIC_HEADER
-    row = [fmt(ev.phi), fmt(ev.delta), fmt(ev.delta_detected)] + _rate_cells(ev, cfg.oracle)
-    _write_rows(cfg.out, header, [row])
+    row = [fmt(ev.phi), fmt(ev.delta), fmt(ev.delta_detected)] + _rate_cells(ev, args.oracle)
+    _write_rows(args.out, header, [row])
     return EXIT_OK
 
 
 def _cmd_optimize(args) -> int:
-    cfg = _build_config(args)
-    op = optimize_delta(cfg.params)
-    ev = evaluate(cfg.params, op.phi0, with_oracle=cfg.oracle, tail_tol=cfg.tail_tol)
+    params = _scenario(args)
+    op = optimize_delta(params)
+    ev = evaluate(params, op.phi0, with_oracle=args.oracle, dim=args.dim, tail_tol=args.tail_tol)
     header = ["source", "phi0", "delta_detected"] + _RATE_HEADER
-    if cfg.oracle:
+    if args.oracle:
         header += _NUMERIC_HEADER
-    row = [op.source.value, fmt(op.phi0), fmt(op.delta)] + _rate_cells(ev, cfg.oracle)
-    _write_rows(cfg.out, header, [row])
+    row = [op.source.value, fmt(op.phi0), fmt(op.delta)] + _rate_cells(ev, args.oracle)
+    _write_rows(args.out, header, [row])
     return EXIT_OK
 
 
@@ -320,7 +285,7 @@ def _flag_list(text: str, flag: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _build_config(args)
+    params = _scenario(args)
     if args.values is not None:
         values = _flag_list(args.values, "--values")
     else:
@@ -328,16 +293,18 @@ def _cmd_sweep(args) -> int:
         _check_steps(steps, "--grid STEPS", 2)
         steps = int(steps)
         values = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
-    result = sweep(cfg.params, args.axis, values, with_oracle=cfg.oracle,
-                   tail_tol=cfg.tail_tol)
-    header = [args.axis, "phi", "delta", "delta_detected"] + _RATE_HEADER
-    if cfg.oracle:
+    result = sweep(params, args.axis, values, with_oracle=args.oracle, dim=args.dim,
+                   tail_tol=args.tail_tol)
+    # the delta axis is named apart from the evaluated delta column beside it
+    axis = "delta_axis" if args.axis == "delta" else args.axis
+    header = [axis, "phi", "delta", "delta_detected"] + _RATE_HEADER
+    if args.oracle:
         header += _NUMERIC_HEADER
     rows = []
     for value, ev in zip(result.values, result.points):
         rows.append([fmt(value), fmt(ev.phi), fmt(ev.delta), fmt(ev.delta_detected)]
-                    + _rate_cells(ev, cfg.oracle))
-    _write_rows(cfg.out, header, rows)
+                    + _rate_cells(ev, args.oracle))
+    _write_rows(args.out, header, rows)
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from .analytic import ErrorRates, ProtocolParams, StateFamily
 from .limits import DEFAULT_TAIL_TOL
 
 if TYPE_CHECKING:
-    from .fock import FockSpace
+    from .fock import FockSpace, PureState
 
 
 class UnsupportedProtocolError(ValueError):
@@ -79,46 +79,64 @@ def delta_to_phi(params: ProtocolParams, delta: float) -> float:
     return delta * math.exp(-params.r) / math.sqrt(params.photons)
 
 
-def _probe_amplitude(params: ProtocolParams) -> float:
-    if params.family is StateFamily.FOCK:
-        return math.sqrt(params.n)
-    return params.alpha
-
-
-def _default_space(params: ProtocolParams, delta: float, tail_tol: float) -> FockSpace:
+def _oracle_space(params: ProtocolParams, max_delta: float, dim: int | None,
+                  tail_tol: float) -> FockSpace:
+    """The one basis of an oracle command: ``dim`` levels if given, else
+    ``recommend_dim`` for the probe and the largest |delta| (``max_delta``)
+    the command displaces it by."""
     from .fock import FockSpace, recommend_dim
 
-    dim = recommend_dim(_probe_amplitude(params), abs(delta), tail_tol)
+    if dim is None:
+        amplitude = math.sqrt(params.n) if params.family is StateFamily.FOCK else params.alpha
+        dim = recommend_dim(amplitude, max_delta, tail_tol)
     return FockSpace(dim, tail_tol)
 
 
-def _numeric_rates(params: ProtocolParams, delta: float, space: FockSpace) -> ErrorRates:
-    """Rates from the truncated-basis simulation: build the probe, displace it,
-    thin the photon-number distributions of both through the loss channel, and
-    read off the counting statistics."""
-    from .fock import cat_state, displace, fock_state, overlap, parity_signs, photon_distribution
-    from .loss import LossChannel, thin
+def _probe_state(params: ProtocolParams, space: FockSpace) -> PureState:
+    """The probe on ``space``: the Fock state |n> or the even cat of amplitude alpha."""
+    from .fock import cat_state, fock_state
 
     if params.family is StateFamily.FOCK:
-        probe = fock_state(space, params.n)
-    else:
-        probe = cat_state(space, params.alpha)
-    displaced = displace(probe, [delta])[0]
-    q_quiet, q_signal = thin(LossChannel(space, params.eta),
-                             [photon_distribution(probe), photon_distribution(displaced)])
+        return fock_state(space, params.n)
+    return cat_state(space, params.alpha)
+
+
+def _readout(params: ProtocolParams, deltas, space: FockSpace):
+    """The oracle's counting statistics: one ``displace`` of the probe by every
+    delta, then one ``thin`` of the quiet probe and every displaced state.
+    Returns the quiet readout, the signal readout per delta (the probability
+    of n photons for a Fock probe, the parity for a cat) and the overlaps
+    <probe|D(delta) probe>."""
+    from .fock import displace, overlap, parity_signs, photon_distribution
+    from .loss import LossChannel, thin
+
+    probe = _probe_state(params, space)
+    displaced = displace(probe, deltas)
+    # quiet row last, so each signal row keeps its index (BLAS rounding can depend on it)
+    q = thin(LossChannel(space, params.eta),
+             [photon_distribution(state) for state in displaced] + [photon_distribution(probe)])
     if params.family is StateFamily.FOCK:
-        p_fp = 1.0 - q_quiet[params.n]
-        p_fn = q_signal[params.n]
+        counts = q[:, params.n].tolist()
     else:
-        signs = parity_signs(space.dim)
-        p_fp = 0.5 * (1.0 - float(signs @ q_quiet))
-        p_fn = 0.5 * (1.0 + float(signs @ q_signal))
-    overlap_sq = abs(overlap(probe, displaced)) ** 2
-    return ErrorRates(
-        p_fp=min(max(p_fp, 0.0), 1.0),
-        p_fn=min(max(p_fn, 0.0), 1.0),
-        helstrom=analytic.helstrom(params.p0, params.p_delta, min(overlap_sq, 1.0)),
-    )
+        counts = (q @ parity_signs(space.dim)).tolist()
+    return counts[-1], counts[:-1], [overlap(probe, state) for state in displaced]
+
+
+def _numeric_rates(params: ProtocolParams, deltas, space: FockSpace) -> list[ErrorRates]:
+    """Rates from the truncated-basis simulation, one per delta, from one
+    ``_readout`` on ``space``."""
+    quiet, signal, overlaps = _readout(params, deltas, space)
+    if params.family is StateFamily.FOCK:
+        # a count of exactly n photons reads "no signal"
+        p_fp, p_fn = 1.0 - quiet, signal
+    else:
+        # an odd count reads "signal"
+        p_fp, p_fn = 0.5 * (1.0 - quiet), [0.5 * (1.0 + parity) for parity in signal]
+    p_fp = min(max(p_fp, 0.0), 1.0)
+    return [ErrorRates(p_fp=p_fp, p_fn=min(max(fn, 0.0), 1.0),
+                       helstrom=analytic.helstrom(params.p0, params.p_delta,
+                                                  min(abs(o) ** 2, 1.0)))
+            for fn, o in zip(p_fn, overlaps)]
 
 
 def _analytic_rates(params: ProtocolParams, delta: float) -> ErrorRates | None:
@@ -136,31 +154,37 @@ def _analytic_rates(params: ProtocolParams, delta: float) -> ErrorRates | None:
     return None
 
 
-def evaluate(params: ProtocolParams, phi: float, *, with_oracle: bool = False,
-             space: FockSpace | None = None,
-             tail_tol: float = DEFAULT_TAIL_TOL) -> Evaluation:
-    """Error rates for detecting phase ``phi`` under ``params``.
-
-    ``with_oracle`` additionally runs the independent numeric route and
-    reports both.  Lossy Fock probes with n >= 2 have no closed form; they
-    require the oracle.
-    """
+def _closed_form_evaluation(params: ProtocolParams, phi: float, with_oracle: bool) -> Evaluation:
+    """The closed-form half of ``evaluate``; ``_add_oracle`` adds the other."""
     delta = phi_to_delta(params, phi)
     rates = _analytic_rates(params, delta)
     if rates is None and not with_oracle:
         raise UnsupportedProtocolError(
             f"no closed form for lossy Fock n={params.n}; rerun with the numeric oracle"
         )
-    numeric = None
-    if with_oracle:
-        numeric = _numeric_rates(params, delta, space or _default_space(params, delta, tail_tol))
-    return Evaluation(
-        phi=phi,
-        delta=delta,
-        delta_detected=math.sqrt(params.eta) * delta,
-        analytic=rates,
-        numeric=numeric,
-    )
+    return Evaluation(phi=phi, delta=delta, delta_detected=math.sqrt(params.eta) * delta,
+                      analytic=rates, numeric=None)
+
+
+def _add_oracle(params: ProtocolParams, evaluations: list[Evaluation], dim: int | None,
+                tail_tol: float) -> list[Evaluation]:
+    """``evaluations`` of one scenario with the rates of one ``_numeric_rates``."""
+    deltas = [ev.delta for ev in evaluations]
+    space = _oracle_space(params, max(abs(delta) for delta in deltas), dim, tail_tol)
+    return [Evaluation(ev.phi, ev.delta, ev.delta_detected, ev.analytic, rates)
+            for ev, rates in zip(evaluations, _numeric_rates(params, deltas, space))]
+
+
+def evaluate(params: ProtocolParams, phi: float, *, with_oracle: bool = False,
+             dim: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL) -> Evaluation:
+    """Error rates for detecting phase ``phi`` under ``params``.
+
+    ``with_oracle`` additionally runs the independent numeric route, on a
+    basis of ``dim`` levels if given, and reports both.  Lossy Fock probes
+    with n >= 2 have no closed form; they require the oracle.
+    """
+    ev = _closed_form_evaluation(params, phi, with_oracle)
+    return _add_oracle(params, [ev], dim, tail_tol)[0] if with_oracle else ev
 
 
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
@@ -209,7 +233,12 @@ def _cat_parity_minimum(alpha: float, eta: float) -> tuple[float, float]:
     # sqrt(eta) again; the d' -> delta -> d' round trip is kept because
     # printed optima depend on its rounding.
     root_eta = math.sqrt(eta)
-    hi = 0.5 * math.pi / (root_eta * alpha)
+    amplitude = root_eta * alpha
+    hi = 0.5 * math.pi / amplitude if amplitude > 0.0 else math.inf
+    # the scan reads the curve at delta = (i hi / 64) / sqrt(eta) for i <= 64
+    if not math.isfinite(_N_CELLS * hi / root_eta):
+        raise ValueError(f"alpha {alpha!r} and eta {eta!r} put the cat operating point "
+                         f"out of float range")
     curve = analytic.cat_parity_curve(alpha, eta)
     scale, damping, floor = 2.0 / curve.norm, curve.damping, curve.floor
 
@@ -311,11 +340,14 @@ def _params_at(params: ProtocolParams, axis: str, value: float) -> ProtocolParam
 
 
 def sweep(params: ProtocolParams, axis: str, values, *, with_oracle: bool = False,
-          tail_tol: float = DEFAULT_TAIL_TOL) -> SweepResult:
+          dim: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL) -> SweepResult:
     """Evaluate a scenario along one axis.
 
-    For the ``delta`` axis each value is taken as the displacement itself;
-    for every other axis the operating point is re-optimized per point.
+    For the ``delta`` axis each value is taken as the displacement itself, so
+    every point shares one probe: each point is checked first, then the oracle
+    runs once over all of them on one basis.  For every other axis the
+    operating point is re-optimized and evaluated per point.  ``dim`` sets
+    the oracle's basis, as in ``evaluate``.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -323,16 +355,18 @@ def sweep(params: ProtocolParams, axis: str, values, *, with_oracle: bool = Fals
     for index, value in enumerate(values):
         try:
             if axis == "delta":
-                point_params = params
-                phi = delta_to_phi(params, float(value))
+                ev = _closed_form_evaluation(params, delta_to_phi(params, float(value)),
+                                             with_oracle)
             else:
                 point_params = _params_at(params, axis, value)
-                phi = optimize_delta(point_params).phi0
-            ev = evaluate(point_params, phi, with_oracle=with_oracle, tail_tol=tail_tol)
+                ev = evaluate(point_params, optimize_delta(point_params).phi0,
+                              with_oracle=with_oracle, dim=dim, tail_tol=tail_tol)
         except Exception as exc:
             error = InvalidSweepPointError if isinstance(exc, ValueError) else SweepPointError
             raise error(index, float(value), exc) from exc
         evaluations.append(ev)
+    if with_oracle and axis == "delta" and evaluations:
+        evaluations = _add_oracle(params, evaluations, dim, tail_tol)
     return SweepResult(
         axis=axis,
         values=tuple(float(v) for v in values),

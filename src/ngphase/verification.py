@@ -30,7 +30,7 @@ from .fock import (
     squeeze,
 )
 from .loss import LossChannel, apply_loss_via_purification, thin
-from .protocols import evaluate, optimize_delta, sweep
+from .protocols import _numeric_rates, evaluate, optimize_delta, sweep
 
 
 @dataclass(frozen=True)
@@ -146,18 +146,16 @@ def _fock1_point_analytic(grid: str) -> float:
 
 @_check("fock1_operating_point_numeric", 1e-8)
 def _fock1_point_numeric(grid: str) -> float:
-    """Thinned photon statistics, read as the oracle reads them, reproduce the
-    closed-form rates."""
+    """The oracle's rates (``protocols._numeric_rates``: thinned photon
+    statistics, read as the detector reads them) reproduce the closed-form
+    rates."""
     worst = 0.0
     for eta in (0.8, 0.9, 0.98):
         delta = 1.0 / math.sqrt(eta)
-        space = _space_for(1.0, delta)
-        probe = fock_state(space, 1)
-        displaced = displace(probe, [delta])[0]
-        p_quiet, p_signal = thin(LossChannel(space, eta),
-                                 [photon_distribution(probe), photon_distribution(displaced)])
-        worst = max(worst, abs((1.0 - p_quiet[1]) - (1.0 - eta)),
-                    abs(p_signal[1] - (1.0 - eta) / math.e))
+        params = ProtocolParams(family=StateFamily.FOCK, photons=1e6, n=1, eta=eta)
+        (rates,) = _numeric_rates(params, [delta], _space_for(1.0, delta))
+        worst = max(worst, abs(rates.p_fp - (1.0 - eta)),
+                    abs(rates.p_fn - (1.0 - eta) / math.e))
     return worst
 
 

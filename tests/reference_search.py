@@ -40,11 +40,17 @@ def golden_section_minimize(f, lo, hi, tol=1e-10, max_iter=500):
 def full_scan_cat_parity_minimum(alpha, eta):
     """(d', parity) at the lossy cat parity's minimum: every one of the 64
     cells i hi / 64 evaluated, the first lowest taken, then the golden-section
-    search on its neighbours, all in d' with the d' -> delta -> d' round trip."""
+    search on its neighbours, all in d' with the d' -> delta -> d' round trip.
+    Where a cell's delta is not a finite float, it raises the program's
+    ValueError."""
     root_eta = math.sqrt(eta)
+    n_cells = 64
+    if not root_eta * alpha > 0.0 or not math.isfinite(
+            n_cells * (0.5 * math.pi / (root_eta * alpha)) / root_eta):
+        raise ValueError(f"alpha {alpha!r} and eta {eta!r} put the cat operating point "
+                         f"out of float range")
     hi = 0.5 * math.pi / (root_eta * alpha)
     curve = analytic.cat_parity_curve(alpha, eta)
-    n_cells = 64
     best = 0
     for i in range(1, n_cells + 1):
         parity = curve(i * hi / n_cells / root_eta)

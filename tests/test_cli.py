@@ -142,7 +142,10 @@ def test_sweep_values_and_grid(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--family", "fock", "--axis", "delta",
                            "--eta", "0.9", "--grid", "0.2", "1.0", "5")
     assert code == 0
-    _, rows = parse_csv(out)
+    header, rows = parse_csv(out)
+    # the axis column is named apart from the evaluated delta beside it
+    assert header == ["delta_axis", "phi", "delta", "delta_detected", "p_fp", "p_fn",
+                      "helstrom"]
     assert [float(r[0]) for r in rows] == pytest.approx([0.2, 0.4, 0.6, 0.8, 1.0])
     assert len({r[4] for r in rows}) == 1  # p_fp carries no delta dependence
 
@@ -503,6 +506,51 @@ def test_output_file_writing(tmp_path, capsys):
     assert text.endswith("\n")
 
 
+def test_tiny_cat_amplitude_still_evaluates(capsys):
+    # no operating point is searched, so the bracket never forms
+    code, out, _ = run_cli(capsys, "evaluate", "--family", "cat", "--alpha", "1e-200",
+                           "--eta", "1e-250", "--delta", "0.1")
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimize", "--family", "cat", "--alpha", "2", "--eta", "0.9"),
+    ("sweep", "--family", "cat", "--alpha", "2", "--eta", "0.9", "--axis", "eta",
+     "--values", "0.9"),
+    ("sweep", "--family", "cat", "--alpha", "2", "--eta", "0.9", "--axis", "delta",
+     "--values", "0,0.3"),
+])
+def test_oracle_commands_use_the_dim_flag(capsys, argv):
+    # optimize and sweep ignored --dim and printed numbers from a 46-level basis
+    code, out, err = run_cli(capsys, *argv, "--oracle", "--dim", "5")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "at dim 5" in err
+
+
+def _counting(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+
+@pytest.mark.parametrize("family", [("--family", "cat", "--alpha", "2"),
+                                    ("--family", "fock", "--n", "1")])
+def test_delta_axis_oracle_sweep_sizes_displaces_and_thins_once(capsys, monkeypatch, family):
+    # a count, not a timing: one basis, one displacement product and one
+    # thinning product for the whole sweep, not one of each per point
+    from ngphase import fock, loss
+
+    calls = []
+    for owner, name in ((fock, "recommend_dim"), (fock, "displace"), (loss, "thin")):
+        _counting(monkeypatch, owner, name, calls)
+    code, out, _ = run_cli(capsys, "sweep", *family, "--eta", "0.9", "--axis", "delta",
+                           "--grid", "0", "2", "50", "--oracle")
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 50
+    assert sorted(calls) == ["displace", "recommend_dim", "thin"]
+
+
 def test_undersized_basis_is_computation_error(capsys):
     # at 6 levels D(3)|1> is wrong: p_fn_numeric would read 0.2027 against 0.0140
     code, out, err = run_cli(capsys, "evaluate", "--family", "fock", "--n", "1", "--eta", "0.9",
@@ -535,6 +583,13 @@ def test_undersized_basis_is_computation_error(capsys):
     (("sweep", "--axis", "n", "--values", "inf"), "n axis values must be finite integers"),
     # 2 alpha^2 overflows: "p_fp out of range: nan" before
     (("sweep", "--alpha", "2", "--axis", "alpha", "--values", "1e300"), "alpha"),
+    # the cat operating point's bracket pi / (2 sqrt(eta) alpha) is not a finite
+    # float: "float division by zero" (exit 2) or "math domain error" before
+    (("optimize", "--alpha", "1e-200", "--eta", "1e-250"), "alpha 1e-200 and eta 1e-250"),
+    (("sweep", "--alpha", "1e-200", "--axis", "eta", "--values", "1e-250"),
+     "alpha 1e-200 and eta 1e-250"),
+    (("optimize", "--alpha", "1e-310"), "alpha 1e-310 and eta 0.9"),
+    (("optimize", "--alpha", "1000", "--eta", "5e-324"), "alpha 1000.0 and eta 5e-324"),
 ])
 def test_non_finite_scenario_input_is_validation_error(capsys, flags, field):
     # an entry may name its subcommand first; evaluate otherwise

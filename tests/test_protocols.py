@@ -281,6 +281,35 @@ def test_sweep_delta_axis_fock_fp_independent_of_delta():
     assert fps == {1.0 - 0.9}
 
 
+# Bounds the README states for the delta-axis oracle sweep against per-point
+# evaluate: the rates move by rounding only; the Helstrom bound's square root
+# turns an overlap rounding of 1e-14 into up to sqrt(1e-14) / 2 near delta = 0.
+RATE_BOUND = 1e-14
+HELSTROM_BOUND = 0.5 * math.sqrt(RATE_BOUND)
+
+
+@pytest.mark.parametrize("kwargs, dim", [
+    (dict(**CAT2, eta=0.9), None),
+    (dict(family=StateFamily.CAT, photons=1e6, alpha=0.5, r=0.4), None),
+    (dict(**FOCK1, eta=0.9), None),
+    (dict(family=StateFamily.FOCK, photons=1e6, n=2, eta=0.8), None),
+    (dict(**CAT2, eta=0.9), 70),
+    (dict(**FOCK1, eta=0.5), 40),
+])
+def test_delta_axis_oracle_sweep_matches_per_point_evaluate(kwargs, dim):
+    # one basis for the largest |delta| against one basis per point (or the
+    # same --dim basis), one batch against one delta at a time
+    params = ProtocolParams(**kwargs)
+    values = (0.0, -0.7, 0.3, 1e-9, 2.0, -2.5)
+    result = sweep(params, "delta", values, with_oracle=True, dim=dim)
+    for value, point in zip(values, result.points):
+        alone = evaluate(params, delta_to_phi(params, value), with_oracle=True, dim=dim)
+        assert (point.phi, point.delta, point.analytic) == (alone.phi, alone.delta, alone.analytic)
+        assert abs(point.numeric.p_fp - alone.numeric.p_fp) <= RATE_BOUND
+        assert abs(point.numeric.p_fn - alone.numeric.p_fn) <= RATE_BOUND
+        assert abs(point.numeric.helstrom - alone.numeric.helstrom) <= HELSTROM_BOUND
+
+
 def test_sweep_oracle_discrepancy_bound():
     params = ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=1.5, eta=0.9)
     result = sweep(params, "eta", (0.8, 0.9, 1.0), with_oracle=True)
