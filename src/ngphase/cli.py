@@ -204,7 +204,8 @@ def _cmd_overlap(args) -> int:
 
     params = _scenario(args)
     deltas = _delta_grid(args.delta_max, args.steps)
-    probe = _probe_state(params, _oracle_space(params, args.delta_max, args.dim, args.tail_tol))
+    probe = _probe_state(params, _oracle_space([(params, args.delta_max)], args.dim,
+                                               args.tail_tol))
     if params.family is StateFamily.FOCK:
         closed_form = lambda d: analytic.fock_overlap(params.n, d)
     else:
@@ -223,8 +224,8 @@ def _cmd_parity(args) -> int:
     if params.family is not StateFamily.CAT:
         raise ValueError("parity needs --family cat")
     deltas = _delta_grid(args.delta_max, args.steps)
-    space = _oracle_space(params, args.delta_max, args.dim, args.tail_tol)
-    _, parities, _ = _readout(params, deltas, space)
+    space = _oracle_space([(params, args.delta_max)], args.dim, args.tail_tol)
+    _, parities, _ = _readout([(params, delta) for delta in deltas], space)
     closed_form = analytic.cat_parity_curve(params.alpha, params.eta)
     rows = []
     for delta, numeric in zip(deltas, parities):
@@ -244,8 +245,9 @@ def _rate_cells(ev: Evaluation, oracle: bool) -> list[str]:
     else:
         cells = ["nan", "nan", "nan"]
     if oracle:
+        gap = ev.max_discrepancy
         cells += [fmt(ev.numeric.p_fp), fmt(ev.numeric.p_fn), fmt(ev.numeric.helstrom),
-                  fmt(ev.max_discrepancy) if ev.max_discrepancy is not None else "nan"]
+                  fmt(gap) if gap is not None else "nan"]
     return cells
 
 
@@ -288,6 +290,9 @@ def _cmd_sweep(args) -> int:
     params = _scenario(args)
     if args.values is not None:
         values = _flag_list(args.values, "--values")
+        # the oracle holds a values x dim block, as for a --grid of that length
+        if len(values) > MAX_STEPS:
+            raise ValueError(f"--values takes at most {MAX_STEPS} values, got {len(values)}")
     else:
         lo, hi, steps = args.grid
         _check_steps(steps, "--grid STEPS", 2)

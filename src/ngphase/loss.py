@@ -58,33 +58,81 @@ def _log_binomials() -> np.ndarray:
     return log_binom
 
 
-def _thinning_table(dim: int, eta: float) -> np.ndarray:
+def _thinning_table(dim: int, eta) -> np.ndarray:
     """B[m, n] = C(n, m) eta^m (1-eta)^(n-m): the probability that n photons
     leave m after loss.  Upper triangular, columns sum to 1, and the identity
     at eta = 1.  Built from log-factorials, so no factorial overflows and no
     0 log 0 is formed.  The eta-free half, log C(n, m), is cached once per
     process (``_log_binomials``); the eta half and the exp are built per
-    call."""
-    if eta == 1.0:
-        return np.eye(dim)
+    call.  ``eta`` is one efficiency, or a 1-D array of them for a stack of
+    tables, one per entry, each with the bits of its single table."""
+    etas = np.asarray(eta, dtype=float)
+    lossless = etas == 1.0
+    if lossless.all():
+        return np.broadcast_to(np.eye(dim), etas.shape + (dim, dim)).copy()
+    # scalar logs, as math takes them; log1p(-1) is never formed
+    column = etas.shape + (1, 1)
+    log_eta = np.array([math.log(e) for e in etas.flat]).reshape(column)
+    log_loss = np.array([0.0 if e == 1.0 else math.log1p(-e) for e in etas.flat]).reshape(column)
     k = np.arange(dim)
-    log_b = _log_binomials()[:dim, :dim] + k[:, None] * math.log(eta)
-    log_b += (k - k[:, None]) * math.log1p(-eta)
-    return np.exp(log_b, out=log_b)
+    log_b = _log_binomials()[:dim, :dim] + k[:, None] * log_eta
+    log_b += (k - k[:, None]) * log_loss
+    table = np.exp(log_b, out=log_b)
+    if lossless.any():
+        table[lossless] = np.eye(dim)
+    return table
 
 
-def thin(channel: LossChannel, probs) -> np.ndarray:
+# Bytes of thinning tables one batched product in ``thin`` builds at once.
+# Larger stacks made no measurable difference to an eta sweep's time but did
+# raise its peak memory; at MAX_DIM a product holds one table (512 KiB).
+_PRODUCT_BYTES = 2 ** 17
+
+
+def _tables_per_product(dim: int) -> int:
+    """Channels per batched product in ``thin``: at least one, and otherwise
+    as many as keep their tables within ``_PRODUCT_BYTES``."""
+    return max(1, _PRODUCT_BYTES // (8 * dim * dim))
+
+
+def thin(channel, probs) -> np.ndarray:
     """Photon-number distribution after loss, q = B p, for one distribution p
     or for each row of a stack of them.
+
+    ``channel`` is one LossChannel, or a sequence of them on one space, one
+    per entry of the leading axis of ``probs`` (a distribution or a stack of
+    them each).  A sequence is applied as batched products over at most
+    ``_tables_per_product`` channels each, with one table per distinct
+    efficiency among them.
 
     Every result entry must be >= -NEGATIVITY_ATOL and every result must sum
     to 1 within TRACE_ATOL; otherwise ValueError.
     """
     probs = np.asarray(probs, dtype=float)
-    d = channel.space.dim
+    single = isinstance(channel, LossChannel)
+    channels = [channel] if single else list(channel)
+    d = channels[0].space.dim
     if probs.shape[-1:] != (d,):
         raise ValueError(f"distribution has shape {probs.shape}, expected (..., {d})")
-    out = probs @ _thinning_table(d, channel.eta).T
+    if single:
+        out = probs @ _thinning_table(d, channel.eta).T
+    else:
+        if len(channels) != len(probs):
+            raise ValueError(f"{len(channels)} channels for {len(probs)} distributions")
+        for other in channels:
+            _check_same_space(channels[0], other)
+        stacks = probs.reshape(len(probs), -1, d)
+        out = np.empty_like(stacks)
+        step = _tables_per_product(d)
+        for start in range(0, len(channels), step):
+            etas = [c.eta for c in channels[start:start + step]]
+            distinct = dict.fromkeys(etas)
+            tables = _thinning_table(d, np.array(list(distinct)))
+            if len(distinct) < len(etas):
+                position = {eta: i for i, eta in enumerate(distinct)}
+                tables = tables[[position[eta] for eta in etas]]
+            out[start:start + step] = stacks[start:start + step] @ tables.transpose(0, 2, 1)
+        out = out.reshape(probs.shape)
     low = float(np.min(out))
     if not low >= -NEGATIVITY_ATOL:
         raise ValueError(f"thinned distribution not positive: min entry {low:.3e}")

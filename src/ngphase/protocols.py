@@ -79,16 +79,16 @@ def delta_to_phi(params: ProtocolParams, delta: float) -> float:
     return delta * math.exp(-params.r) / math.sqrt(params.photons)
 
 
-def _oracle_space(params: ProtocolParams, max_delta: float, dim: int | None,
-                  tail_tol: float) -> FockSpace:
-    """The one basis of an oracle command: ``dim`` levels if given, else
-    ``recommend_dim`` for the probe and the largest |delta| (``max_delta``)
-    the command displaces it by."""
+def _oracle_space(points, dim: int | None, tail_tol: float) -> FockSpace:
+    """The one basis of an oracle command over ``points``, pairs (params,
+    delta): ``dim`` levels if given, else ``recommend_dim`` for the largest
+    probe amplitude and the largest |delta| among them."""
     from .fock import FockSpace, recommend_dim
 
     if dim is None:
-        amplitude = math.sqrt(params.n) if params.family is StateFamily.FOCK else params.alpha
-        dim = recommend_dim(amplitude, max_delta, tail_tol)
+        amplitude = max(math.sqrt(params.n) if params.family is StateFamily.FOCK
+                        else params.alpha for params, _ in points)
+        dim = recommend_dim(amplitude, max(abs(delta) for _, delta in points), tail_tol)
     return FockSpace(dim, tail_tol)
 
 
@@ -101,42 +101,86 @@ def _probe_state(params: ProtocolParams, space: FockSpace) -> PureState:
     return cat_state(space, params.alpha)
 
 
-def _readout(params: ProtocolParams, deltas, space: FockSpace):
-    """The oracle's counting statistics: one ``displace`` of the probe by every
-    delta, then one ``thin`` of the quiet probe and every displaced state.
-    Returns the quiet readout, the signal readout per delta (the probability
-    of n photons for a Fock probe, the parity for a cat) and the overlaps
-    <probe|D(delta) probe>."""
+def _readout(points, space: FockSpace):
+    """The oracle's counting statistics for ``points``, pairs (params, delta)
+    of one probe family: each distinct probe built once on ``space``, one
+    ``displace`` of every point's probe by its delta, and one ``thin`` of the
+    displaced states and the quiet probes with one table per distinct eta.
+    Returns, per point, the quiet readout, the signal readout (the
+    probability of n photons for a Fock probe, the parity for a cat) and the
+    overlap <probe|D(delta) probe>."""
+    import numpy as np
+
     from .fock import displace, overlap, parity_signs, photon_distribution
     from .loss import LossChannel, thin
 
-    probe = _probe_state(params, space)
-    displaced = displace(probe, deltas)
-    # quiet row last, so each signal row keeps its index (BLAS rounding can depend on it)
-    q = thin(LossChannel(space, params.eta),
-             [photon_distribution(state) for state in displaced] + [photon_distribution(probe)])
-    if params.family is StateFamily.FOCK:
-        counts = q[:, params.n].tolist()
+    fock = points[0][0].family is StateFamily.FOCK
+    index, probes, which = {}, [], []  # distinct probes, and the probe of each point
+    for params, _ in points:
+        key = params.n if fock else params.alpha
+        if key not in index:
+            index[key] = len(probes)
+            probes.append(_probe_state(params, space))
+        which.append(index[key])
+    states = [probes[i] for i in which]
+    displaced = displace(probes[0] if len(probes) == 1 else states,
+                         [delta for _, delta in points])
+    signal = [photon_distribution(state) for state in displaced]
+    quiet = [photon_distribution(probe) for probe in probes]
+    etas = [params.eta for params, _ in points]
+    if len(set(etas)) == 1:
+        # quiet rows last, so each signal row keeps its index (BLAS rounding
+        # can depend on it)
+        q = thin(LossChannel(space, etas[0]), signal + quiet)
+        signal_rows, quiet_rows = np.arange(len(points)), len(points) + np.array(which)
     else:
-        counts = (q @ parity_signs(space.dim)).tolist()
-    return counts[-1], counts[:-1], [overlap(probe, state) for state in displaced]
+        channels = {eta: LossChannel(space, eta) for eta in etas}
+        q = thin([channels[eta] for eta in etas],
+                 np.stack((signal, [quiet[i] for i in which]), axis=1))
+        q = q.reshape(-1, space.dim)  # point i: signal row 2i, quiet row 2i + 1
+        signal_rows, quiet_rows = np.arange(0, len(q), 2), np.arange(1, len(q), 2)
+    if fock:
+        ns = [params.n for params, _ in points]
+        counts_signal, counts_quiet = q[signal_rows, ns], q[quiet_rows, ns]
+    else:
+        counts = q @ parity_signs(space.dim)
+        counts_signal, counts_quiet = counts[signal_rows], counts[quiet_rows]
+    return (counts_quiet.tolist(), counts_signal.tolist(),
+            [overlap(probe, state) for probe, state in zip(states, displaced)])
 
 
-def _numeric_rates(params: ProtocolParams, deltas, space: FockSpace) -> list[ErrorRates]:
-    """Rates from the truncated-basis simulation, one per delta, from one
-    ``_readout`` on ``space``."""
-    quiet, signal, overlaps = _readout(params, deltas, space)
-    if params.family is StateFamily.FOCK:
-        # a count of exactly n photons reads "no signal"
-        p_fp, p_fn = 1.0 - quiet, signal
-    else:
-        # an odd count reads "signal"
-        p_fp, p_fn = 0.5 * (1.0 - quiet), [0.5 * (1.0 + parity) for parity in signal]
-    p_fp = min(max(p_fp, 0.0), 1.0)
-    return [ErrorRates(p_fp=p_fp, p_fn=min(max(fn, 0.0), 1.0),
-                       helstrom=analytic.helstrom(params.p0, params.p_delta,
-                                                  min(abs(o) ** 2, 1.0)))
-            for fn, o in zip(p_fn, overlaps)]
+# Rounding moves the oracle's rates past [0, 1] by at most about 2e-15; a rate
+# further out than this is a fault, not rounding.
+_CLAMP_TOL = 1e-12
+
+
+class OracleRangeError(ArithmeticError):
+    """A numeric rate lies outside [0, 1] by more than rounding explains."""
+
+
+def _clamped(p: float, name: str) -> float:
+    """``p`` clamped into [0, 1], or OracleRangeError beyond ``_CLAMP_TOL``."""
+    if not -_CLAMP_TOL <= p <= 1.0 + _CLAMP_TOL:
+        raise OracleRangeError(f"numeric {name} {p!r} lies outside [0, 1] by more than "
+                               f"{_CLAMP_TOL:g}")
+    return min(max(p, 0.0), 1.0)
+
+
+def _numeric_rates(points, space: FockSpace) -> list[ErrorRates]:
+    """Rates from the truncated-basis simulation, one per point (params,
+    delta), from one ``_readout`` on ``space``."""
+    rates = []
+    for (params, _), quiet, signal, o in zip(points, *_readout(points, space)):
+        if params.family is StateFamily.FOCK:
+            # a count of exactly n photons reads "no signal"
+            p_fp, p_fn = 1.0 - quiet, signal
+        else:
+            # an odd count reads "signal"
+            p_fp, p_fn = 0.5 * (1.0 - quiet), 0.5 * (1.0 + signal)
+        rates.append(ErrorRates(p_fp=_clamped(p_fp, "p_fp"), p_fn=_clamped(p_fn, "p_fn"),
+                                helstrom=analytic.helstrom(params.p0, params.p_delta,
+                                                           min(abs(o) ** 2, 1.0))))
+    return rates
 
 
 def _analytic_rates(params: ProtocolParams, delta: float) -> ErrorRates | None:
@@ -166,13 +210,13 @@ def _closed_form_evaluation(params: ProtocolParams, phi: float, with_oracle: boo
                       analytic=rates, numeric=None)
 
 
-def _add_oracle(params: ProtocolParams, evaluations: list[Evaluation], dim: int | None,
-                tail_tol: float) -> list[Evaluation]:
-    """``evaluations`` of one scenario with the rates of one ``_numeric_rates``."""
-    deltas = [ev.delta for ev in evaluations]
-    space = _oracle_space(params, max(abs(delta) for delta in deltas), dim, tail_tol)
-    return [Evaluation(ev.phi, ev.delta, ev.delta_detected, ev.analytic, rates)
-            for ev, rates in zip(evaluations, _numeric_rates(params, deltas, space))]
+def _add_oracle(points, dim: int | None, tail_tol: float) -> list[Evaluation]:
+    """The evaluations of ``points``, pairs (params, evaluation), with the
+    rates of one ``_numeric_rates`` on one basis."""
+    pairs = [(params, ev.delta) for params, ev in points]
+    rates = _numeric_rates(pairs, _oracle_space(pairs, dim, tail_tol))
+    return [Evaluation(ev.phi, ev.delta, ev.delta_detected, ev.analytic, numeric)
+            for (_, ev), numeric in zip(points, rates)]
 
 
 def evaluate(params: ProtocolParams, phi: float, *, with_oracle: bool = False,
@@ -184,7 +228,7 @@ def evaluate(params: ProtocolParams, phi: float, *, with_oracle: bool = False,
     with n >= 2 have no closed form; they require the oracle.
     """
     ev = _closed_form_evaluation(params, phi, with_oracle)
-    return _add_oracle(params, [ev], dim, tail_tol)[0] if with_oracle else ev
+    return _add_oracle([(params, ev)], dim, tail_tol)[0] if with_oracle else ev
 
 
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
@@ -343,30 +387,30 @@ def sweep(params: ProtocolParams, axis: str, values, *, with_oracle: bool = Fals
           dim: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL) -> SweepResult:
     """Evaluate a scenario along one axis.
 
-    For the ``delta`` axis each value is taken as the displacement itself, so
-    every point shares one probe: each point is checked first, then the oracle
-    runs once over all of them on one basis.  For every other axis the
-    operating point is re-optimized and evaluated per point.  ``dim`` sets
-    the oracle's basis, as in ``evaluate``.
+    For the ``delta`` axis each value is taken as the displacement itself;
+    along every other axis the operating point is re-optimized per point.
+    Every point is checked first (its parameters, its operating point and its
+    closed form); then the oracle runs once over all of them on one basis, as
+    ``evaluate`` runs it for one point.  ``dim`` sets that basis.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    evaluations = []
+    points = []
     for index, value in enumerate(values):
         try:
             if axis == "delta":
-                ev = _closed_form_evaluation(params, delta_to_phi(params, float(value)),
-                                             with_oracle)
+                point_params, phi = params, delta_to_phi(params, float(value))
             else:
                 point_params = _params_at(params, axis, value)
-                ev = evaluate(point_params, optimize_delta(point_params).phi0,
-                              with_oracle=with_oracle, dim=dim, tail_tol=tail_tol)
+                phi = optimize_delta(point_params).phi0
+            points.append((point_params, _closed_form_evaluation(point_params, phi, with_oracle)))
         except Exception as exc:
             error = InvalidSweepPointError if isinstance(exc, ValueError) else SweepPointError
             raise error(index, float(value), exc) from exc
-        evaluations.append(ev)
-    if with_oracle and axis == "delta" and evaluations:
-        evaluations = _add_oracle(params, evaluations, dim, tail_tol)
+    if with_oracle and points:
+        evaluations = _add_oracle(points, dim, tail_tol)
+    else:
+        evaluations = [ev for _, ev in points]
     return SweepResult(
         axis=axis,
         values=tuple(float(v) for v in values),

@@ -153,7 +153,7 @@ def _fock1_point_numeric(grid: str) -> float:
     for eta in (0.8, 0.9, 0.98):
         delta = 1.0 / math.sqrt(eta)
         params = ProtocolParams(family=StateFamily.FOCK, photons=1e6, n=1, eta=eta)
-        (rates,) = _numeric_rates(params, [delta], _space_for(1.0, delta))
+        (rates,) = _numeric_rates([(params, delta)], _space_for(1.0, delta))
         worst = max(worst, abs(rates.p_fp - (1.0 - eta)),
                     abs(rates.p_fn - (1.0 - eta) / math.e))
     return worst

@@ -551,6 +551,76 @@ def test_delta_axis_oracle_sweep_sizes_displaces_and_thins_once(capsys, monkeypa
     assert sorted(calls) == ["displace", "recommend_dim", "thin"]
 
 
+CAT_SCENARIO = ("--family", "cat", "--alpha", "2", "--eta", "0.9")
+FOCK_SCENARIO = ("--family", "fock", "--n", "1", "--eta", "0.9")
+
+
+@pytest.mark.parametrize("scenario, axis, values", [
+    (CAT_SCENARIO, "eta", "0.8,0.85,0.9,0.95,1.0,0.85"),
+    (CAT_SCENARIO, "alpha", "1,1.5,2,2.5,3,1.5"),
+    (FOCK_SCENARIO, "eta", "0.8,0.9,1.0"),
+    (("--family", "fock", "--n", "1"), "n", "1,2,3,2"),
+    (FOCK_SCENARIO, "r", "0,0.5,1"),
+])
+def test_oracle_sweep_sizes_displaces_and_thins_once_on_every_axis(capsys, monkeypatch,
+                                                                   scenario, axis, values):
+    # a count, not a timing: every axis re-optimizes per point, yet the sweep
+    # sizes one basis, makes one displacement product and one thinning call
+    from ngphase import fock, loss
+
+    calls = []
+    for owner, name in ((fock, "recommend_dim"), (fock, "displace"), (loss, "thin")):
+        _counting(monkeypatch, owner, name, calls)
+    code, out, _ = run_cli(capsys, "sweep", *scenario, "--axis", axis, "--values", values,
+                           "--oracle")
+    assert code == 0
+    assert len(parse_csv(out)[1]) == len(values.split(","))
+    assert sorted(calls) == ["displace", "recommend_dim", "thin"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # the probe leaks out of a 5-level basis
+    (("sweep", *CAT_SCENARIO, "--axis", "alpha", "--values", "1,2", "--dim", "5"), 2,
+     "cat_state(alpha=1.0): leakage"),
+    (("sweep", *FOCK_SCENARIO, "--axis", "eta", "--values", "0.8,0.9", "--dim", "5"), 2,
+     "top 1 levels"),
+    # the largest amplitude needs a basis above MAX_DIM
+    (("sweep", *CAT_SCENARIO, "--axis", "alpha", "--values", "1,30"), 1, "MAX_DIM=256"),
+    # alpha^2 + delta^2 overflows
+    (("evaluate", *CAT_SCENARIO, "--delta", "1e300"), 1, "MAX_DIM=256"),
+])
+def test_oracle_failure_is_one_command_level_line(capsys, argv, code, message):
+    # the oracle runs once per command, after every point is checked, so its
+    # failure names no sweep point
+    got, out, err = run_cli(capsys, *argv, "--oracle")
+    assert got == code
+    assert out == ""
+    assert err.count("\n") == 1 and message in err and "sweep point" not in err
+
+
+def test_numeric_rate_out_of_range_is_computation_error(capsys, monkeypatch):
+    from ngphase import protocols
+
+    # a quiet Fock readout of 1 + 1e-9 puts p_fp 1e-9 below 0: a fault, not rounding
+    monkeypatch.setattr(protocols, "_readout", lambda points, space: (
+        [1.0 + 1e-9] * len(points), [0.5] * len(points), [0.5] * len(points)))
+    code, out, err = run_cli(capsys, "evaluate", *FOCK_SCENARIO, "--delta", "1", "--oracle")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "computation failed: numeric p_fp" in err
+
+
+def test_sweep_values_beyond_max_steps_is_validation_error(capsys):
+    values = ",".join(["0.5"] * MAX_STEPS)
+    argv = ("sweep", *CAT_SCENARIO, "--axis", "delta", "--values")
+    code, out, _ = run_cli(capsys, *argv, values)
+    assert code == 0 and len(parse_csv(out)[1]) == MAX_STEPS
+    code, out, err = run_cli(capsys, *argv, values + ",0.5", "--oracle")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and f"--values takes at most {MAX_STEPS} values" in err
+
+
 def test_undersized_basis_is_computation_error(capsys):
     # at 6 levels D(3)|1> is wrong: p_fn_numeric would read 0.2027 against 0.0140
     code, out, err = run_cli(capsys, "evaluate", "--family", "fock", "--n", "1", "--eta", "0.9",

@@ -204,6 +204,26 @@ def test_displace_grid_matches_single_points():
         assert got.leakage >= probe.leakage
 
 
+def test_displace_takes_one_state_per_delta():
+    # a sweep displaces each point's own probe: one product, the same states
+    space = FockSpace(recommend_dim(3.0, 2.0))
+    probes = [cat_state(space, 3.0), fock_state(space, 2), cat_state(space, 1.0)]
+    deltas = [2.0, -0.4, 0.0]
+    for probe, delta, got in zip(probes, deltas, displace(probes, deltas)):
+        (want,) = displace(probe, [delta])
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-14
+        assert got.leakage == pytest.approx(want.leakage, abs=1e-20)
+        assert got.leakage >= probe.leakage
+
+
+def test_displace_rejects_mismatched_states():
+    space = FockSpace(16)
+    with pytest.raises(ValueError, match="2 states for 3 displacements"):
+        displace([fock_state(space, 1)] * 2, [0.1, 0.2, 0.3])
+    with pytest.raises(SpaceMismatchError):
+        displace([fock_state(space, 1), fock_state(FockSpace(17), 1)], [0.1, 0.2])
+
+
 def test_displace_leakage_is_top_block_mass():
     space = FockSpace(recommend_dim(1.0, 2.0), tail_tol=1e-6)
     probe = fock_state(space, 1)
@@ -476,6 +496,13 @@ def test_recommend_dim_bounded_by_max_dim():
         recommend_dim(12.0, 0.0)
     with pytest.raises(ValueError, match="MAX_DIM"):
         recommend_dim(1e6, 0.0)
+
+
+@pytest.mark.parametrize("max_delta", [1.4e154, 1e300, 1.7976931348623157e308])
+def test_recommend_dim_overflowing_amplitude_names_max_dim(max_delta):
+    # alpha^2 + delta^2 overflows to inf; the Poisson cutoff read it as 2 levels
+    with pytest.raises(ValueError, match="MAX_DIM=256"):
+        recommend_dim(2.0, max_delta)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from ngphase import loss
 from ngphase.analytic import cat_parity, cat_pn
 from ngphase.fock import (
     MAX_DIM,
@@ -32,6 +33,7 @@ from ngphase.loss import (
     apply_loss_via_purification,
     thin,
 )
+from ngphase.limits import MAX_STEPS
 
 
 def fidelity_with_pure(psi, rho):
@@ -175,6 +177,74 @@ def test_thin_matches_ladder_kraus_diagonal(eta):
 def test_thin_rejects_invalid_distributions(probs, message):
     with pytest.raises(ValueError, match=message):
         thin(LossChannel(FockSpace(8), 0.9), probs)
+
+
+def test_stacked_thinning_tables_keep_each_tables_bits():
+    etas = [0.3, 1.0, 0.9, 1e-9, 0.999999, 0.9]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dim in (2, 17, 60, MAX_DIM):
+            stack = _thinning_table(dim, np.array(etas))
+            assert stack.shape == (len(etas), dim, dim)
+            for eta, table in zip(etas, stack):
+                assert np.array_equal(table, _thinning_table(dim, eta)), (dim, eta)
+        assert np.array_equal(_thinning_table(5, np.array([1.0, 1.0])), np.stack([np.eye(5)] * 2))
+
+
+def _distributions(space):
+    states = [displace(cat_state(space, 2.0), [d])[0] for d in (0.1, 0.5, 1.0)]
+    return np.array([photon_distribution(s) for s in states + [fock_state(space, 3)]])
+
+
+@pytest.mark.parametrize("per_product", [None, 1, 2])
+def test_thin_per_channel_matches_one_channel_at_a_time(monkeypatch, per_product):
+    # an eta sweep thins each point by its own channel; repeated and lossless
+    # efficiencies included, in one product or in several
+    if per_product is not None:
+        monkeypatch.setattr(loss, "_tables_per_product", lambda dim: per_product)
+    space = FockSpace(recommend_dim(2.0, 1.0))
+    probs = _distributions(space)
+    channels = [LossChannel(space, eta) for eta in (0.8, 1.0, 0.8, 0.5)]
+    want = np.array([thin(c, p) for c, p in zip(channels, probs)])
+    assert np.max(np.abs(thin(channels, probs) - want)) <= 1e-15
+    # a stack of distributions per channel
+    pairs = np.stack((probs, probs[::-1]), axis=1)
+    want = np.array([thin(c, p) for c, p in zip(channels, pairs)])
+    assert np.max(np.abs(thin(channels, pairs) - want)) <= 1e-15
+
+
+def test_thin_per_channel_checks_every_row():
+    space = FockSpace(8)
+    channels = [LossChannel(space, 0.9), LossChannel(space, 0.5)]
+    valid = np.r_[1.0, np.zeros(7)]
+    with pytest.raises(ValueError, match="sums to 1"):
+        thin(channels, [valid, np.full(8, 1.1 / 8)])
+    with pytest.raises(ValueError, match="not positive"):
+        thin(channels, [valid, np.r_[1.1, -0.1, np.zeros(6)]])
+    with pytest.raises(ValueError, match="2 channels for 3 distributions"):
+        thin(channels, [valid] * 3)
+    with pytest.raises(SpaceMismatchError):
+        thin([channels[0], LossChannel(FockSpace(8, tail_tol=1e-6), 0.9)], [valid] * 2)
+
+
+def test_thin_per_channel_memory_is_bounded():
+    # 200 distinct efficiencies at MAX_DIM: a stack of all their tables would
+    # take 105 MB; a product builds one 512 KiB table at a time here, far
+    # inside the MAX_STEPS x MAX_DIM complex block an oracle command may hold
+    space = FockSpace(MAX_DIM)
+    etas = np.linspace(0.5, 0.99, 200)
+    probs = np.zeros((len(etas), MAX_DIM))
+    probs[:, 0] = 1.0
+    _log_binomials()
+    tracemalloc.start()
+    try:
+        q = thin([LossChannel(space, eta) for eta in etas], probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(q, probs)  # the vacuum loses nothing
+    assert peak <= 4 * 8 * MAX_DIM ** 2 + 2 * probs.nbytes
+    assert peak <= 16 * MAX_STEPS * MAX_DIM < 8 * len(etas) * MAX_DIM ** 2
 
 
 @pytest.mark.parametrize("dim", [8, 30, 76])

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngphase import analytic
+from ngphase import analytic, protocols
 from ngphase.analytic import ProtocolParams, StateFamily, cat_overlap_zero, cat_parity
+from ngphase.fock import recommend_dim
 from ngphase.protocols import (
     OperatingPointSource,
+    OracleRangeError,
     SweepPointError,
     UnsupportedProtocolError,
     _cat_parity_minimum,
+    _params_at,
     delta_to_phi,
     evaluate,
     optimize_delta,
@@ -281,9 +284,10 @@ def test_sweep_delta_axis_fock_fp_independent_of_delta():
     assert fps == {1.0 - 0.9}
 
 
-# Bounds the README states for the delta-axis oracle sweep against per-point
-# evaluate: the rates move by rounding only; the Helstrom bound's square root
-# turns an overlap rounding of 1e-14 into up to sqrt(1e-14) / 2 near delta = 0.
+# Bounds the README states for an oracle sweep against per-point evaluate on
+# the same basis: the rates move by rounding only; the Helstrom bound's square
+# root turns an overlap rounding of 1e-14 into up to sqrt(1e-14) / 2 near
+# delta = 0.
 RATE_BOUND = 1e-14
 HELSTROM_BOUND = 0.5 * math.sqrt(RATE_BOUND)
 
@@ -308,6 +312,57 @@ def test_delta_axis_oracle_sweep_matches_per_point_evaluate(kwargs, dim):
         assert abs(point.numeric.p_fp - alone.numeric.p_fp) <= RATE_BOUND
         assert abs(point.numeric.p_fn - alone.numeric.p_fn) <= RATE_BOUND
         assert abs(point.numeric.helstrom - alone.numeric.helstrom) <= HELSTROM_BOUND
+
+
+@pytest.mark.parametrize("kwargs, axis, values", [
+    (dict(**CAT2, eta=0.9), "eta", (0.8, 0.95, 1.0, 0.5, 0.8)),
+    (dict(**CAT2, eta=0.9), "alpha", (1.0, 2.5, 0.5, 3.5, 1.0)),
+    (dict(**CAT2, eta=0.9), "r", (0.0, 0.5, 1.0)),
+    (dict(**FOCK1, eta=0.9), "eta", (0.8, 0.3, 1.0, 0.95)),
+    (dict(**FOCK1, eta=0.9), "r", (0.0, 0.7)),
+    # lossless, so n = 2 and 3 have closed forms beside n = 1
+    (dict(**FOCK1), "n", (1, 2, 1, 3)),
+])
+def test_oracle_sweep_matches_per_point_evaluate_on_every_axis(kwargs, axis, values):
+    # one basis for the largest amplitude and |delta|, one batch of probes,
+    # displacements and thinning tables, against one point at a time on it
+    params = ProtocolParams(**kwargs)
+    result = sweep(params, axis, values, with_oracle=True)
+    at = [_params_at(params, axis, value) for value in values]
+    amplitude = max(math.sqrt(p.n) if p.family is StateFamily.FOCK else p.alpha for p in at)
+    dim = recommend_dim(amplitude, max(abs(point.delta) for point in result.points))
+    for point_params, point in zip(at, result.points):
+        alone = evaluate(point_params, optimize_delta(point_params).phi0, with_oracle=True,
+                         dim=dim)
+        assert ((point.phi, point.delta, point.delta_detected, point.analytic)
+                == (alone.phi, alone.delta, alone.delta_detected, alone.analytic))
+        assert abs(point.numeric.p_fp - alone.numeric.p_fp) <= RATE_BOUND
+        assert abs(point.numeric.p_fn - alone.numeric.p_fn) <= RATE_BOUND
+        assert abs(point.numeric.helstrom - alone.numeric.helstrom) <= HELSTROM_BOUND
+
+
+def _readout_at(params, rate, value):
+    """A readout that puts ``rate`` at ``value`` and the other rate at 1/2."""
+    if params.family is StateFamily.FOCK:  # p_fp = 1 - quiet, p_fn = signal
+        quiet, signal = (1.0 - value, 0.5) if rate == "p_fp" else (0.5, value)
+    else:  # p_fp = (1 - quiet) / 2, p_fn = (1 + signal) / 2
+        quiet, signal = (1.0 - 2.0 * value, 0.0) if rate == "p_fp" else (0.0, 2.0 * value - 1.0)
+    return lambda points, space: ([quiet] * len(points), [signal] * len(points),
+                                  [0.5] * len(points))
+
+
+@pytest.mark.parametrize("kwargs", [dict(**FOCK1, eta=0.9), dict(**CAT2, eta=0.9)])
+@pytest.mark.parametrize("rate", ["p_fp", "p_fn"])
+def test_numeric_rates_clamp_rounding_only(monkeypatch, kwargs, rate):
+    # rounding past [0, 1] is clamped; a readout 1e-9 past it is a fault
+    params = ProtocolParams(**kwargs)
+    for value, clamped in ((-1e-13, 0.0), (1.0 + 1e-13, 1.0)):
+        monkeypatch.setattr(protocols, "_readout", _readout_at(params, rate, value))
+        assert getattr(evaluate(params, 1e-3, with_oracle=True).numeric, rate) == clamped
+    for value in (-1e-9, 1.0 + 1e-9):
+        monkeypatch.setattr(protocols, "_readout", _readout_at(params, rate, value))
+        with pytest.raises(OracleRangeError, match=f"numeric {rate}"):
+            evaluate(params, 1e-3, with_oracle=True)
 
 
 def test_sweep_oracle_discrepancy_bound():
