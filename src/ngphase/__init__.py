@@ -24,14 +24,13 @@ _HOME = {
     ), "analytic"),
     **dict.fromkeys((
         "ConvergenceError", "FockSpace", "LeakageError", "PureState",
-        "SpaceMismatchError", "cat_state", "coherent_state", "displace", "fock_state",
-        "overlap", "photon_distribution", "recommend_dim", "squeeze",
+        "SpaceMismatchError", "cat_state", "displace", "fock_state", "overlap",
+        "photon_distribution", "recommend_dim", "squeeze",
     ), "fock"),
     **dict.fromkeys(("LossChannel", "apply_loss_via_purification", "thin"), "loss"),
     **dict.fromkeys((
-        "Evaluation", "OperatingPoint", "OperatingPointSource", "SweepResult",
-        "UnsupportedProtocolError", "delta_to_phi", "evaluate", "optimize_delta",
-        "phi_to_delta", "sweep",
+        "Evaluation", "OperatingPoint", "OperatingPointSource", "UnsupportedProtocolError",
+        "delta_to_phi", "evaluate", "optimize_delta", "phi_to_delta", "sweep",
     ), "protocols"),
 }
 

@@ -206,6 +206,10 @@ def threshold_phase(params: ProtocolParams) -> float:
     cat:   delta_0(alpha) exp(-r) / sqrt(eta N).
     The 1/sqrt(eta) factor restores the detector-side displacement eaten by
     the loss; at eta = 1 these are the lossless thresholds.
+
+    Nothing else in the package calls it, on purpose: with
+    ``baseline_phase_errors`` it encodes the paper's threshold-versus-shot-noise
+    claim, acceptance criterion 7.
     """
     if params.family is StateFamily.FOCK:
         target = math.sqrt(laguerre_first_root(params.n))
@@ -356,7 +360,12 @@ def cat_pn(alpha: float, delta: float, eta: float, n: int) -> float:
 
 
 def baseline_phase_errors(photons: float, r: float = 0.0) -> tuple[float, float]:
-    """(shot-noise, squeezed) mean phase errors 1/(2 sqrt(N)) and e^-r/(2 sqrt(N))."""
+    """(shot-noise, squeezed) mean phase errors 1/(2 sqrt(N)) and e^-r/(2 sqrt(N)).
+
+    Nothing else in the package calls it, on purpose: with ``threshold_phase``
+    it encodes the paper's threshold-versus-shot-noise claim, acceptance
+    criterion 7.
+    """
     if not photons > 0:
         raise ValueError(f"photon number must be > 0, got {photons}")
     snl = 0.5 / math.sqrt(photons)

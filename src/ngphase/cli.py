@@ -298,15 +298,15 @@ def _cmd_sweep(args) -> int:
         _check_steps(steps, "--grid STEPS", 2)
         steps = int(steps)
         values = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
-    result = sweep(params, args.axis, values, with_oracle=args.oracle, dim=args.dim,
-                   tail_tol=args.tail_tol)
+    evaluations = sweep(params, args.axis, values, with_oracle=args.oracle, dim=args.dim,
+                        tail_tol=args.tail_tol)
     # the delta axis is named apart from the evaluated delta column beside it
     axis = "delta_axis" if args.axis == "delta" else args.axis
     header = [axis, "phi", "delta", "delta_detected"] + _RATE_HEADER
     if args.oracle:
         header += _NUMERIC_HEADER
     rows = []
-    for value, ev in zip(result.values, result.points):
+    for value, ev in zip(values, evaluations):
         rows.append([fmt(value), fmt(ev.phi), fmt(ev.delta), fmt(ev.delta_detected)]
                     + _rate_cells(ev, args.oracle))
     _write_rows(args.out, header, rows)
@@ -314,14 +314,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _figure_2(args) -> tuple[list[str], list[list[str]]]:
-    from .fock import FockSpace, displace, fock_state, photon_distribution, recommend_dim
+    from .fock import displace, photon_distribution
 
     _check_tail_tol(args.tail_tol)
-    space = FockSpace(recommend_dim(1.0, abs(args.delta), args.tail_tol), args.tail_tol)
+    params = ProtocolParams(family=StateFamily.FOCK, photons=1.0, n=1)
+    space = _oracle_space([(params, args.delta)], None, args.tail_tol)
     if not 1 <= args.levels <= space.dim:
         raise ValueError(f"--levels must be in [1, {space.dim}] (the basis dimension), "
                          f"got {args.levels}")
-    probe = fock_state(space, 1)
+    probe = _probe_state(params, space)
     displaced = displace(probe, [args.delta])[0]
     p0 = photon_distribution(probe)
     p1 = photon_distribution(displaced)

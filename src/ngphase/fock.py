@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .limits import DEFAULT_TAIL_TOL, MAX_DIM, MAX_STEPS  # noqa: F401 (MAX_STEPS re-exported)
+from .analytic import cat_norm
+from .limits import DEFAULT_TAIL_TOL, MAX_DIM
 
 # Extra levels on top of the leakage-based cutoff.  Truncating the generator
 # a + a† makes exp(i delta (a + a†)) wrong near the top of the basis, however
@@ -87,10 +88,6 @@ class PureState:
             raise ValueError(f"state norm {norm} too far from 1")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 # ---------------------------------------------------------------------------
 # generators
@@ -156,7 +153,7 @@ def fock_state(space: FockSpace, n: int) -> PureState:
     return PureState(space, amps, leakage=0.0)
 
 
-def _coherent_amplitudes(space: FockSpace, alpha: complex) -> np.ndarray:
+def _coherent_amplitudes(space: FockSpace, alpha: float) -> np.ndarray:
     """Untruncated coherent amplitudes <n|alpha> on the finite basis."""
     amps = np.empty(space.dim, dtype=complex)
     amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
@@ -165,32 +162,18 @@ def _coherent_amplitudes(space: FockSpace, alpha: complex) -> np.ndarray:
     return amps
 
 
-def coherent_state(space: FockSpace, alpha: complex) -> PureState:
-    """Coherent state |alpha> with Poissonian number statistics."""
-    amps = _coherent_amplitudes(space, alpha)
-    captured = float(np.vdot(amps, amps).real)
-    leakage = max(0.0, 1.0 - captured)
-    if leakage > space.tail_tol:
-        raise LeakageError(
-            f"coherent_state(alpha={alpha}): leakage {leakage:.3e} exceeds "
-            f"tail_tol {space.tail_tol:.3e} at dim {space.dim}"
-        )
-    return PureState(space, amps / math.sqrt(captured), leakage=leakage)
-
-
 def cat_state(space: FockSpace, alpha: float) -> PureState:
-    """Even superposition (|alpha> + |-alpha>)/sqrt(K), K = 2(1+exp(-2 alpha^2)).
+    """Even superposition (|alpha> + |-alpha>)/sqrt(K), K = 2(1+exp(-2 alpha^2))
+    from ``analytic.cat_norm``.
 
     Contains even photon numbers only; the odd amplitudes are exactly zero.
     """
     alpha = float(alpha)
-    base = _coherent_amplitudes(space, alpha)
-    amps = base.copy()
+    amps = _coherent_amplitudes(space, alpha)
     amps[1::2] = 0.0
     amps[0::2] *= 2.0
-    norm_exact = 2.0 * (1.0 + math.exp(-2.0 * alpha * alpha))
     captured = float(np.vdot(amps, amps).real)
-    leakage = max(0.0, 1.0 - captured / norm_exact)
+    leakage = max(0.0, 1.0 - captured / cat_norm(alpha))
     if leakage > space.tail_tol:
         raise LeakageError(
             f"cat_state(alpha={alpha}): leakage {leakage:.3e} exceeds "

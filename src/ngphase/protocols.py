@@ -201,7 +201,13 @@ def _analytic_rates(params: ProtocolParams, delta: float) -> ErrorRates | None:
 def _closed_form_evaluation(params: ProtocolParams, phi: float, with_oracle: bool) -> Evaluation:
     """The closed-form half of ``evaluate``; ``_add_oracle`` adds the other."""
     delta = phi_to_delta(params, phi)
-    rates = _analytic_rates(params, delta)
+    try:
+        rates = _analytic_rates(params, delta)
+    except ValueError as exc:
+        # with valid params, only a delta past float range gets here: an
+        # overflowing cosine argument, square or Laguerre value
+        raise ValueError(f"displacement delta {delta!r} is out of the closed forms' "
+                         f"float range") from exc
     if rates is None and not with_oracle:
         raise UnsupportedProtocolError(
             f"no closed form for lossy Fock n={params.n}; rerun with the numeric oracle"
@@ -357,20 +363,6 @@ class InvalidSweepPointError(SweepPointError, ValueError):
     """A sweep point whose parameters are invalid (the cause is a ValueError)."""
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Per-point evaluations along one axis, in input order."""
-
-    axis: str
-    values: tuple[float, ...]
-    points: tuple[Evaluation, ...]
-
-    @property
-    def max_discrepancy(self) -> float | None:
-        gaps = [p.max_discrepancy for p in self.points if p.max_discrepancy is not None]
-        return max(gaps) if gaps else None
-
-
 def _params_at(params: ProtocolParams, axis: str, value: float) -> ProtocolParams:
     if axis == "n":
         if not float(value).is_integer():
@@ -384,8 +376,8 @@ def _params_at(params: ProtocolParams, axis: str, value: float) -> ProtocolParam
 
 
 def sweep(params: ProtocolParams, axis: str, values, *, with_oracle: bool = False,
-          dim: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL) -> SweepResult:
-    """Evaluate a scenario along one axis.
+          dim: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL) -> tuple[Evaluation, ...]:
+    """The evaluations of a scenario along one axis, one per value, in input order.
 
     For the ``delta`` axis each value is taken as the displacement itself;
     along every other axis the operating point is re-optimized per point.
@@ -408,11 +400,5 @@ def sweep(params: ProtocolParams, axis: str, values, *, with_oracle: bool = Fals
             error = InvalidSweepPointError if isinstance(exc, ValueError) else SweepPointError
             raise error(index, float(value), exc) from exc
     if with_oracle and points:
-        evaluations = _add_oracle(points, dim, tail_tol)
-    else:
-        evaluations = [ev for _, ev in points]
-    return SweepResult(
-        axis=axis,
-        values=tuple(float(v) for v in values),
-        points=tuple(evaluations),
-    )
+        return tuple(_add_oracle(points, dim, tail_tol))
+    return tuple(ev for _, ev in points)

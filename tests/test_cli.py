@@ -165,6 +165,25 @@ def test_figure_2_displaced_photon_gap(capsys):
     assert abs(float(row1[2])) < 1e-12
 
 
+@pytest.mark.parametrize("tail_tol", [1e-12, 1e-6])
+@pytest.mark.parametrize("delta", [0.0, 1.0, -2.5, 3.3, 0.123456789, 7.0])
+def test_figure_2_follows_the_oracle_basis_policy(capsys, delta, tail_tol):
+    # the basis recommend_dim gives |1> displaced by |delta|, all of it shown
+    from ngphase.fock import FockSpace, displace, fock_state, photon_distribution, recommend_dim
+
+    space = FockSpace(recommend_dim(1.0, abs(delta), tail_tol), tail_tol)
+    probe = fock_state(space, 1)
+    p0, p1 = photon_distribution(probe), photon_distribution(displace(probe, [delta])[0])
+    flags = ("figure", "--id", "2", "--delta", repr(delta), "--tail-tol", repr(tail_tol))
+    code, out, _ = run_cli(capsys, *flags, "--levels", str(space.dim))
+    assert code == 0
+    assert parse_csv(out)[1] == [[str(n), cli.fmt(p0[n]), cli.fmt(p1[n])]
+                                 for n in range(space.dim)]
+    code, out, err = run_cli(capsys, *flags, "--levels", str(space.dim + 1))
+    assert code == 1 and out == ""
+    assert f"--levels must be in [1, {space.dim}]" in err
+
+
 def test_figure_3_parity_columns(capsys):
     code, out, _ = run_cli(capsys, "figure", "--id", "3", "--steps", "6")
     assert code == 0
@@ -660,6 +679,12 @@ def test_undersized_basis_is_computation_error(capsys):
      "alpha 1e-200 and eta 1e-250"),
     (("optimize", "--alpha", "1e-310"), "alpha 1e-310 and eta 0.9"),
     (("optimize", "--alpha", "1000", "--eta", "5e-324"), "alpha 1000.0 and eta 5e-324"),
+    # finite, but past the closed forms' float range: "math domain error" (the
+    # cosine of 2 alpha delta) or "p_fn out of range: nan" (inf * 0) before
+    (("--alpha", "2", "--delta", "5e307"), "displacement delta 5e+307"),
+    (("--delta", "1e200"), "displacement delta 1e+200"),
+    (("sweep", "--alpha", "2", "--axis", "delta", "--grid", "0", "1e308", "3"),
+     "sweep point 1 (value 5e+307) failed: displacement delta 5e+307"),
 ])
 def test_non_finite_scenario_input_is_validation_error(capsys, flags, field):
     # an entry may name its subcommand first; evaluate otherwise

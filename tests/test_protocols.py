@@ -253,16 +253,15 @@ def test_optimize_lossless_multiphoton_uses_first_root():
 
 def test_sweep_lossless_cat_has_no_false_positives():
     params = ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=1.0)
-    result = sweep(params, "alpha", (0.8, 1.2, 1.6, 2.0, 2.4))
-    assert all(p.analytic.p_fp == 0.0 for p in result.points)
+    evaluations = sweep(params, "alpha", (0.8, 1.2, 1.6, 2.0, 2.4))
+    assert all(p.analytic.p_fp == 0.0 for p in evaluations)
 
 
 def test_sweep_alpha_shape_matches_even_odd_crossover():
     # p_odd grows and p_even falls toward ~0.1 as alpha passes 2
     params = ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=1.0)
     values = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
-    result = sweep(params, "alpha", values)
-    p_even = [p.analytic.p_fn for p in result.points]
+    p_even = [p.analytic.p_fn for p in sweep(params, "alpha", values)]
     p_odd = [1.0 - pe for pe in p_even]
     assert all(b < a for a, b in zip(p_even, p_even[1:]))
     assert all(b > a for a, b in zip(p_odd, p_odd[1:]))
@@ -273,14 +272,13 @@ def test_sweep_alpha_shape_matches_even_odd_crossover():
 def test_sweep_preserves_input_order():
     params = ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=1.0)
     values = (2.0, 0.7, 1.4)
-    result = sweep(params, "alpha", values)
-    assert result.values == values
+    at = [_params_at(params, "alpha", v) for v in values]
+    assert sweep(params, "alpha", values) == tuple(evaluate(p, optimize_delta(p).phi0) for p in at)
 
 
 def test_sweep_delta_axis_fock_fp_independent_of_delta():
     params = ProtocolParams(**FOCK1, eta=0.9)
-    result = sweep(params, "delta", (0.2, 0.6, 1.0, 1.4))
-    fps = {p.analytic.p_fp for p in result.points}
+    fps = {p.analytic.p_fp for p in sweep(params, "delta", (0.2, 0.6, 1.0, 1.4))}
     assert fps == {1.0 - 0.9}
 
 
@@ -305,8 +303,8 @@ def test_delta_axis_oracle_sweep_matches_per_point_evaluate(kwargs, dim):
     # same --dim basis), one batch against one delta at a time
     params = ProtocolParams(**kwargs)
     values = (0.0, -0.7, 0.3, 1e-9, 2.0, -2.5)
-    result = sweep(params, "delta", values, with_oracle=True, dim=dim)
-    for value, point in zip(values, result.points):
+    evaluations = sweep(params, "delta", values, with_oracle=True, dim=dim)
+    for value, point in zip(values, evaluations):
         alone = evaluate(params, delta_to_phi(params, value), with_oracle=True, dim=dim)
         assert (point.phi, point.delta, point.analytic) == (alone.phi, alone.delta, alone.analytic)
         assert abs(point.numeric.p_fp - alone.numeric.p_fp) <= RATE_BOUND
@@ -327,11 +325,11 @@ def test_oracle_sweep_matches_per_point_evaluate_on_every_axis(kwargs, axis, val
     # one basis for the largest amplitude and |delta|, one batch of probes,
     # displacements and thinning tables, against one point at a time on it
     params = ProtocolParams(**kwargs)
-    result = sweep(params, axis, values, with_oracle=True)
+    evaluations = sweep(params, axis, values, with_oracle=True)
     at = [_params_at(params, axis, value) for value in values]
     amplitude = max(math.sqrt(p.n) if p.family is StateFamily.FOCK else p.alpha for p in at)
-    dim = recommend_dim(amplitude, max(abs(point.delta) for point in result.points))
-    for point_params, point in zip(at, result.points):
+    dim = recommend_dim(amplitude, max(abs(point.delta) for point in evaluations))
+    for point_params, point in zip(at, evaluations):
         alone = evaluate(point_params, optimize_delta(point_params).phi0, with_oracle=True,
                          dim=dim)
         assert ((point.phi, point.delta, point.delta_detected, point.analytic)
@@ -367,8 +365,8 @@ def test_numeric_rates_clamp_rounding_only(monkeypatch, kwargs, rate):
 
 def test_sweep_oracle_discrepancy_bound():
     params = ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=1.5, eta=0.9)
-    result = sweep(params, "eta", (0.8, 0.9, 1.0), with_oracle=True)
-    assert result.max_discrepancy < 1e-6
+    evaluations = sweep(params, "eta", (0.8, 0.9, 1.0), with_oracle=True)
+    assert max(ev.max_discrepancy for ev in evaluations) < 1e-6
 
 
 def test_sweep_wraps_point_failures_with_index():
