@@ -27,7 +27,7 @@ _HOME = {
         "SpaceMismatchError", "cat_state", "displace", "fock_state", "overlap",
         "photon_distribution", "recommend_dim", "squeeze",
     ), "fock"),
-    **dict.fromkeys(("LossChannel", "apply_loss_via_purification", "thin"), "loss"),
+    **dict.fromkeys(("apply_loss_via_purification", "thin"), "loss"),
     **dict.fromkeys((
         "Evaluation", "OperatingPoint", "OperatingPointSource", "UnsupportedProtocolError",
         "delta_to_phi", "evaluate", "optimize_delta", "phi_to_delta", "sweep",

@@ -165,12 +165,38 @@ def laguerre_first_root(n: int) -> float:
 # overlaps and thresholds
 
 
+# Where the Laguerre recurrence would overflow, ``fock_overlap`` divides it by
+# 2^_SCALE_BITS (about 1e200) and counts the bits divided out.
+_SCALE_BITS = 664
+# ln 2 split so that _LN2_HI times an integer below 2^21 is exact (fdlibm's
+# split): the power of two then meets exp(-delta^2 / 2) in one exponent whose
+# rounding is relative to the result, not to delta^2.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
 def fock_overlap(n: int, delta: float) -> float:
-    """<n|D(delta)|n> = L_n(delta^2) exp(-delta^2 / 2)."""
+    """<n|D(delta)|n> = L_n(delta^2) exp(-delta^2 / 2).
+
+    Where that product is not finite (L_n overflowing while the exponential
+    underflows), the recurrence is rerun with L divided by 2^_SCALE_BITS
+    whenever |L| exceeds it, and the bits divided out are carried into the
+    exponent.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     d2 = delta * delta
-    return laguerre(n, d2) * math.exp(-0.5 * d2)
+    value = laguerre(n, d2) * math.exp(-0.5 * d2)
+    if math.isfinite(value) or not math.isfinite(d2):
+        return value
+    prev, cur, bits = 1.0, 1.0 - d2, 0
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 - d2) * cur - k * prev) / (k + 1)
+        if abs(cur) > 2.0 ** _SCALE_BITS:
+            prev, cur = math.ldexp(prev, -_SCALE_BITS), math.ldexp(cur, -_SCALE_BITS)
+            bits += _SCALE_BITS
+    mantissa, exponent = math.frexp(cur)
+    bits += exponent
+    return mantissa * math.exp((bits * _LN2_HI - 0.5 * d2) + bits * _LN2_LO)
 
 
 def cat_norm(alpha: float) -> float:

@@ -380,41 +380,27 @@ def _figure_4(args) -> tuple[list[str], list[list[str]]]:
     return ["alpha", "delta_opt", "p_even", "p_odd"], rows
 
 
-def _figure_etas(args, prefix: str) -> tuple[list[float], list[str]]:
-    """The --etas grid of figures 5 and 6 and its column labels; every
-    efficiency must lie in (0, 1] and have a label of its own."""
+def _eta_columns(args, prefix: str, rate) -> tuple[list[str], list[list[str]]]:
+    """Figures 5 and 6: one row per alpha of the figure grid and one column of
+    rate(alpha, eta) per --etas value; every efficiency must lie in (0, 1]
+    and have a label of its own."""
     etas = _flag_list(args.etas, "--etas")
     bad = [e for e in etas if not 0.0 < e <= 1.0]
     if bad:
         raise ValueError(f"--etas values must be in (0, 1], got {bad[0]}")
-    return etas, _column_labels(prefix, etas, "--etas")
+    header = ["alpha"] + _column_labels(prefix, etas, "--etas")
+    steps = _figure_steps(args, 200)
+    return header, [[fmt(alpha)] + [fmt(rate(alpha, eta)) for eta in etas]
+                    for alpha in _alpha_grid(steps)]
 
 
 def _figure_5(args) -> tuple[list[str], list[list[str]]]:
-    etas, labels = _figure_etas(args, "p_fp_eta_")
-    steps = _figure_steps(args, 200)
-    header = ["alpha"] + labels
-    rows = []
-    for alpha in _alpha_grid(steps):
-        cells = [fmt(alpha)]
-        for eta in etas:
-            cells.append(fmt(analytic.cat_false_positive_product_form(alpha, eta)))
-        rows.append(cells)
-    return header, rows
+    return _eta_columns(args, "p_fp_eta_", analytic.cat_false_positive_product_form)
 
 
 def _figure_6(args) -> tuple[list[str], list[list[str]]]:
-    etas, labels = _figure_etas(args, "p_fn_eta_")
-    steps = _figure_steps(args, 200)
-    header = ["alpha"] + labels
-    rows = []
-    for alpha in _alpha_grid(steps):
-        cells = [fmt(alpha)]
-        for eta in etas:
-            _, parity = _cat_parity_minimum(alpha, eta)
-            cells.append(fmt(0.5 * (1.0 + parity)))
-        rows.append(cells)
-    return header, rows
+    return _eta_columns(args, "p_fn_eta_",
+                        lambda alpha, eta: 0.5 * (1.0 + _cat_parity_minimum(alpha, eta)[1]))
 
 
 def _cmd_figure(args) -> int:

@@ -3,8 +3,9 @@
 Everything lives in a finite basis |0>..|D-1>.  The truncation dimension is
 chosen so that the probability mass the untruncated state would carry above
 the cutoff ("leakage") stays below a configurable tolerance; see
-``recommend_dim``.  All values are immutable after construction and safe to
-share between threads.
+``recommend_dim``.  ``cat_state`` and ``displace`` raise LeakageError where a
+state's leakage exceeds that tolerance; no state stores it.  All values are
+immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -66,15 +67,10 @@ def _check_same_space(a, b) -> None:
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit-norm complex amplitude vector over the Fock basis.
-
-    ``leakage`` is the constructor's estimate of the probability mass the
-    untruncated state would carry at n >= dim (0 for exact finite states).
-    """
+    """Unit-norm complex amplitude vector over the Fock basis."""
 
     space: FockSpace
     amplitudes: np.ndarray
-    leakage: float = 0.0
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
@@ -150,7 +146,7 @@ def fock_state(space: FockSpace, n: int) -> PureState:
         raise ValueError(f"n={n} outside [0, {space.dim})")
     amps = np.zeros(space.dim, dtype=complex)
     amps[n] = 1.0
-    return PureState(space, amps, leakage=0.0)
+    return PureState(space, amps)
 
 
 def _coherent_amplitudes(space: FockSpace, alpha: float) -> np.ndarray:
@@ -179,7 +175,7 @@ def cat_state(space: FockSpace, alpha: float) -> PureState:
             f"cat_state(alpha={alpha}): leakage {leakage:.3e} exceeds "
             f"tail_tol {space.tail_tol:.3e} at dim {space.dim}"
         )
-    return PureState(space, amps / math.sqrt(captured), leakage=leakage)
+    return PureState(space, amps / math.sqrt(captured))
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +214,9 @@ def displace(state, deltas) -> list[PureState]:
     ``state`` is one PureState displaced by every delta, or a sequence of
     them, one per delta, all on one space.  One matrix product in the cached
     eigenbasis of a + a†.  Truncating the generator makes D(delta) wrong once
-    a displaced state reaches the top of the basis, so the probability each
-    result puts on its top ``_top_levels(dim)`` levels is folded into its
-    leakage, and a LeakageError is raised where it exceeds the space's
-    ``tail_tol``.
+    a displaced state reaches the top of the basis, so a LeakageError is
+    raised where the probability a result puts on its top ``_top_levels(dim)``
+    levels exceeds the space's ``tail_tol``.
     """
     single = isinstance(state, PureState)
     states = [state] if single else list(state)
@@ -248,9 +243,7 @@ def displace(state, deltas) -> list[PureState]:
             f"in the top {levels} levels, above tail_tol {space.tail_tol:.3e} at dim "
             f"{space.dim}; increase dim"
         )
-    leakages = [state.leakage] * len(rows) if single else [s.leakage for s in states]
-    return [PureState(space, row, leakage=max(leakage, float(t)))
-            for row, leakage, t in zip(rows, leakages, top)]
+    return [PureState(space, row) for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, PureState, _check_same_space, _checked_eigenbasis
+from .fock import PureState, _checked_eigenbasis
 from .limits import MAX_DIM
 
 # Bounds ``thin`` holds every lossy distribution to: no entry below
@@ -29,16 +28,12 @@ TRACE_ATOL = 1e-10
 NEGATIVITY_ATOL = 1e-10
 
 
-@dataclass(frozen=True)
-class LossChannel:
-    """Trace-preserving photon-loss map of efficiency eta on a Fock space."""
-
-    space: FockSpace
-    eta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
+def _check_eta(eta) -> None:
+    """ValueError unless every efficiency in ``eta`` lies in (0, 1]."""
+    etas = np.asarray(eta, dtype=float)
+    bad = etas[~((etas > 0.0) & (etas <= 1.0))]
+    if bad.size:
+        raise ValueError(f"eta must be in (0, 1], got {bad[0]}")
 
 
 # One MAX_DIM x MAX_DIM float64 matrix, 8 MAX_DIM^2 bytes (512 KiB at 256),
@@ -90,47 +85,47 @@ _PRODUCT_BYTES = 2 ** 17
 
 
 def _tables_per_product(dim: int) -> int:
-    """Channels per batched product in ``thin``: at least one, and otherwise
-    as many as keep their tables within ``_PRODUCT_BYTES``."""
+    """Efficiencies per batched product in ``thin``: at least one, and
+    otherwise as many as keep their tables within ``_PRODUCT_BYTES``."""
     return max(1, _PRODUCT_BYTES // (8 * dim * dim))
 
 
-def thin(channel, probs) -> np.ndarray:
+def thin(probs, eta) -> np.ndarray:
     """Photon-number distribution after loss, q = B p, for one distribution p
-    or for each row of a stack of them.
+    or for each row of a stack of them, on a basis of ``probs.shape[-1]``
+    levels.
 
-    ``channel`` is one LossChannel, or a sequence of them on one space, one
-    per entry of the leading axis of ``probs`` (a distribution or a stack of
-    them each).  A sequence is applied as batched products over at most
-    ``_tables_per_product`` channels each, with one table per distinct
+    ``eta`` is one efficiency, or a sequence of them, one per entry of the
+    leading axis of ``probs`` (a distribution or a stack of them each).  A
+    sequence is applied as batched products over at most
+    ``_tables_per_product`` efficiencies each, with one table per distinct
     efficiency among them.
 
-    Every result entry must be >= -NEGATIVITY_ATOL and every result must sum
-    to 1 within TRACE_ATOL; otherwise ValueError.
+    An efficiency outside (0, 1] or a last axis outside [1, MAX_DIM] is a
+    ValueError.  Every result entry must be >= -NEGATIVITY_ATOL and every
+    result must sum to 1 within TRACE_ATOL; otherwise ValueError.
     """
     probs = np.asarray(probs, dtype=float)
-    single = isinstance(channel, LossChannel)
-    channels = [channel] if single else list(channel)
-    d = channels[0].space.dim
-    if probs.shape[-1:] != (d,):
-        raise ValueError(f"distribution has shape {probs.shape}, expected (..., {d})")
-    if single:
-        out = probs @ _thinning_table(d, channel.eta).T
+    if not (probs.ndim and 1 <= probs.shape[-1] <= MAX_DIM):
+        raise ValueError(f"distribution has shape {probs.shape}, expected a last axis "
+                         f"of 1 to {MAX_DIM} levels")
+    _check_eta(eta)
+    d = probs.shape[-1]
+    if np.ndim(eta) == 0:
+        out = probs @ _thinning_table(d, eta).T
     else:
-        if len(channels) != len(probs):
-            raise ValueError(f"{len(channels)} channels for {len(probs)} distributions")
-        for other in channels:
-            _check_same_space(channels[0], other)
+        if len(eta) != len(probs):
+            raise ValueError(f"{len(eta)} efficiencies for {len(probs)} distributions")
         stacks = probs.reshape(len(probs), -1, d)
         out = np.empty_like(stacks)
         step = _tables_per_product(d)
-        for start in range(0, len(channels), step):
-            etas = [c.eta for c in channels[start:start + step]]
+        for start in range(0, len(eta), step):
+            etas = eta[start:start + step]
             distinct = dict.fromkeys(etas)
             tables = _thinning_table(d, np.array(list(distinct)))
             if len(distinct) < len(etas):
-                position = {eta: i for i, eta in enumerate(distinct)}
-                tables = tables[[position[eta] for eta in etas]]
+                position = {e: i for i, e in enumerate(distinct)}
+                tables = tables[[position[e] for e in etas]]
             out[start:start + step] = stacks[start:start + step] @ tables.transpose(0, 2, 1)
         out = out.reshape(probs.shape)
     low = float(np.min(out))
@@ -163,19 +158,19 @@ def _beamsplitter_eigenbasis(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], .
     return tuple(sectors)
 
 
-def apply_loss_via_purification(channel: LossChannel, state: PureState) -> np.ndarray:
-    """Density matrix of ``state`` after loss: couple it to a vacuum bath with a
-    beamsplitter unitary, then trace the bath out.
+def apply_loss_via_purification(state: PureState, eta: float) -> np.ndarray:
+    """Density matrix of ``state`` after loss of efficiency ``eta``: couple it
+    to a vacuum bath with a beamsplitter unitary, then trace the bath out.
 
     Exact on the truncated space because the beamsplitter conserves total
     photon number; intended for cross-validation at small dimensions.  Each
     amplitude psi_n of |n>|0> is evolved inside its own sector N = n, in that
-    sector's eigenbasis, so no d^2-dimensional operator is ever formed.
-    ``state`` must live in ``channel.space`` (else SpaceMismatchError).
+    sector's eigenbasis, so no d^2-dimensional operator is ever formed.  An
+    efficiency outside (0, 1] is a ValueError.
     """
-    _check_same_space(state, channel)
-    d = channel.space.dim
-    theta = math.acos(math.sqrt(channel.eta))
+    _check_eta(eta)
+    d = state.space.dim
+    theta = math.acos(math.sqrt(eta))
     psi = np.zeros((d, d), dtype=complex)  # psi[k, m]: signal k, bath m
     for n, (lam, vec) in enumerate(_beamsplitter_eigenbasis(d)):
         k = np.arange(n + 1)

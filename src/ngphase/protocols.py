@@ -112,7 +112,7 @@ def _readout(points, space: FockSpace):
     import numpy as np
 
     from .fock import displace, overlap, parity_signs, photon_distribution
-    from .loss import LossChannel, thin
+    from .loss import thin
 
     fock = points[0][0].family is StateFamily.FOCK
     index, probes, which = {}, [], []  # distinct probes, and the probe of each point
@@ -131,12 +131,10 @@ def _readout(points, space: FockSpace):
     if len(set(etas)) == 1:
         # quiet rows last, so each signal row keeps its index (BLAS rounding
         # can depend on it)
-        q = thin(LossChannel(space, etas[0]), signal + quiet)
+        q = thin(signal + quiet, etas[0])
         signal_rows, quiet_rows = np.arange(len(points)), len(points) + np.array(which)
     else:
-        channels = {eta: LossChannel(space, eta) for eta in etas}
-        q = thin([channels[eta] for eta in etas],
-                 np.stack((signal, [quiet[i] for i in which]), axis=1))
+        q = thin(np.stack((signal, [quiet[i] for i in which]), axis=1), etas)
         q = q.reshape(-1, space.dim)  # point i: signal row 2i, quiet row 2i + 1
         signal_rows, quiet_rows = np.arange(0, len(q), 2), np.arange(1, len(q), 2)
     if fock:

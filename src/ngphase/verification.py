@@ -29,7 +29,7 @@ from .fock import (
     recommend_dim,
     squeeze,
 )
-from .loss import LossChannel, apply_loss_via_purification, thin
+from .loss import apply_loss_via_purification, thin
 from .protocols import _numeric_rates, evaluate, optimize_delta, sweep
 
 
@@ -193,7 +193,7 @@ def _lossy_cat_statistics(grid: str) -> float:
             space = _space_for(alpha, delta)
             displaced = displace(cat_state(space, alpha), [delta])[0]
             for eta in _etas(grid):
-                q = thin(LossChannel(space, eta), photon_distribution(displaced))
+                q = thin(photon_distribution(displaced), eta)
                 closed = np.array([analytic.cat_pn(alpha, delta, eta, n)
                                    for n in range(space.dim)])
                 worst = max(worst,
@@ -268,8 +268,8 @@ def _loss_composition(grid: str) -> float:
     p = photon_distribution(displace(cat_state(space, 1.5), [0.5])[0])
     worst = 0.0
     for eta1, eta2 in ((0.9, 0.8), (0.95, 0.5)):
-        seq = thin(LossChannel(space, eta1), thin(LossChannel(space, eta2), p))
-        direct = thin(LossChannel(space, eta1 * eta2), p)
+        seq = thin(thin(p, eta2), eta1)
+        direct = thin(p, eta1 * eta2)
         worst = max(worst, float(np.max(np.abs(seq - direct))))
     return worst
 
@@ -283,10 +283,9 @@ def _thinning_purification(grid: str) -> float:
               displace(cat_state(space, 1.0), [0.6])[0])
     worst = 0.0
     for eta in (0.5, 0.9, 0.98):
-        channel = LossChannel(space, eta)
-        thinned = thin(channel, [photon_distribution(state) for state in states])
+        thinned = thin([photon_distribution(state) for state in states], eta)
         for q, state in zip(thinned, states):
-            purified = np.diagonal(apply_loss_via_purification(channel, state)).real
+            purified = np.diagonal(apply_loss_via_purification(state, eta)).real
             worst = max(worst, float(np.max(np.abs(q - purified))))
     return worst
 

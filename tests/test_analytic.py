@@ -46,7 +46,7 @@ from ngphase.fock import (
     photon_distribution,
     recommend_dim,
 )
-from ngphase.loss import LossChannel, thin
+from ngphase.loss import thin
 from reference_search import golden_section_minimize
 
 L2_FIRST_ROOT = 0.58578643762690495  # 2 - sqrt(2)
@@ -148,6 +148,28 @@ def test_fock_overlap_at_zero():
 
 def test_fock_overlap_first_root():
     assert fock_overlap(1, 1.0) == 0.0
+
+
+# <n|D(delta)|n> where L_n(delta^2) overflows and exp(-delta^2 / 2) underflows,
+# from mpmath's laguerre and exp at 60 digits
+@pytest.mark.parametrize("n, delta, reference", [
+    (2000, 40.0, 1.2327640116407665944e-3),
+    (1000, 39.0, 1.8052062896518295768e-2),
+    (2000, 60.0, 5.5336218324088506724e-3),
+    (10000, 150.0, -5.4687576767482508042e-3),
+])
+def test_fock_overlap_past_the_float_range_of_its_factors(n, delta, reference):
+    assert not math.isfinite(laguerre(n, delta * delta) * math.exp(-0.5 * delta * delta))
+    assert fock_overlap(n, delta) == pytest.approx(reference, rel=1e-13, abs=0)
+
+
+def test_fock_overlap_keeps_the_plain_product_where_it_is_finite():
+    d2 = 30.0 * 30.0
+    assert fock_overlap(500, 30.0) == laguerre(500, d2) * math.exp(-0.5 * d2)
+    # about 2.7e-192851: below the smallest float
+    assert fock_overlap(10000, 1000.0) == 0.0
+    # a delta whose square overflows stays out of range
+    assert math.isnan(fock_overlap(2, 1e200))
 
 
 def test_fock_overlap_against_numeric():
@@ -321,7 +343,7 @@ def test_cat_parity_against_numeric():
     alpha, delta, eta = 2.0, 0.35, 0.95
     space = FockSpace(recommend_dim(alpha, delta))
     displaced = displace(cat_state(space, alpha), [delta])[0]
-    q = thin(LossChannel(space, eta), photon_distribution(displaced))
+    q = thin(photon_distribution(displaced), eta)
     numeric = float(parity_signs(space.dim) @ q)
     assert cat_parity(alpha, delta, eta) == pytest.approx(numeric, abs=1e-8)
 

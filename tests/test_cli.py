@@ -116,6 +116,23 @@ def test_evaluate_accepts_delta_flag(capsys):
     assert float(row["delta"]) == pytest.approx(0.4, rel=1e-12)
 
 
+@pytest.mark.parametrize("n, delta, overlap", [(2000, "40", 1.2327640116407666e-3),
+                                               (1000, "39", 1.8052062896518296e-2)])
+def test_evaluate_fock_overlap_where_its_factors_leave_float_range(capsys, n, delta, overlap):
+    # L_n(delta^2) overflows and exp(-delta^2 / 2) underflows; the overlap
+    # (mpmath at 60 digits) does neither
+    code, out, err = run_cli(capsys, "evaluate", "--family", "fock", "--n", str(n),
+                             "--delta", delta)
+    assert (code, err) == (0, "")
+    header, (row,) = parse_csv(out)
+    assert float(row[header.index("p_fn")]) == pytest.approx(overlap ** 2, rel=1e-12)
+    code, out, err = run_cli(capsys, "evaluate", "--family", "fock", "--n", "2",
+                             "--delta", "1e200")
+    assert (code, out) == (1, "")
+    assert err == ("ngphase: invalid request: displacement delta 1e+200 is out of the "
+                   "closed forms' float range\n")
+
+
 def test_evaluate_rejects_both_phi_and_delta(capsys):
     code, _, _ = run_cli(capsys, "evaluate", "--family", "cat", "--alpha", "2",
                          "--phi", "1e-4", "--delta", "0.4")

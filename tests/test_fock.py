@@ -205,8 +205,6 @@ def test_displace_grid_matches_single_points():
     for delta, got in zip(deltas, batch):
         want = displaced(probe, delta)
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-13
-        assert got.leakage == pytest.approx(want.leakage, abs=1e-13)
-        assert got.leakage >= probe.leakage
 
 
 def test_displace_takes_one_state_per_delta():
@@ -217,8 +215,6 @@ def test_displace_takes_one_state_per_delta():
     for probe, delta, got in zip(probes, deltas, displace(probes, deltas)):
         (want,) = displace(probe, [delta])
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-14
-        assert got.leakage == pytest.approx(want.leakage, abs=1e-20)
-        assert got.leakage >= probe.leakage
 
 
 def test_displace_rejects_mismatched_states():
@@ -230,11 +226,15 @@ def test_displace_rejects_mismatched_states():
 
 
 def test_displace_leakage_is_top_block_mass():
-    space = FockSpace(recommend_dim(1.0, 2.0), tail_tol=1e-6)
-    probe = fock_state(space, 1)
-    for got in displace(probe, [0.5, 2.0]):
-        assert got.leakage == pytest.approx(float(np.sum(np.abs(got.amplitudes[-5:]) ** 2)),
-                                            rel=1e-12, abs=0)
+    # the guard compares the mass on the top 5 levels with tail_tol: the same
+    # displaced state passes at a tail_tol just above that mass, not just below
+    dim = recommend_dim(1.0, 2.0, 1e-6)
+    (got,) = displace(fock_state(FockSpace(dim, tail_tol=1e-6), 1), [2.0])
+    top = float(np.sum(np.abs(got.amplitudes[-5:]) ** 2))
+    assert 0.0 < top < 1e-6
+    displace(fock_state(FockSpace(dim, tail_tol=1.01 * top), 1), [0.5, 2.0])
+    with pytest.raises(LeakageError, match=r"displace\(delta=2.0\).*top 5 levels"):
+        displace(fock_state(FockSpace(dim, tail_tol=0.99 * top), 1), [0.5, 2.0])
     # one level watched at dim 6: D(3)|1> puts a third of its weight on |5>
     with pytest.raises(LeakageError, match=r"displace\(delta=3.0\).*top 1 levels"):
         displace(fock_state(FockSpace(6), 1), [0.0, 3.0])

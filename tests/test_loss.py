@@ -16,7 +16,6 @@ from ngphase.fock import (
     MAX_DIM,
     FockSpace,
     PureState,
-    SpaceMismatchError,
     _lowering,
     cat_state,
     displace,
@@ -26,7 +25,6 @@ from ngphase.fock import (
     recommend_dim,
 )
 from ngphase.loss import (
-    LossChannel,
     _beamsplitter_eigenbasis,
     _log_binomials,
     _thinning_table,
@@ -54,16 +52,23 @@ def trace_distance(rho, sigma):
 
 
 def test_channel_rejects_bad_eta():
+    # thin, with one efficiency or one per distribution, and the purification
     space = FockSpace(8)
-    for eta in (0.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            LossChannel(space, eta)
+    valid = np.r_[1.0, np.zeros(7)]
+    for eta in (0.0, -0.1, 1.1, math.nan):
+        message = rf"^eta must be in \(0, 1\], got {eta}$"
+        with pytest.raises(ValueError, match=message):
+            thin(valid, eta)
+        with pytest.raises(ValueError, match=message):
+            thin([valid] * 3, [0.9, eta, 0.5])
+        with pytest.raises(ValueError, match=message):
+            apply_loss_via_purification(fock_state(space, 1), eta)
 
 
 def test_eta_one_is_identity_channel():
     space = FockSpace(24)
     state = cat_state(space, 1.0)
-    rho = apply_loss_via_purification(LossChannel(space, 1.0), state)
+    rho = apply_loss_via_purification(state, 1.0)
     np.testing.assert_allclose(rho, np.outer(state.amplitudes, state.amplitudes.conj()),
                                atol=1e-14)
 
@@ -163,27 +168,27 @@ def test_kraus_completeness():
 @pytest.mark.parametrize("eta", [0.5, 0.9, 0.98])
 def test_thin_matches_ladder_kraus_diagonal(eta):
     space = FockSpace(recommend_dim(2.0, 1.2))
-    channel = LossChannel(space, eta)
     states = [displace(fock_state(space, 1), [0.7])[0],
               displace(fock_state(space, 3), [1.2])[0],
               displace(cat_state(space, 2.0), [0.4])[0]]
     # all dim terms: the finite Kraus sum is then the exact channel
     kraus = ladder_kraus(space.dim, eta, space.dim)
-    thinned = thin(channel, [photon_distribution(s) for s in states])
+    thinned = thin([photon_distribution(s) for s in states], eta)
     for q, state in zip(thinned, states):
         reference = sum(np.abs(ek @ state.amplitudes) ** 2 for ek in kraus)
         assert np.max(np.abs(q - reference)) <= 1e-12
-        assert np.max(np.abs(thin(channel, photon_distribution(state)) - q)) <= 1e-12
+        assert np.max(np.abs(thin(photon_distribution(state), eta) - q)) <= 1e-12
 
 
 @pytest.mark.parametrize("probs, message", [
     (np.full(8, 1.1 / 8), "sums to 1"),
     (np.r_[1.1, -0.1, np.zeros(6)], "not positive"),
-    (np.full(7, 1.0 / 7), "shape"),
+    (np.full(MAX_DIM + 1, 1.0 / (MAX_DIM + 1)), "last axis"),
+    (np.zeros((3, 0)), "last axis"),
 ])
 def test_thin_rejects_invalid_distributions(probs, message):
     with pytest.raises(ValueError, match=message):
-        thin(LossChannel(FockSpace(8), 0.9), probs)
+        thin(probs, 0.9)
 
 
 def test_stacked_thinning_tables_keep_each_tables_bits():
@@ -205,47 +210,43 @@ def _distributions(space):
 
 @pytest.mark.parametrize("per_product", [None, 1, 2])
 def test_thin_per_channel_matches_one_channel_at_a_time(monkeypatch, per_product):
-    # an eta sweep thins each point by its own channel; repeated and lossless
+    # an eta sweep thins each point by its own efficiency; repeated and lossless
     # efficiencies included, in one product or in several
     if per_product is not None:
         monkeypatch.setattr(loss, "_tables_per_product", lambda dim: per_product)
     space = FockSpace(recommend_dim(2.0, 1.0))
     probs = _distributions(space)
-    channels = [LossChannel(space, eta) for eta in (0.8, 1.0, 0.8, 0.5)]
-    want = np.array([thin(c, p) for c, p in zip(channels, probs)])
-    assert np.max(np.abs(thin(channels, probs) - want)) <= 1e-15
-    # a stack of distributions per channel
+    etas = [0.8, 1.0, 0.8, 0.5]
+    want = np.array([thin(p, eta) for p, eta in zip(probs, etas)])
+    assert np.max(np.abs(thin(probs, etas) - want)) <= 1e-15
+    # a stack of distributions per efficiency
     pairs = np.stack((probs, probs[::-1]), axis=1)
-    want = np.array([thin(c, p) for c, p in zip(channels, pairs)])
-    assert np.max(np.abs(thin(channels, pairs) - want)) <= 1e-15
+    want = np.array([thin(p, eta) for p, eta in zip(pairs, etas)])
+    assert np.max(np.abs(thin(pairs, etas) - want)) <= 1e-15
 
 
 def test_thin_per_channel_checks_every_row():
-    space = FockSpace(8)
-    channels = [LossChannel(space, 0.9), LossChannel(space, 0.5)]
+    etas = [0.9, 0.5]
     valid = np.r_[1.0, np.zeros(7)]
     with pytest.raises(ValueError, match="sums to 1"):
-        thin(channels, [valid, np.full(8, 1.1 / 8)])
+        thin([valid, np.full(8, 1.1 / 8)], etas)
     with pytest.raises(ValueError, match="not positive"):
-        thin(channels, [valid, np.r_[1.1, -0.1, np.zeros(6)]])
-    with pytest.raises(ValueError, match="2 channels for 3 distributions"):
-        thin(channels, [valid] * 3)
-    with pytest.raises(SpaceMismatchError):
-        thin([channels[0], LossChannel(FockSpace(8, tail_tol=1e-6), 0.9)], [valid] * 2)
+        thin([valid, np.r_[1.1, -0.1, np.zeros(6)]], etas)
+    with pytest.raises(ValueError, match="2 efficiencies for 3 distributions"):
+        thin([valid] * 3, etas)
 
 
 def test_thin_per_channel_memory_is_bounded():
     # 200 distinct efficiencies at MAX_DIM: a stack of all their tables would
     # take 105 MB; a product builds one 512 KiB table at a time here, far
     # inside the MAX_STEPS x MAX_DIM complex block an oracle command may hold
-    space = FockSpace(MAX_DIM)
     etas = np.linspace(0.5, 0.99, 200)
     probs = np.zeros((len(etas), MAX_DIM))
     probs[:, 0] = 1.0
     _log_binomials()
     tracemalloc.start()
     try:
-        q = thin([LossChannel(space, eta) for eta in etas], probs)
+        q = thin(probs, etas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -265,7 +266,7 @@ def test_kraus_operators_match_ladder_construction(dim):
 
 def test_single_photon_loss_matrix():
     space = FockSpace(24)
-    rho = apply_loss_via_purification(LossChannel(space, 0.98), fock_state(space, 1))
+    rho = apply_loss_via_purification(fock_state(space, 1), 0.98)
     expected = np.zeros((24, 24), dtype=complex)
     expected[0, 0] = 0.02
     expected[1, 1] = 0.98
@@ -275,7 +276,7 @@ def test_single_photon_loss_matrix():
 def test_coherent_stays_coherent():
     alpha, eta = 1.5, 0.9
     space = FockSpace(24)
-    rho = apply_loss_via_purification(LossChannel(space, eta), coherent(space, alpha))
+    rho = apply_loss_via_purification(coherent(space, alpha), eta)
     target = coherent(space, math.sqrt(eta) * alpha)
     assert fidelity_with_pure(target, rho) == pytest.approx(1.0, abs=1e-9)
 
@@ -285,7 +286,7 @@ def test_trace_preserved_and_positive(eta):
     # 24 levels leave 3e-11 of D(0.7)|cat 1.5> in their top five
     space = FockSpace(24, tail_tol=1e-9)
     state = displace(cat_state(space, 1.5), [0.7])[0]
-    rho = apply_loss_via_purification(LossChannel(space, eta), state)
+    rho = apply_loss_via_purification(state, eta)
     assert abs(np.trace(rho).real - 1.0) < 1e-9
     assert np.linalg.eigvalsh(rho)[0] > -1e-9
 
@@ -293,19 +294,18 @@ def test_trace_preserved_and_positive(eta):
 def test_loss_composition():
     space = FockSpace(recommend_dim(1.5, 0.5))
     p = photon_distribution(displace(cat_state(space, 1.5), [0.5])[0])
-    two_step = thin(LossChannel(space, 0.9), thin(LossChannel(space, 0.8), p))
-    one_step = thin(LossChannel(space, 0.72), p)
+    two_step = thin(thin(p, 0.8), 0.9)
+    one_step = thin(p, 0.72)
     assert np.max(np.abs(two_step - one_step)) < 1e-8
 
 
 @pytest.mark.parametrize("eta", [0.5, 0.9, 0.98])
 def test_purification_matches_kraus(eta):
     space = FockSpace(24)
-    channel = LossChannel(space, eta)
     for state in (fock_state(space, 2), cat_state(space, 1.0),
                   displace(fock_state(space, 1), [0.4])[0]):
         direct = ladder_kraus_channel(state, eta)
-        purified = apply_loss_via_purification(channel, state)
+        purified = apply_loss_via_purification(state, eta)
         assert trace_distance(direct, purified) < 1e-9
 
 
@@ -324,7 +324,7 @@ def test_purification_matches_expm_unitary(eta):
         joint[::d] = state.amplitudes
         psi = (unitary @ joint).reshape(d, d)
         reference = psi @ psi.conj().T
-        got = apply_loss_via_purification(LossChannel(space, eta), state)
+        got = apply_loss_via_purification(state, eta)
         assert np.max(np.abs(got - reference)) <= 1e-12
 
 
@@ -351,22 +351,14 @@ def test_purification_memory_is_per_sector():
     # the dense d^2 x d^2 eigenbasis put 15.5 MiB through the allocator at d = 24
     space = FockSpace(24)
     state = displace(cat_state(space, 1.0), [0.6])[0]
-    channel = LossChannel(space, 0.9)
     _beamsplitter_eigenbasis.cache_clear()
     tracemalloc.start()
     try:
-        apply_loss_via_purification(channel, state)
+        apply_loss_via_purification(state, 0.9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-
-
-@pytest.mark.parametrize("state_dim, channel_dim", [(8, 10), (10, 8)])
-def test_purification_rejects_other_space(state_dim, channel_dim):
-    state = fock_state(FockSpace(state_dim), 3)
-    with pytest.raises(SpaceMismatchError):
-        apply_loss_via_purification(LossChannel(FockSpace(channel_dim), 0.9), state)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +367,7 @@ def test_purification_rejects_other_space(state_dim, channel_dim):
 
 def test_lossy_fock1_no_displacement():
     space = FockSpace(16)
-    q = thin(LossChannel(space, 0.98), photon_distribution(fock_state(space, 1)))
+    q = thin(photon_distribution(fock_state(space, 1)), 0.98)
     expected = np.zeros(16)
     expected[0] = 0.02
     expected[1] = 0.98
@@ -389,7 +381,7 @@ def test_lossy_fock1_miss_probability():
     expected = (eta * (1.0 - d2) ** 2 + (1.0 - eta) * d2) * math.exp(-d2)
     space = FockSpace(recommend_dim(1.0, delta))
     displaced = displace(fock_state(space, 1), [delta])[0]
-    q = thin(LossChannel(space, eta), photon_distribution(displaced))
+    q = thin(photon_distribution(displaced), eta)
     assert q[1] == pytest.approx(expected, abs=1e-9)
 
 
@@ -410,7 +402,7 @@ def test_lossy_cat_photon_distribution_termwise():
     alpha, delta, eta = 1.5, 0.4, 0.9
     space = FockSpace(recommend_dim(alpha, delta))
     displaced = displace(cat_state(space, alpha), [delta])[0]
-    q = thin(LossChannel(space, eta), photon_distribution(displaced))
+    q = thin(photon_distribution(displaced), eta)
     for n in range(space.dim):
         assert q[n] == pytest.approx(cat_pn(alpha, delta, eta, n), abs=1e-9)
 
@@ -420,6 +412,6 @@ def test_lossy_cat_parity_closed_form():
     alpha, delta, eta = 1.0, 0.35, 0.95
     space = FockSpace(24)
     displaced = displace(cat_state(space, alpha), [delta])[0]
-    rho = apply_loss_via_purification(LossChannel(space, eta), displaced)
+    rho = apply_loss_via_purification(displaced, eta)
     parity = float(parity_signs(space.dim) @ np.diagonal(rho).real)
     assert parity == pytest.approx(cat_parity(alpha, delta, eta), abs=1e-8)
