@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -330,6 +331,11 @@ def optimize_delta(params: ProtocolParams) -> OperatingPoint:
     false-negative rate).  Cat: the d' that minimizes the lossy parity, found
     by ``_cat_parity_minimum`` (a coarse scan, then a golden-section search)
     on one ``analytic.cat_parity_curve`` per operating point.
+
+    The phase is phi0 = d' / (sqrt(eta N) e^r).  An eta N below the least
+    normal float, or a phi0 that is not a finite normal float, is a
+    ValueError naming eta, N and r: phi0 would print as 0 (the rates of
+    delta = 0) or lose digits to subnormal rounding.
     """
     if params.family is StateFamily.FOCK:
         if params.n != 1 and params.eta < 1.0:
@@ -341,7 +347,12 @@ def optimize_delta(params: ProtocolParams) -> OperatingPoint:
     else:
         delta_detected, _ = _cat_parity_minimum(params.alpha, params.eta)
         source = OperatingPointSource.PARITY_MINIMIZED
-    phi0 = delta_detected / (math.sqrt(params.eta * params.photons) * math.exp(params.r))
+    eta_photons = params.eta * params.photons
+    phi0 = (delta_detected / (math.sqrt(eta_photons) * math.exp(params.r))
+            if eta_photons >= sys.float_info.min else 0.0)
+    if not sys.float_info.min <= phi0 < math.inf:
+        raise ValueError(f"eta {params.eta!r}, photons {params.photons!r} and r {params.r!r} "
+                         f"put the operating phase phi0 out of float range")
     return OperatingPoint(phi0=phi0, delta=delta_detected, source=source)
 
 

@@ -40,6 +40,13 @@ COMMANDS = {
     "optimize_cat_tiny_alpha_lossy": "optimize --family cat --alpha 1e-200 --eta 0.9",
     "optimize_cat_oracle": f"optimize {CAT} --oracle",
     "optimize_cat_out_of_range": "optimize --family cat --alpha 1e-310",
+    # operating phases that are no normal float
+    "optimize_phase_underflow_fock": "optimize --family fock --n 1 --eta 0.9 --photons 1e300 "
+                                     "--r 700",
+    "optimize_phase_underflow_cat": f"optimize {CAT} --photons 1e300 --r 705",
+    "sweep_phase_underflow": f"sweep {CAT} --photons 1e308 --axis r --grid 690 700 3",
+    "optimize_eta_photons_zero": "optimize --family fock --n 1 --eta 1e-300 --photons 1e-300",
+    "optimize_eta_photons_subnormal": f"optimize {CAT} --photons 1e-320",
     # cat sweeps on every axis the kernel or the closed forms feed
     "sweep_cat_alpha": f"sweep {CAT} --axis alpha --grid 0.5 4 9",
     "sweep_cat_alpha_oracle": f"sweep {CAT} --axis alpha --grid 0.5 4 9 --oracle",

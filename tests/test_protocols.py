@@ -1,6 +1,8 @@
 """Detection-protocol tests: evaluation, optimization, sweeps, dual routes."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -237,6 +239,24 @@ def test_optimize_lossy_multiphoton_refused():
     params = ProtocolParams(family=StateFamily.FOCK, photons=1e6, n=2, eta=0.9)
     with pytest.raises(UnsupportedProtocolError):
         optimize_delta(params)
+
+
+@pytest.mark.parametrize("family, eta, photons, r", [
+    (StateFamily.FOCK, 0.9, 1e300, 700.0),  # phi0 underflows to 0
+    (StateFamily.CAT, 0.9, 1e300, 705.0),
+    (StateFamily.FOCK, 1e-300, 1e-300, 0.0),  # eta N is 0
+    (StateFamily.CAT, 0.9, 1e-320, 0.0),  # eta N is subnormal
+])
+def test_optimize_refuses_a_phase_that_is_no_normal_float(family, eta, photons, r):
+    fields = dict(n=1) if family is StateFamily.FOCK else dict(alpha=2.0)
+    params = ProtocolParams(family=family, photons=photons, eta=eta, r=r, **fields)
+    with pytest.raises(ValueError, match=re.escape(f"eta {eta!r}, photons {photons!r} and r {r!r}")):
+        optimize_delta(params)
+
+
+def test_optimize_keeps_the_phase_where_eta_photons_is_the_least_normal_float():
+    params = ProtocolParams(**dict(FOCK1, photons=sys.float_info.min))
+    assert optimize_delta(params).phi0 == 1.0 / math.sqrt(sys.float_info.min)
 
 
 def test_optimize_lossless_multiphoton_uses_first_root():
