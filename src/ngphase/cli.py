@@ -78,23 +78,32 @@ def _write_rows(out_path: str | None, header: list[str], rows: list[list[str]]) 
         out.write(_csv_text(header, rows))
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser, *, family_required: bool) -> None:
-    parser.add_argument("--family", choices=["fock", "cat"], required=family_required,
-                        help="probe state family")
-    parser.add_argument("--n", type=int, help="photon number of the Fock probe")
-    parser.add_argument("--alpha", type=float, help="amplitude of the cat probe")
-    parser.add_argument("--eta", type=float, default=1.0, help="detector quantum efficiency")
-    parser.add_argument("--r", type=float, default=0.0, help="squeeze factor")
-    parser.add_argument("--photons", type=float, default=1e6,
-                        help="mean photon number N at the phase object")
-    parser.add_argument("--p0", type=float, default=0.5,
-                        help="prior probability of no signal (Helstrom reference only)")
-    parser.add_argument("--dim", type=int, help="override the basis dimension")
-    parser.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL,
-                        help="truncation leakage budget")
-    parser.add_argument("--oracle", action="store_true",
-                        help="also run the numeric route and report both")
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
+# The scenario flags, as (flag, argparse keywords).
+_SCENARIO_FLAGS = (
+    ("--family", dict(choices=["fock", "cat"], required=True, help="probe state family")),
+    ("--n", dict(type=int, help="photon number of the Fock probe")),
+    ("--alpha", dict(type=float, help="amplitude of the cat probe")),
+    ("--eta", dict(type=float, default=1.0, help="detector quantum efficiency")),
+    ("--r", dict(type=float, default=0.0, help="squeeze factor")),
+    ("--photons", dict(type=float, default=1e6,
+                       help="mean photon number N at the phase object")),
+    ("--p0", dict(type=float, default=0.5,
+                  help="prior probability of no signal (Helstrom reference only)")),
+    ("--dim", dict(type=int, help="override the basis dimension")),
+    ("--tail-tol", dict(type=float, default=DEFAULT_TAIL_TOL, help="truncation leakage budget")),
+    ("--oracle", dict(action="store_true", help="also run the numeric route and report both")),
+    ("--out", dict(help="output CSV path (default: stdout)")),
+)
+
+
+def _add_scenario_flags(parser: argparse.ArgumentParser, skip: tuple[str, ...] = ()) -> None:
+    """Every scenario flag but those in ``skip``, a command's unread flags:
+    passing one is a usage error, and ``_scenario`` reads its default."""
+    for flag, spec in _SCENARIO_FLAGS:
+        if flag in skip:
+            parser.set_defaults(**{flag[2:]: spec.get("default")})
+        else:
+            parser.add_argument(flag, **spec)
 
 
 def _check_tail_tol(tail_tol: float) -> None:
@@ -134,29 +143,29 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Phase-shift detection with Fock and cat probes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("overlap", parents=[], help="probe/displaced-probe overlap vs delta")
-    _add_scenario_flags(p, family_required=True)
+    p = sub.add_parser("overlap", help="probe/displaced-probe overlap vs delta")
+    _add_scenario_flags(p, skip=("--eta", "--r", "--photons", "--p0", "--oracle"))
     p.add_argument("--delta-max", type=float, default=3.0)
     p.add_argument("--steps", type=int, default=300,
                    help="number of grid points on [0, delta-max)")
 
     p = sub.add_parser("parity", help="displaced-cat parity vs delta")
-    _add_scenario_flags(p, family_required=False)
+    _add_scenario_flags(p, skip=("--family", "--n", "--r", "--photons", "--p0", "--oracle"))
     p.set_defaults(family="cat")
     p.add_argument("--delta-max", type=float, default=2.5)
     p.add_argument("--steps", type=int, default=250)
 
     p = sub.add_parser("evaluate", help="error rates at one phase")
-    _add_scenario_flags(p, family_required=True)
+    _add_scenario_flags(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--phi", type=float, help="candidate phase shift (radians)")
     group.add_argument("--delta", type=float, help="candidate displacement")
 
     p = sub.add_parser("optimize", help="operating point with minimal miss probability")
-    _add_scenario_flags(p, family_required=True)
+    _add_scenario_flags(p)
 
     p = sub.add_parser("sweep", help="error rates along one parameter axis")
-    _add_scenario_flags(p, family_required=True)
+    _add_scenario_flags(p)
     p.add_argument("--axis", choices=["alpha", "eta", "n", "delta", "r"], required=True)
     vals = p.add_mutually_exclusive_group(required=True)
     vals.add_argument("--values", help="comma-separated axis values")
@@ -221,8 +230,6 @@ def _cmd_overlap(args) -> int:
 
 def _cmd_parity(args) -> int:
     params = _scenario(args)
-    if params.family is not StateFamily.CAT:
-        raise ValueError("parity needs --family cat")
     deltas = _delta_grid(args.delta_max, args.steps)
     space = _oracle_space([(params, args.delta_max)], args.dim, args.tail_tol)
     _, parities, _ = _readout([(params, delta) for delta in deltas], space)

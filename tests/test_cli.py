@@ -81,6 +81,20 @@ def test_overlap_missing_family_flag(capsys):
     assert "usage" in err.lower()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("overlap", "--eta=0.9"), ("overlap", "--r=0.5"), ("overlap", "--photons=10"),
+    ("overlap", "--p0=0.3"), ("overlap", "--oracle"),
+    ("parity", "--n=2"), ("parity", "--r=0.5"), ("parity", "--photons=10"),
+    ("parity", "--p0=0.3"), ("parity", "--oracle"), ("parity", "--family=cat"),
+])
+def test_overlap_and_parity_refuse_the_scenario_flags_they_do_not_read(capsys, command, flag):
+    # these flags were accepted and changed no byte of the output
+    probe = ("--family", "cat") if command == "overlap" else ()
+    code, out, err = run_cli(capsys, command, *probe, "--alpha", "1.5", "--steps", "3", flag)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and f"unrecognized arguments: {flag}" in err
+
+
 # ---------------------------------------------------------------------------
 # parity / evaluate / optimize / sweep
 
@@ -808,6 +822,12 @@ def _axis_values(draw, axis):
     return ("--grid", repr(draw(FLOATS)), repr(draw(FLOATS)), str(draw(STEPS)))
 
 
+# overlap and parity take only the scenario flags they read; every other
+# command takes all of them
+SCENARIO_FLAGS_TAKEN = {"overlap": ("--n", "--alpha", "--dim", "--tail-tol"),
+                        "parity": ("--alpha", "--eta", "--dim", "--tail-tol")}
+
+
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(["evaluate", "optimize", "sweep", "overlap", "parity",
@@ -819,7 +839,9 @@ def _argv(draw):
                       _list_flag("--alphas", FLOATS), _list_flag("--etas", FLOATS)):
             argv += draw(flags)
         return argv
-    argv = [command, f"--family={draw(st.sampled_from(['fock', 'cat']))}"]
+    argv = [command]
+    if command != "parity":
+        argv.append(f"--family={draw(st.sampled_from(['fock', 'cat']))}")
     if command == "evaluate":
         argv.append(f"--{draw(st.sampled_from(['phi', 'delta']))}={draw(FLOATS)!r}")
     elif command == "sweep":
@@ -828,11 +850,14 @@ def _argv(draw):
         argv += draw(_axis_values(axis))
     elif command in ("overlap", "parity"):
         argv += draw(_flag("--steps", STEPS)) + draw(_flag("--delta-max", FLOATS))
-    for flags in (_flag("--n", st.integers(-1, 4)), _flag("--alpha", FLOATS),
-                  _flag("--eta", FLOATS), _flag("--r", FLOATS), _flag("--photons", FLOATS),
-                  _flag("--p0", FLOATS), _flag("--dim", DIMS), _flag("--tail-tol", FLOATS),
-                  st.sampled_from([(), ("--oracle",)])):
-        argv += draw(flags)
+    scenario = {"--n": _flag("--n", st.integers(-1, 4)), "--alpha": _flag("--alpha", FLOATS),
+                "--eta": _flag("--eta", FLOATS), "--r": _flag("--r", FLOATS),
+                "--photons": _flag("--photons", FLOATS), "--p0": _flag("--p0", FLOATS),
+                "--dim": _flag("--dim", DIMS), "--tail-tol": _flag("--tail-tol", FLOATS),
+                "--oracle": st.sampled_from([(), ("--oracle",)])}
+    for name, flags in scenario.items():
+        if name in SCENARIO_FLAGS_TAKEN.get(command, scenario):
+            argv += draw(flags)
     return argv
 
 

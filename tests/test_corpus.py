@@ -56,6 +56,11 @@ COMMANDS = {
     "sweep_cat_r_oracle": f"sweep {CAT} --axis r --grid 0 2 5 --oracle",
     "sweep_cat_delta": f"sweep {CAT} --axis delta --grid 0 2 9",
     "sweep_cat_delta_oracle": f"sweep {CAT} --axis delta --grid 0 2 9 --oracle",
+    # overlap and parity take only the scenario flags they read
+    "overlap_fock": "overlap --family fock --n 1 --delta-max 3 --steps 7",
+    "overlap_unread_flag": "overlap --family fock --n 1 --steps 7 --eta 0.9",
+    "parity": "parity --alpha 1.5 --eta 0.9 --steps 7",
+    "parity_unread_flag": "parity --alpha 1.5 --steps 7 --family cat",
     # the closed_form benchmark workload at seed 1, grids cut to 50
     "closed_form_figure4": "figure --id 4 --steps 50",
     "closed_form_figure5": "figure --id 5 --steps 50 --etas 0.7859,0.9104,0.9442,0.9776",
