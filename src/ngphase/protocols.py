@@ -259,8 +259,11 @@ def _cat_parity_minimum(alpha: float, eta: float) -> tuple[float, float]:
 
     A 64-cell scan finds the lowest cell (the parity develops a secondary
     ripple inside the bracket), then a golden-section search narrows it.  Both
-    call one ``analytic.cat_parity_curve`` at delta = d' / sqrt(eta); the
-    parity returned is the curve's value at the returned d'.
+    read the factors K, D and F of one ``analytic.cat_parity_curve`` and
+    evaluate the curve's own expression, operands in its order, at delta =
+    d' / sqrt(eta), with no call per value; tests hold the result to a search
+    that calls the curve.  The parity returned is the curve's value at the
+    returned d'.
 
     The scan takes the cells in blocks of 4, deepest cosine first, and skips a
     block whose lower bound is at least the lowest parity read so far plus
@@ -273,10 +276,14 @@ def _cat_parity_minimum(alpha: float, eta: float) -> tuple[float, float]:
     value and each computed bound is off by about 1e-15 (at most 8.3e-16
     apart over 30,000 random and figure-grid (alpha, eta)), far inside the
     1e-12 margin, so every skipped cell lies strictly above a value already
-    read: it can neither be the lowest cell nor tie it.  The lowest cell, the
-    first of equal ones, is the one a full scan finds, and the search, which
-    only it feeds, returns the same bits.  Where every parity underflows to
-    zero (tiny alpha), every bound is zero too and all 64 cells are read.
+    read: it can neither be the lowest cell nor tie it.  Blocks come in order
+    of c_min and D >= 0, so after the first block with g_min >= 0 every block
+    has one, and a bound >= 0; once the lowest value plus the margin is <= 0,
+    the scan stops there, skipping exactly the blocks the bound would.  The
+    lowest cell, the first of equal ones, is the one a full scan finds, and
+    the search, which only it feeds, returns the same bits.  Where every
+    parity underflows to zero (tiny alpha), every bound is zero too and all 64
+    cells are read.
     """
     # The search runs in d' and the curve takes delta, which it scales by
     # sqrt(eta) again; the d' -> delta -> d' round trip is kept because
@@ -289,36 +296,46 @@ def _cat_parity_minimum(alpha: float, eta: float) -> tuple[float, float]:
         raise ValueError(f"alpha {alpha!r} and eta {eta!r} put the cat operating point "
                          f"out of float range")
     curve = analytic.cat_parity_curve(alpha, eta)
-    scale, damping, floor = 2.0 / curve.norm, curve.damping, curve.floor
+    k, damping, floor = curve.norm, curve.damping, curve.floor
+    scale, four_alpha_p = 2.0 / k, 4.0 * amplitude
+    exp, cos, golden = math.exp, math.cos, _GOLDEN_RATIO
 
     best, best_parity = 0, math.inf
     for first, last, c_min in _SCAN_BLOCKS:
         g_min = damping * c_min + floor
+        if g_min >= 0.0 and best_parity + _SCAN_MARGIN <= 0.0:
+            break  # this and every later block has g_min >= 0: a bound >= 0, skipped
         x = (last if g_min >= 0.0 else first) * hi / _N_CELLS
-        if scale * math.exp(-2.0 * x * x) * g_min >= best_parity + _SCAN_MARGIN:
+        if scale * exp(-2.0 * x * x) * g_min >= best_parity + _SCAN_MARGIN:
             continue
         for i in range(first, last + 1):
-            parity = curve(i * hi / _N_CELLS / root_eta)
+            d = root_eta * (i * hi / _N_CELLS / root_eta)
+            parity = (2.0 * exp(-2.0 * d * d) / k) * (damping * cos(four_alpha_p * d) + floor)
             if parity < best_parity or (parity == best_parity and i < best):
                 best, best_parity = i, parity
     lo = (best - 1) * hi / _N_CELLS if best > 1 else (hi / _N_CELLS) / 2.0
     hi = (best + 1) * hi / _N_CELLS if best < _N_CELLS else hi
 
     # Golden-section search on [lo, hi] down to a width of 1e-10.
-    x1 = hi - _GOLDEN_RATIO * (hi - lo)
-    x2 = lo + _GOLDEN_RATIO * (hi - lo)
-    f1, f2 = curve(x1 / root_eta), curve(x2 / root_eta)
+    x1 = hi - golden * (hi - lo)
+    x2 = lo + golden * (hi - lo)
+    d = root_eta * (x1 / root_eta)
+    f1 = (2.0 * exp(-2.0 * d * d) / k) * (damping * cos(four_alpha_p * d) + floor)
+    d = root_eta * (x2 / root_eta)
+    f2 = (2.0 * exp(-2.0 * d * d) / k) * (damping * cos(four_alpha_p * d) + floor)
     for _ in range(500):
         if hi - lo < 1e-10:
             break
         if f1 < f2:
             hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN_RATIO * (hi - lo)
-            f1 = curve(x1 / root_eta)
+            x1 = hi - golden * (hi - lo)
+            d = root_eta * (x1 / root_eta)
+            f1 = (2.0 * exp(-2.0 * d * d) / k) * (damping * cos(four_alpha_p * d) + floor)
         else:
             lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN_RATIO * (hi - lo)
-            f2 = curve(x2 / root_eta)
+            x2 = lo + golden * (hi - lo)
+            d = root_eta * (x2 / root_eta)
+            f2 = (2.0 * exp(-2.0 * d * d) / k) * (damping * cos(four_alpha_p * d) + floor)
     delta_detected = 0.5 * (lo + hi)
     return delta_detected, curve(delta_detected / root_eta)
 
@@ -329,8 +346,8 @@ def optimize_delta(params: ProtocolParams) -> OperatingPoint:
     Fock: the detector-side displacement sits at the first overlap zero,
     d' = sqrt(R_n) (for n = 1 this is d'^2 = 1, which also minimizes the lossy
     false-negative rate).  Cat: the d' that minimizes the lossy parity, found
-    by ``_cat_parity_minimum`` (a coarse scan, then a golden-section search)
-    on one ``analytic.cat_parity_curve`` per operating point.
+    by ``_cat_parity_minimum`` (a coarse scan, then a golden-section search,
+    both evaluating one ``analytic.cat_parity_curve``'s expression inline).
 
     The phase is phi0 = d' / (sqrt(eta N) e^r).  An eta N below the least
     normal float, or a phi0 that is not a finite normal float, is a

@@ -1,13 +1,13 @@
 """CLI tests: schemas, anchor rows, exit codes, deterministic output."""
 
 import contextlib
-import functools
 import io
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngphase
-from ngphase import analytic, cli
+from ngphase import analytic, cli, protocols
 from ngphase.analytic import ProtocolParams, StateFamily, cat_overlap_zero, cat_parity
 from ngphase.cli import main
 from ngphase.limits import MAX_DIM, MAX_STEPS
@@ -310,26 +310,25 @@ def test_cat_figures_build_one_parity_curve_per_cell(capsys, monkeypatch, argv, 
 
 def test_cat_figures_read_few_parity_values_per_operating_point(capsys, monkeypatch):
     # a count, not a timing: the scan skips the blocks of cells its bound
-    # rules out; reading all 64 cells costs about 108 values per point
-    built, evaluations = [], [0]
+    # rules out; reading all 64 cells costs about 108 values per point.  The
+    # search takes one cosine per parity value it reads and none per bound,
+    # so a counting cosine in the protocols module counts the values read.
+    built, cosines = [], [0]
     build = analytic.cat_parity_curve
+    monkeypatch.setattr(analytic, "cat_parity_curve",
+                        lambda *args: built.append(args) or build(*args))
 
-    def counting_build(*args):
-        curve = build(*args)
-        built.append(args)
+    def counting_cos(x):
+        cosines[0] += 1
+        return math.cos(x)
 
-        @functools.wraps(curve)  # keeps the curve's factors for the scan's bound
-        def counted(delta):
-            evaluations[0] += 1
-            return curve(delta)
-        return counted
-
-    monkeypatch.setattr(analytic, "cat_parity_curve", counting_build)
+    monkeypatch.setattr(protocols, "math", types.SimpleNamespace(**dict(vars(math),
+                                                                        cos=counting_cos)))
     for figure in ("4", "6"):
         code, _, _ = run_cli(capsys, "figure", "--id", figure)
         assert code == 0
     assert len(built) == 200 + 200 * 4
-    assert evaluations[0] / len(built) <= 70
+    assert cosines[0] / len(built) <= 50  # 49.7 on these grids
 
 
 @pytest.mark.parametrize("figure, flag, values", [

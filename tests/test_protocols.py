@@ -235,6 +235,14 @@ def test_pruned_scan_matches_the_full_scan_where_damping_meets_floor(eta):
         assert _cat_parity_minimum(alpha, eta) == full_scan_cat_parity_minimum(alpha, eta)
 
 
+@pytest.mark.parametrize("eta", [0.78, 0.7905, 0.83, 0.88, 0.8995, 0.92, 0.93, 0.9568, 0.96,
+                                 0.97, 0.9778, 0.99])
+def test_pruned_scan_matches_the_full_scan_on_the_benchmark_figure_6_etas(eta):
+    # the closed_form benchmark draws figure 6's --etas from these four cells
+    for alpha in FIGURE_4_ALPHAS:
+        assert _cat_parity_minimum(alpha, eta) == full_scan_cat_parity_minimum(alpha, eta)
+
+
 def test_optimize_lossy_multiphoton_refused():
     params = ProtocolParams(family=StateFamily.FOCK, photons=1e6, n=2, eta=0.9)
     with pytest.raises(UnsupportedProtocolError):
@@ -250,7 +258,8 @@ def test_optimize_lossy_multiphoton_refused():
 def test_optimize_refuses_a_phase_that_is_no_normal_float(family, eta, photons, r):
     fields = dict(n=1) if family is StateFamily.FOCK else dict(alpha=2.0)
     params = ProtocolParams(family=family, photons=photons, eta=eta, r=r, **fields)
-    with pytest.raises(ValueError, match=re.escape(f"eta {eta!r}, photons {photons!r} and r {r!r}")):
+    message = f"eta {eta!r}, photons {photons!r} and r {r!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         optimize_delta(params)
 
 
