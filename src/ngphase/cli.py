@@ -101,7 +101,7 @@ def _add_scenario_flags(parser: argparse.ArgumentParser, skip: tuple[str, ...] =
     passing one is a usage error, and ``_scenario`` reads its default."""
     for flag, spec in _SCENARIO_FLAGS:
         if flag in skip:
-            parser.set_defaults(**{flag[2:]: spec.get("default")})
+            parser.set_defaults(**{flag[2:].replace("-", "_"): spec.get("default")})
         else:
             parser.add_argument(flag, **spec)
 
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Phase-shift detection with Fock and cat probes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("overlap", help="probe/displaced-probe overlap vs delta")
+    p = sub.add_parser("overlap", parents=[], help="probe/displaced-probe overlap vs delta")
     _add_scenario_flags(p, skip=("--eta", "--r", "--photons", "--p0", "--oracle"))
     p.add_argument("--delta-max", type=float, default=3.0)
     p.add_argument("--steps", type=int, default=300,

@@ -709,6 +709,12 @@ def test_undersized_basis_is_computation_error(capsys):
      "alpha 1e-200 and eta 1e-250"),
     (("optimize", "--alpha", "1e-310"), "alpha 1e-310 and eta 0.9"),
     (("optimize", "--alpha", "1000", "--eta", "5e-324"), "alpha 1000.0 and eta 5e-324"),
+    # finite, but past the closed forms' float range: "math domain error" (the
+    # cosine of 2 alpha delta) or "p_fn out of range: nan" (inf * 0) before
+    (("--alpha", "2", "--delta", "5e307"), "displacement delta 5e+307"),
+    (("--delta", "1e200"), "displacement delta 1e+200"),
+    (("sweep", "--alpha", "2", "--axis", "delta", "--grid", "0", "1e308", "3"),
+     "sweep point 1 (value 5e+307) failed: displacement delta 5e+307"),
     # phi0 = d' / (sqrt(eta N) e^r) is not a normal float: phi0 printed as 0
     # beside the rates of delta = 0 (exit 0), eta N = 0 gave "float division
     # by zero" (exit 2), and a subnormal eta N moved p_fn in its 8th digit
@@ -719,12 +725,6 @@ def test_undersized_basis_is_computation_error(capsys):
      "sweep point 0 (value 690.0) failed: eta 0.9, photons 1e+308 and r 690.0"),
     (("optimize", "--eta", "1e-300", "--photons", "1e-300"), "eta 1e-300, photons 1e-300 and r"),
     (("optimize", "--alpha", "2", "--photons", "1e-320"), "eta 0.9, photons 1e-320 and r 0.0"),
-    # finite, but past the closed forms' float range: "math domain error" (the
-    # cosine of 2 alpha delta) or "p_fn out of range: nan" (inf * 0) before
-    (("--alpha", "2", "--delta", "5e307"), "displacement delta 5e+307"),
-    (("--delta", "1e200"), "displacement delta 1e+200"),
-    (("sweep", "--alpha", "2", "--axis", "delta", "--grid", "0", "1e308", "3"),
-     "sweep point 1 (value 5e+307) failed: displacement delta 5e+307"),
 ])
 def test_non_finite_scenario_input_is_validation_error(capsys, flags, field):
     # an entry may name its subcommand first; evaluate otherwise
