@@ -1,7 +1,9 @@
 """Detection-protocol tests: evaluation, optimization, sweeps, dual routes."""
 
+import functools
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -232,6 +234,56 @@ def test_pruned_scan_matches_the_full_scan_where_damping_meets_floor(eta):
     # moves 22 of these 600 optima
     for alpha in FIGURE_4_ALPHAS:
         assert _cat_parity_minimum(alpha, eta) == full_scan_cat_parity_minimum(alpha, eta)
+
+
+@pytest.mark.parametrize("eta", [0.47, 0.9, 0.9568, 1.0])
+def test_every_parity_the_search_reads_has_the_curve_bits(monkeypatch, eta):
+    # the scan's values only choose a cell, so a value one rounding away from
+    # the curve's rarely moves an optimum: read each value where it is made
+    # and match it, by its cosine argument, with the full scan's curve value
+    read = []  # the cosine argument, then the parity, of each value read
+
+    class Cosine(float):
+        # Python tries a float subclass's reflected method first, so the
+        # search's D * cos and prefactor * (D cos + F) reach these methods
+        def __rmul__(self, damping):
+            return Sum(damping * float(self))
+
+    class Sum(float):
+        def __add__(self, floor):
+            return Product(float(self) + floor)
+
+    class Product(float):
+        def __rmul__(self, prefactor):
+            read.append(prefactor * float(self))
+            return read[-1]
+
+    def cosine(x):
+        read.append(x)
+        return Cosine(math.cos(x))
+
+    deltas, build = [], analytic.cat_parity_curve
+
+    def recording_build(*args):
+        curve = build(*args)
+
+        @functools.wraps(curve)  # keeps the curve's factors for the search
+        def recorded(delta):
+            deltas.append(delta)
+            return curve(delta)
+        return recorded
+
+    monkeypatch.setattr(protocols, "math", types.SimpleNamespace(**dict(vars(math), cos=cosine)))
+    monkeypatch.setattr(analytic, "cat_parity_curve", recording_build)
+    for alpha in FIGURE_4_ALPHAS[::10]:
+        read.clear()
+        deltas.clear()
+        _cat_parity_minimum(alpha, eta)
+        full_scan_cat_parity_minimum(alpha, eta)
+        curve, root_eta = build(alpha, eta), math.sqrt(eta)
+        reference = {4.0 * (root_eta * alpha) * (root_eta * d): curve(d) for d in deltas}
+        assert len(read) > 80
+        assert [reference[x] for x in read[0::2]] == read[1::2], alpha
 
 
 @pytest.mark.parametrize("eta", [0.78, 0.7905, 0.83, 0.88, 0.8995, 0.92, 0.93, 0.9568, 0.96,
