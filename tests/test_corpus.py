@@ -61,6 +61,22 @@ COMMANDS = {
     "overlap_unread_flag": "overlap --family fock --n 1 --steps 7 --eta 0.9",
     "parity": "parity --alpha 1.5 --eta 0.9 --steps 7",
     "parity_unread_flag": "parity --alpha 1.5 --steps 7 --family cat",
+    # the oracle's overlap and photon statistics, read off the displaced rows
+    "overlap_cat": "overlap --family cat --alpha 2 --delta-max 3 --steps 7",
+    "figure2": "figure --id 2",
+    "figure2_wide": "figure --id 2 --delta 2.5 --levels 30",
+    "evaluate_cat_oracle": f"evaluate {CAT} --delta 1 --oracle",
+    "evaluate_fock1_oracle": "evaluate --family fock --n 1 --eta 0.9 --delta 1 --oracle",
+    "evaluate_fock2_lossy_oracle": "evaluate --family fock --n 2 --eta 0.9 --delta 1.5 "
+                                   "--oracle",
+    # one probe per point on the n axis; one eta per point on the eta axis
+    "sweep_fock_n_oracle": "sweep --family fock --n 1 --axis n --values 1,2,3 --oracle",
+    "sweep_fock_eta_oracle": "sweep --family fock --n 1 --eta 0.9 --axis eta --grid 0.5 1 5 "
+                             "--oracle",
+    "sweep_fock_delta_oracle": "sweep --family fock --n 1 --eta 0.9 --axis delta "
+                               "--grid 0 2 5 --oracle",
+    "evaluate_fock_leakage": "evaluate --family fock --n 1 --eta 0.9 --delta 3 --oracle "
+                             "--dim 6",
     # the closed_form benchmark workload at seed 1, grids cut to 50
     "closed_form_figure4": "figure --id 4 --steps 50",
     "closed_form_figure5": "figure --id 5 --steps 50 --etas 0.7859,0.9104,0.9442,0.9776",
