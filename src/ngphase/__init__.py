@@ -23,9 +23,8 @@ _HOME = {
         "laguerre", "laguerre_first_root", "threshold_phase",
     ), "analytic"),
     **dict.fromkeys((
-        "ConvergenceError", "FockSpace", "LeakageError", "PureState",
-        "SpaceMismatchError", "cat_state", "displace", "fock_state", "overlap",
-        "photon_distribution", "recommend_dim", "squeeze",
+        "ConvergenceError", "FockSpace", "LeakageError", "cat_state", "displace",
+        "fock_state", "recommend_dim", "squeeze",
     ), "fock"),
     **dict.fromkeys(("apply_loss_via_purification", "thin"), "loss"),
     **dict.fromkeys((

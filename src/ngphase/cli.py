@@ -209,19 +209,21 @@ def _delta_grid(delta_max: float, steps: int) -> list[float]:
 
 
 def _cmd_overlap(args) -> int:
-    from .fock import displace, overlap
+    import numpy as np
+
+    from .fock import displace
 
     params = _scenario(args)
     deltas = _delta_grid(args.delta_max, args.steps)
-    probe = _probe_state(params, _oracle_space([(params, args.delta_max)], args.dim,
-                                               args.tail_tol))
+    space = _oracle_space([(params, args.delta_max)], args.dim, args.tail_tol)
+    probe = _probe_state(params, space)
     if params.family is StateFamily.FOCK:
         closed_form = lambda d: analytic.fock_overlap(params.n, d)
     else:
         closed_form = lambda d: analytic.cat_overlap(params.alpha, d)
     rows = []
-    for delta, displaced in zip(deltas, displace(probe, deltas)):
-        numeric = overlap(probe, displaced)
+    for delta, row in zip(deltas, displace(space, probe, deltas)):
+        numeric = complex(np.vdot(probe, row))
         a = closed_form(delta)
         rows.append([fmt(delta), fmt(a), fmt(numeric.real), fmt(abs(a - numeric))])
     _write_rows(args.out, ["delta", "analytic", "numeric", "abs_diff"], rows)
@@ -321,7 +323,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _figure_2(args) -> tuple[list[str], list[list[str]]]:
-    from .fock import displace, photon_distribution
+    import numpy as np
+
+    from .fock import displace
 
     _check_tail_tol(args.tail_tol)
     params = ProtocolParams(family=StateFamily.FOCK, photons=1.0, n=1)
@@ -330,9 +334,8 @@ def _figure_2(args) -> tuple[list[str], list[list[str]]]:
         raise ValueError(f"--levels must be in [1, {space.dim}] (the basis dimension), "
                          f"got {args.levels}")
     probe = _probe_state(params, space)
-    displaced = displace(probe, [args.delta])[0]
-    p0 = photon_distribution(probe)
-    p1 = photon_distribution(displaced)
+    p0 = np.abs(probe) ** 2
+    p1 = np.abs(displace(space, probe, [args.delta])[0]) ** 2
     rows = [[str(n), fmt(p0[n]), fmt(p1[n])] for n in range(args.levels)]
     return ["n", "p_initial", "p_displaced"], rows
 

@@ -1,11 +1,15 @@
-"""Truncated Fock-space engine: states, displacement, photon statistics.
+"""Truncated Fock-space engine: states, displacement, squeezing, sizing.
 
-Everything lives in a finite basis |0>..|D-1>.  The truncation dimension is
-chosen so that the probability mass the untruncated state would carry above
-the cutoff ("leakage") stays below a configurable tolerance; see
-``recommend_dim``.  ``cat_state`` and ``displace`` raise LeakageError where a
-state's leakage exceeds that tolerance; no state stores it.  All values are
-immutable after construction and safe to share between threads.
+Everything lives in a finite basis |0>..|D-1>, described by a ``FockSpace``,
+the one carrier of the basis size and the leakage tolerance.  A state is a
+read-only complex amplitude vector of that length, and ``displace`` returns
+one read-only row per displacement; overlaps (``np.vdot``) and photon-number
+distributions (``np.abs(rows) ** 2``) are read off those arrays directly.
+The truncation dimension is chosen so that the probability mass the
+untruncated state would carry above the cutoff ("leakage") stays below the
+space's tolerance; see ``recommend_dim``.  ``cat_state`` and ``displace``
+raise LeakageError where a state's leakage exceeds that tolerance.  All
+values are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -37,10 +41,6 @@ class ConvergenceError(RuntimeError):
     """An eigendecomposition or a generator parameter came out non-finite."""
 
 
-class SpaceMismatchError(ValueError):
-    """Operands live in different Fock spaces."""
-
-
 @dataclass(frozen=True)
 class FockSpace:
     """Finite photon-number basis |0>..|dim-1| with a leakage budget."""
@@ -58,31 +58,6 @@ class FockSpace:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _check_same_space(a, b) -> None:
-    if a.space != b.space:
-        raise SpaceMismatchError(f"space mismatch: {a.space} vs {b.space}")
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Unit-norm complex amplitude vector over the Fock basis."""
-
-    space: FockSpace
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.space.dim,):
-            raise ValueError(
-                f"amplitude vector has shape {amps.shape}, expected ({self.space.dim},)"
-            )
-        # Gross-error guard only; constructors guarantee 1e-12.
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"state norm {norm} too far from 1")
-        object.__setattr__(self, "amplitudes", _freeze(amps))
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +115,13 @@ def squeeze(space: FockSpace, r: float) -> np.ndarray:
 # states
 
 
-def fock_state(space: FockSpace, n: int) -> PureState:
+def fock_state(space: FockSpace, n: int) -> np.ndarray:
     """Number state |n>."""
     if not 0 <= n < space.dim:
         raise ValueError(f"n={n} outside [0, {space.dim})")
     amps = np.zeros(space.dim, dtype=complex)
     amps[n] = 1.0
-    return PureState(space, amps)
+    return _freeze(amps)
 
 
 def _coherent_amplitudes(space: FockSpace, alpha: float) -> np.ndarray:
@@ -158,7 +133,7 @@ def _coherent_amplitudes(space: FockSpace, alpha: float) -> np.ndarray:
     return amps
 
 
-def cat_state(space: FockSpace, alpha: float) -> PureState:
+def cat_state(space: FockSpace, alpha: float) -> np.ndarray:
     """Even superposition (|alpha> + |-alpha>)/sqrt(K), K = 2(1+exp(-2 alpha^2))
     from ``analytic.cat_norm``.
 
@@ -175,22 +150,11 @@ def cat_state(space: FockSpace, alpha: float) -> PureState:
             f"cat_state(alpha={alpha}): leakage {leakage:.3e} exceeds "
             f"tail_tol {space.tail_tol:.3e} at dim {space.dim}"
         )
-    return PureState(space, amps / math.sqrt(captured))
+    return _freeze(amps / math.sqrt(captured))
 
 
 # ---------------------------------------------------------------------------
-# expectations and maps
-
-
-def overlap(a: PureState, b: PureState) -> complex:
-    """Inner product <a|b>."""
-    _check_same_space(a, b)
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def photon_distribution(state: PureState) -> np.ndarray:
-    """Probability of each photon number; sums to 1 for valid inputs."""
-    return np.abs(state.amplitudes) ** 2
+# readout and displacement
 
 
 def parity_signs(dim: int) -> np.ndarray:
@@ -208,30 +172,34 @@ def _top_levels(dim: int) -> int:
     return min(5, max(1, dim // 4))
 
 
-def displace(state, deltas) -> list[PureState]:
-    """D(delta) state = exp(i delta (a + a†)) state for every delta in ``deltas``.
+def displace(space: FockSpace, states, deltas) -> np.ndarray:
+    """D(delta) psi = exp(i delta (a + a†)) psi for every delta in ``deltas``:
+    one read-only (len(deltas), space.dim) array, a row per delta.
 
-    ``state`` is one PureState displaced by every delta, or a sequence of
-    them, one per delta, all on one space.  One matrix product in the cached
-    eigenbasis of a + a†.  Truncating the generator makes D(delta) wrong once
-    a displaced state reaches the top of the basis, so a LeakageError is
-    raised where the probability a result puts on its top ``_top_levels(dim)``
-    levels exceeds the space's ``tail_tol``.
+    ``states`` is one state on ``space`` displaced by every delta, or a 2-D
+    array of them, one row per delta.  A last axis other than ``space.dim``,
+    a row count other than ``len(deltas)`` or a state norm further than 1e-6
+    from 1 is a ValueError (a gross-error guard; ``fock_state`` and
+    ``cat_state`` hold 1e-12).  One matrix product in the cached eigenbasis
+    of a + a†.  Truncating the generator makes D(delta) wrong once a
+    displaced state reaches the top of the basis, so a LeakageError is
+    raised where the probability a result puts on its top
+    ``_top_levels(dim)`` levels exceeds the space's ``tail_tol``.
     """
-    single = isinstance(state, PureState)
-    states = [state] if single else list(state)
-    space = states[0].space
-    for other in states[1:]:
-        _check_same_space(states[0], other)
+    states = np.ascontiguousarray(states, dtype=complex)
+    if states.ndim not in (1, 2) or states.shape[-1] != space.dim:
+        raise ValueError(f"states have shape {states.shape}, expected ({space.dim},) or "
+                         f"(k, {space.dim})")
+    if states.ndim == 2 and len(states) != len(deltas):
+        raise ValueError(f"{len(states)} states for {len(deltas)} displacements")
+    norms = np.linalg.norm(states, axis=-1).reshape(-1)
+    bad = norms[~(np.abs(norms - 1.0) <= 1e-6)]
+    if bad.size:
+        raise ValueError(f"state norm {bad[0]} too far from 1")
     lam, vec = _quadrature_eigenbasis(space.dim)
     phases = _phases(np.negative(deltas), lam, "displacement")
-    if single:
-        coefficients = vec.T @ state.amplitudes
-    elif len(states) == len(phases):
-        coefficients = np.array([s.amplitudes for s in states]) @ vec
-    else:
-        raise ValueError(f"{len(states)} states for {len(phases)} displacements")
-    phases *= coefficients  # in place: a steps x dim block fewer at MAX_STEPS
+    # in place: a steps x dim block fewer at MAX_STEPS
+    phases *= vec.T @ states if states.ndim == 1 else states @ vec
     rows = phases @ vec.T
     levels = _top_levels(space.dim)
     top = np.sum(np.abs(rows[:, -levels:]) ** 2, axis=1)
@@ -243,7 +211,7 @@ def displace(state, deltas) -> list[PureState]:
             f"in the top {levels} levels, above tail_tol {space.tail_tol:.3e} at dim "
             f"{space.dim}; increase dim"
         )
-    return [PureState(space, row) for row in rows]
+    return _freeze(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .fock import PureState, _checked_eigenbasis
+from .fock import _checked_eigenbasis
 from .limits import MAX_DIM
 
 # Bounds ``thin`` holds every lossy distribution to: no entry below
@@ -158,23 +158,28 @@ def _beamsplitter_eigenbasis(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], .
     return tuple(sectors)
 
 
-def apply_loss_via_purification(state: PureState, eta: float) -> np.ndarray:
-    """Density matrix of ``state`` after loss of efficiency ``eta``: couple it
-    to a vacuum bath with a beamsplitter unitary, then trace the bath out.
+def apply_loss_via_purification(state: np.ndarray, eta: float) -> np.ndarray:
+    """Density matrix of ``state``, an amplitude vector, after loss of
+    efficiency ``eta``: couple it to a vacuum bath with a beamsplitter
+    unitary, then trace the bath out.
 
     Exact on the truncated space because the beamsplitter conserves total
     photon number; intended for cross-validation at small dimensions.  Each
     amplitude psi_n of |n>|0> is evolved inside its own sector N = n, in that
     sector's eigenbasis, so no d^2-dimensional operator is ever formed.  An
-    efficiency outside (0, 1] is a ValueError.
+    efficiency outside (0, 1] or a state that is not a vector of 1 to
+    MAX_DIM amplitudes is a ValueError.
     """
     _check_eta(eta)
-    d = state.space.dim
+    state = np.asarray(state)
+    if not (state.ndim == 1 and 1 <= len(state) <= MAX_DIM):
+        raise ValueError(f"state has shape {state.shape}, expected 1 to {MAX_DIM} amplitudes")
+    d = len(state)
     theta = math.acos(math.sqrt(eta))
     psi = np.zeros((d, d), dtype=complex)  # psi[k, m]: signal k, bath m
     for n, (lam, vec) in enumerate(_beamsplitter_eigenbasis(d)):
         k = np.arange(n + 1)
         # |n>|0> is the sector's last basis vector, so V† e_last = conj(V[-1])
-        psi[k, n - k] = vec @ (np.exp(-1j * theta * lam) * vec[-1].conj()) * state.amplitudes[n]
+        psi[k, n - k] = vec @ (np.exp(-1j * theta * lam) * vec[-1].conj()) * state[n]
     rho = psi @ psi.conj().T
     return 0.5 * (rho + rho.conj().T)

@@ -17,18 +17,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import ProtocolParams, StateFamily
-from .fock import (
-    FockSpace,
-    PureState,
-    cat_state,
-    displace,
-    fock_state,
-    overlap,
-    parity_signs,
-    photon_distribution,
-    recommend_dim,
-    squeeze,
-)
+from .fock import FockSpace, cat_state, displace, fock_state, parity_signs, recommend_dim, squeeze
 from .loss import apply_loss_via_purification, thin
 from .protocols import _numeric_rates, evaluate, optimize_delta, sweep
 
@@ -112,8 +101,9 @@ def _space_for(alpha: float, delta: float) -> FockSpace:
     return FockSpace(recommend_dim(alpha, delta))
 
 
-def _rows(states) -> np.ndarray:
-    return np.array([state.amplitudes for state in states])
+def _self_overlap(space: FockSpace, probe: np.ndarray, delta: float) -> complex:
+    """<probe|D(delta) probe>, read off the displaced row as the oracle reads it."""
+    return complex(np.vdot(probe, displace(space, probe, [delta])[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +118,7 @@ def _fock_orthogonality(grid: str) -> float:
     for n in range(1, top + 1):
         delta = math.sqrt(analytic.laguerre_first_root(n))
         space = _space_for(math.sqrt(n), delta)
-        probe = fock_state(space, n)
-        worst = max(worst, abs(overlap(probe, displace(probe, [delta])[0])))
+        worst = max(worst, abs(_self_overlap(space, fock_state(space, n), delta)))
     return worst
 
 
@@ -176,8 +165,7 @@ def _cat_zeros_numeric(grid: str) -> float:
         for k in (0, 1):
             delta = analytic.cat_overlap_zero(alpha, k)
             space = _space_for(alpha, delta)
-            probe = cat_state(space, alpha)
-            worst = max(worst, abs(overlap(probe, displace(probe, [delta])[0])))
+            worst = max(worst, abs(_self_overlap(space, cat_state(space, alpha), delta)))
     return worst
 
 
@@ -191,9 +179,9 @@ def _lossy_cat_statistics(grid: str) -> float:
     for alpha in alphas:
         for delta in deltas:
             space = _space_for(alpha, delta)
-            displaced = displace(cat_state(space, alpha), [delta])[0]
+            p = np.abs(displace(space, cat_state(space, alpha), [delta])[0]) ** 2
             for eta in _etas(grid):
-                q = thin(photon_distribution(displaced), eta)
+                q = thin(p, eta)
                 closed = np.array([analytic.cat_pn(alpha, delta, eta, n)
                                    for n in range(space.dim)])
                 worst = max(worst,
@@ -229,8 +217,8 @@ def _squeeze_sandwich(grid: str) -> float:
             s_mat = squeeze(space, r)
             for n in range(4):
                 # rows of S† D(delta) S|n>, as (S† v)^T = v^T conj(S)
-                lhs = _rows(displace(PureState(space, s_mat[:, n]), deltas)) @ s_mat.conj()
-                rhs = _rows(displace(fock_state(space, n), deltas * math.exp(r)))
+                lhs = displace(space, s_mat[:, n], deltas) @ s_mat.conj()
+                rhs = displace(space, fock_state(space, n), deltas * math.exp(r))
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -243,8 +231,7 @@ def _fock_overlap_grid(grid: str) -> float:
     for delta in (0.1, 0.5, 1.0, 2.0):
         space = _space_for(math.sqrt(top), delta)
         for n in range(top + 1):
-            probe = fock_state(space, n)
-            numeric = overlap(probe, displace(probe, [delta])[0])
+            numeric = _self_overlap(space, fock_state(space, n), delta)
             worst = max(worst, abs(numeric - analytic.fock_overlap(n, delta)))
     return worst
 
@@ -255,8 +242,7 @@ def _cat_overlap_formula(grid: str) -> float:
     for alpha in (1.0, 1.5, 3.0):
         for delta in (0.1, 0.3, 1.0, 2.0):
             space = _space_for(alpha, delta)
-            probe = cat_state(space, alpha)
-            numeric = overlap(probe, displace(probe, [delta])[0])
+            numeric = _self_overlap(space, cat_state(space, alpha), delta)
             worst = max(worst, abs(numeric - analytic.cat_overlap(alpha, delta)))
     return worst
 
@@ -265,7 +251,7 @@ def _cat_overlap_formula(grid: str) -> float:
 def _loss_composition(grid: str) -> float:
     """Thinning at eta1 after thinning at eta2 equals thinning at eta1 * eta2."""
     space = _space_for(1.5, 0.5)
-    p = photon_distribution(displace(cat_state(space, 1.5), [0.5])[0])
+    p = np.abs(displace(space, cat_state(space, 1.5), [0.5])[0]) ** 2
     worst = 0.0
     for eta1, eta2 in ((0.9, 0.8), (0.95, 0.5)):
         seq = thin(thin(p, eta2), eta1)
@@ -280,10 +266,10 @@ def _thinning_purification(grid: str) -> float:
     built by the beamsplitter purification, which shares no code with it."""
     space = FockSpace(24)
     states = (fock_state(space, 2), cat_state(space, 1.0),
-              displace(cat_state(space, 1.0), [0.6])[0])
+              displace(space, cat_state(space, 1.0), [0.6])[0])
     worst = 0.0
     for eta in (0.5, 0.9, 0.98):
-        thinned = thin([photon_distribution(state) for state in states], eta)
+        thinned = thin(np.abs(np.stack(states)) ** 2, eta)
         for q, state in zip(thinned, states):
             purified = np.diagonal(apply_loss_via_purification(state, eta)).real
             worst = max(worst, float(np.max(np.abs(q - purified))))

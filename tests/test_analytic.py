@@ -36,16 +36,7 @@ from ngphase.analytic import (
     laguerre_first_root,
     threshold_phase,
 )
-from ngphase.fock import (
-    FockSpace,
-    cat_state,
-    displace,
-    fock_state,
-    overlap,
-    parity_signs,
-    photon_distribution,
-    recommend_dim,
-)
+from ngphase.fock import FockSpace, cat_state, displace, fock_state, parity_signs, recommend_dim
 from ngphase.loss import thin
 from reference_search import golden_section_minimize
 
@@ -176,7 +167,7 @@ def test_fock_overlap_against_numeric():
     n, delta = 3, 0.5
     space = FockSpace(recommend_dim(math.sqrt(n), delta))
     probe = fock_state(space, n)
-    numeric = overlap(probe, displace(probe, [delta])[0])
+    numeric = np.vdot(probe, displace(space, probe, [delta])[0])
     assert abs(numeric - fock_overlap(n, delta)) < 1e-9
 
 
@@ -194,7 +185,7 @@ def test_cat_overlap_against_numeric():
     alpha, delta = 1.5, 0.3
     space = FockSpace(recommend_dim(alpha, delta))
     probe = cat_state(space, alpha)
-    numeric = overlap(probe, displace(probe, [delta])[0])
+    numeric = np.vdot(probe, displace(space, probe, [delta])[0])
     assert abs(numeric - cat_overlap(alpha, delta)) < 1e-8
 
 
@@ -342,8 +333,8 @@ def test_cat_parity_no_signal_value(alpha):
 def test_cat_parity_against_numeric():
     alpha, delta, eta = 2.0, 0.35, 0.95
     space = FockSpace(recommend_dim(alpha, delta))
-    displaced = displace(cat_state(space, alpha), [delta])[0]
-    q = thin(photon_distribution(displaced), eta)
+    displaced = displace(space, cat_state(space, alpha), [delta])[0]
+    q = thin(np.abs(displaced) ** 2, eta)
     numeric = float(parity_signs(space.dim) @ q)
     assert cat_parity(alpha, delta, eta) == pytest.approx(numeric, abs=1e-8)
 

@@ -23,16 +23,12 @@ from ngphase.fock import (
     ConvergenceError,
     FockSpace,
     LeakageError,
-    PureState,
-    SpaceMismatchError,
     _lowering,
     _quadrature_eigenbasis,
     cat_state,
     displace,
     fock_state,
-    overlap,
     parity_signs,
-    photon_distribution,
     recommend_dim,
     squeeze,
 )
@@ -41,8 +37,8 @@ E_MINUS_HALF = 0.60653065971263342  # exp(-1/2)
 E_MINUS_ONE = 0.36787944117144233  # exp(-1)
 
 
-def displaced(state, delta):
-    return displace(state, [delta])[0]
+def displaced(space, state, delta):
+    return displace(space, state, [delta])[0]
 
 
 def unguarded(dim):
@@ -58,13 +54,13 @@ def coherent_amplitudes(dim, alpha):
 
 
 def mean_photon_number(state):
-    p = photon_distribution(state)
+    p = np.abs(state) ** 2
     return float(np.dot(np.arange(p.size), p))
 
 
 def parity(state):
     """<(-1)^n>, read off the photon-number distribution."""
-    return float(parity_signs(state.space.dim) @ photon_distribution(state))
+    return float(parity_signs(len(state)) @ np.abs(state) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +84,27 @@ def test_space_rejects_nonpositive_tol():
         FockSpace(8, tail_tol=0.0)
 
 
-def test_pure_state_requires_unit_norm():
-    space = FockSpace(4)
-    with pytest.raises(ValueError):
-        PureState(space, np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
+def test_displace_requires_unit_norm_states():
+    # a gross-error guard on the input, once per call: the one probe, or any
+    # row of a stack, further than 1e-6 from unit norm (a NaN norm included)
+    space = unguarded(4)
+    with pytest.raises(ValueError, match="state norm 1.414"):
+        displace(space, np.array([1.0, 1.0, 0.0, 0.0]), [0.1])
+    rows = np.eye(4, dtype=complex)[:3]
+    rows[1] *= 1.0 + 5e-7
+    displace(space, rows, [0.1, 0.2, 0.3])
+    for off in (1.0 + 2e-6, 1.0 - 2e-6, math.nan):
+        rows[1] = off * np.eye(4)[1]
+        with pytest.raises(ValueError, match="too far from 1"):
+            displace(space, rows, [0.1, 0.2, 0.3])
 
 
 def test_states_are_immutable():
-    state = fock_state(FockSpace(4), 1)
-    with pytest.raises(ValueError):
-        state.amplitudes[0] = 1.0
+    space = FockSpace(16)
+    state = fock_state(space, 1)
+    for frozen in (state, cat_state(space, 1.0), displace(space, state, [0.1, 0.2])):
+        with pytest.raises(ValueError):
+            frozen[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +127,18 @@ def test_number_operator_from_ladders():
 def test_displacement_zero_is_identity():
     space = FockSpace(16)
     for state in (fock_state(space, 3), cat_state(space, 0.5)):
-        np.testing.assert_allclose(displaced(state, 0.0).amplitudes, state.amplitudes,
-                                   atol=1e-14)
+        np.testing.assert_allclose(displaced(space, state, 0.0), state, atol=1e-14)
 
 
 def test_displacement_vacuum_matrix_element():
     space = FockSpace(32)
-    assert abs(displaced(fock_state(space, 0), 1.0).amplitudes[0] - E_MINUS_HALF) < 1e-9
+    assert abs(displaced(space, fock_state(space, 0), 1.0)[0] - E_MINUS_HALF) < 1e-9
 
 
 def test_displacement_single_photon_orthogonality():
     # first Laguerre root: <1|D(1)|1> = 0
     space = FockSpace(32)
-    assert abs(displaced(fock_state(space, 1), 1.0).amplitudes[1]) < 1e-9
+    assert abs(displaced(space, fock_state(space, 1), 1.0)[1]) < 1e-9
 
 
 def test_squeeze_zero_is_identity():
@@ -159,10 +165,9 @@ def test_squeeze_amplifies_displacement():
     space = FockSpace(128)
     s_mat = squeeze(space, r)
     block = 24
-    lhs = np.column_stack([s_mat.conj().T @ displaced(PureState(space, s_mat[:, n]),
-                                                      amp * phi).amplitudes
+    lhs = np.column_stack([s_mat.conj().T @ displaced(space, s_mat[:, n], amp * phi)
                            for n in range(block)])
-    rhs = np.column_stack([displaced(fock_state(space, n), amp * phi * math.exp(r)).amplitudes
+    rhs = np.column_stack([displaced(space, fock_state(space, n), amp * phi * math.exp(r))
                            for n in range(block)])
     assert np.linalg.norm((lhs - rhs)[:block]) < 1e-8
 
@@ -173,8 +178,7 @@ def test_displacement_matches_expm(dim, delta):
     a = _lowering(dim)
     reference = expm(1j * delta * (a + a.T))
     space = unguarded(dim)
-    got = np.column_stack([displaced(fock_state(space, k), delta).amplitudes
-                           for k in range(dim)])
+    got = np.column_stack([displaced(space, fock_state(space, k), delta) for k in range(dim)])
     assert np.max(np.abs(got - reference)) <= 1e-12
 
 
@@ -200,11 +204,11 @@ def test_displace_grid_matches_single_points():
     space = FockSpace(recommend_dim(1.7, 3.0))
     probe = cat_state(space, 1.7)
     deltas = [-2.0, 0.0, 0.3, 1.0, 3.0]
-    batch = displace(probe, deltas)
-    assert len(batch) == len(deltas)
+    batch = displace(space, probe, deltas)
+    assert batch.shape == (len(deltas), space.dim)
     for delta, got in zip(deltas, batch):
-        want = displaced(probe, delta)
-        assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-13
+        want = displaced(space, probe, delta)
+        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_displace_takes_one_state_per_delta():
@@ -212,46 +216,51 @@ def test_displace_takes_one_state_per_delta():
     space = FockSpace(recommend_dim(3.0, 2.0))
     probes = [cat_state(space, 3.0), fock_state(space, 2), cat_state(space, 1.0)]
     deltas = [2.0, -0.4, 0.0]
-    for probe, delta, got in zip(probes, deltas, displace(probes, deltas)):
-        (want,) = displace(probe, [delta])
-        assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-14
+    for probe, delta, got in zip(probes, deltas, displace(space, np.stack(probes), deltas)):
+        (want,) = displace(space, probe, [delta])
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_displace_rejects_mismatched_states():
     space = FockSpace(16)
     with pytest.raises(ValueError, match="2 states for 3 displacements"):
-        displace([fock_state(space, 1)] * 2, [0.1, 0.2, 0.3])
-    with pytest.raises(SpaceMismatchError):
-        displace([fock_state(space, 1), fock_state(FockSpace(17), 1)], [0.1, 0.2])
+        displace(space, [fock_state(space, 1)] * 2, [0.1, 0.2, 0.3])
+    # states of another basis, or not one state nor a stack of them
+    other = fock_state(FockSpace(17), 1)
+    for states in (other, [other] * 2, np.zeros((1, 2, 16)), np.complex128(1.0)):
+        with pytest.raises(ValueError, match=r"expected \(16,\) or \(k, 16\)"):
+            displace(space, states, [0.1, 0.2])
 
 
 def test_displace_leakage_is_top_block_mass():
     # the guard compares the mass on the top 5 levels with tail_tol: the same
     # displaced state passes at a tail_tol just above that mass, not just below
     dim = recommend_dim(1.0, 2.0, 1e-6)
-    (got,) = displace(fock_state(FockSpace(dim, tail_tol=1e-6), 1), [2.0])
-    top = float(np.sum(np.abs(got.amplitudes[-5:]) ** 2))
+    probe = fock_state(FockSpace(dim), 1)
+    (got,) = displace(FockSpace(dim, tail_tol=1e-6), probe, [2.0])
+    top = float(np.sum(np.abs(got[-5:]) ** 2))
     assert 0.0 < top < 1e-6
-    displace(fock_state(FockSpace(dim, tail_tol=1.01 * top), 1), [0.5, 2.0])
+    displace(FockSpace(dim, tail_tol=1.01 * top), probe, [0.5, 2.0])
     with pytest.raises(LeakageError, match=r"displace\(delta=2.0\).*top 5 levels"):
-        displace(fock_state(FockSpace(dim, tail_tol=0.99 * top), 1), [0.5, 2.0])
+        displace(FockSpace(dim, tail_tol=0.99 * top), probe, [0.5, 2.0])
     # one level watched at dim 6: D(3)|1> puts a third of its weight on |5>
     with pytest.raises(LeakageError, match=r"displace\(delta=3.0\).*top 1 levels"):
-        displace(fock_state(FockSpace(6), 1), [0.0, 3.0])
+        displace(FockSpace(6), fock_state(FockSpace(6), 1), [0.0, 3.0])
 
 
 def test_displace_guard_fires_where_truncation_shows():
     # D(3)|1> is wrong by more than 1e-12 in any basis of at most 20 levels
     for dim in range(2, 21):
+        space = FockSpace(dim)
         with pytest.raises(LeakageError):
-            displace(fock_state(FockSpace(dim), 1), [3.0])
+            displace(space, fock_state(space, 1), [3.0])
 
 
 @pytest.mark.parametrize("delta", [math.inf, math.nan])
 def test_non_finite_displacement_rejected(delta):
     space = FockSpace(16)
     with pytest.raises(ConvergenceError, match="non-finite"):
-        displace(fock_state(space, 1), [0.5, delta])
+        displace(space, fock_state(space, 1), [0.5, delta])
 
 
 def test_import_does_not_load_scipy():
@@ -267,8 +276,7 @@ def test_import_does_not_load_scipy():
 def test_displacement_unitary_on_low_block(delta):
     space = unguarded(recommend_dim(0.0, delta))
     half = space.dim // 2
-    cols = np.column_stack([displaced(fock_state(space, k), delta).amplitudes
-                            for k in range(half)])
+    cols = np.column_stack([displaced(space, fock_state(space, k), delta) for k in range(half)])
     assert np.linalg.norm(cols.conj().T @ cols - np.eye(half)) < 1e-8
 
 
@@ -287,10 +295,9 @@ def test_squeeze_unitary_on_low_block(r):
 
 def test_fock_state_basis_vectors():
     space = FockSpace(5)
-    np.testing.assert_array_equal(fock_state(space, 0).amplitudes,
-                                  np.array([1, 0, 0, 0, 0], dtype=complex))
-    np.testing.assert_array_equal(fock_state(space, 1).amplitudes,
-                                  np.array([0, 1, 0, 0, 0], dtype=complex))
+    np.testing.assert_array_equal(fock_state(space, 0), np.array([1, 0, 0, 0, 0], dtype=complex))
+    np.testing.assert_array_equal(fock_state(space, 1), np.array([0, 1, 0, 0, 0], dtype=complex))
+    assert fock_state(space, 1).dtype == complex
 
 
 def test_fock_state_out_of_range():
@@ -303,7 +310,7 @@ def test_fock_state_out_of_range():
 
 def test_fock_state_point_mass():
     space = FockSpace(8)
-    p = photon_distribution(fock_state(space, 3))
+    p = np.abs(fock_state(space, 3)) ** 2
     expected = np.zeros(8)
     expected[3] = 1.0
     np.testing.assert_array_equal(p, expected)
@@ -316,7 +323,7 @@ def test_coherent_overlap_closed_form():
     alpha, beta = 1.2j, -0.7j
     space = FockSpace(recommend_dim(0.0, 1.2))
     vacuum = fock_state(space, 0)
-    got = overlap(displaced(vacuum, 1.2), displaced(vacuum, -0.7))
+    got = np.vdot(displaced(space, vacuum, 1.2), displaced(space, vacuum, -0.7))
     closed = np.exp(-abs(alpha) ** 2 / 2 - abs(beta) ** 2 / 2 + np.conj(alpha) * beta)
     series = sum(
         (np.conj(alpha) * beta) ** n / math.factorial(n) for n in range(60)
@@ -327,13 +334,13 @@ def test_coherent_overlap_closed_form():
 
 def test_coherent_mean_photon_number():
     space = FockSpace(recommend_dim(0.0, 2.0))
-    state = displaced(fock_state(space, 0), 2.0)
+    state = displaced(space, fock_state(space, 0), 2.0)
     assert mean_photon_number(state) == pytest.approx(4.0, abs=1e-9)
 
 
 def test_coherent_poisson_distribution():
     space = FockSpace(recommend_dim(0.0, 1.0))
-    p = photon_distribution(displaced(fock_state(space, 0), 1.0))
+    p = np.abs(displaced(space, fock_state(space, 0), 1.0)) ** 2
     poisson = np.array([math.exp(-1.0) / math.factorial(n) for n in range(space.dim)])
     np.testing.assert_allclose(p, poisson, atol=1e-10)
 
@@ -347,12 +354,12 @@ def test_cat_leakage_raises_when_dim_too_small():
 def test_cat_odd_amplitudes_exactly_zero():
     space = FockSpace(recommend_dim(1.5, 0.0))
     cat = cat_state(space, 1.5)
-    assert np.all(cat.amplitudes[1::2] == 0.0)
+    assert np.all(cat[1::2] == 0.0)
 
 
 def test_cat_unit_norm():
     space = FockSpace(recommend_dim(1.5, 0.0))
-    assert abs(np.linalg.norm(cat_state(space, 1.5).amplitudes) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(cat_state(space, 1.5)) - 1.0) < 1e-12
 
 
 def test_cat_parity_plus_one():
@@ -365,7 +372,7 @@ def test_cat_matches_coherent_superposition():
     space = FockSpace(recommend_dim(alpha, 0.0))
     manual = coherent_amplitudes(space.dim, alpha) + coherent_amplitudes(space.dim, -alpha)
     manual /= np.linalg.norm(manual)
-    np.testing.assert_allclose(cat_state(space, alpha).amplitudes, manual, atol=1e-12)
+    np.testing.assert_allclose(cat_state(space, alpha), manual, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +380,11 @@ def test_cat_matches_coherent_superposition():
 
 
 def test_overlap_self_and_orthogonal():
+    # number states are orthonormal amplitude vectors
     space = FockSpace(8)
     psi = fock_state(space, 2)
-    assert overlap(psi, psi) == pytest.approx(1.0)
-    assert overlap(fock_state(space, 0), fock_state(space, 1)) == 0.0
-
-
-def test_overlap_space_mismatch():
-    with pytest.raises(SpaceMismatchError):
-        overlap(fock_state(FockSpace(4), 0), fock_state(FockSpace(8), 0))
+    assert np.vdot(psi, psi) == 1.0
+    assert np.vdot(fock_state(space, 0), fock_state(space, 1)) == 0.0
 
 
 def test_cat_displaced_orthogonality_at_first_zero():
@@ -389,14 +392,14 @@ def test_cat_displaced_orthogonality_at_first_zero():
     delta0 = math.acos(-math.exp(-2.0 * alpha * alpha)) / (2.0 * alpha)
     space = FockSpace(recommend_dim(alpha, delta0))
     cat = cat_state(space, alpha)
-    assert abs(overlap(cat, displaced(cat, delta0))) < 1e-8
+    assert abs(np.vdot(cat, displaced(space, cat, delta0))) < 1e-8
 
 
 def test_displaced_single_photon_distribution():
     # oracle: displaced-Fock matrix elements |<n|D(1)|1>|^2 give
     # p0 = e^-1, p1 = 0, p2 = e^-1/2
     space = FockSpace(recommend_dim(1.0, 1.0))
-    p = photon_distribution(displaced(fock_state(space, 1), 1.0))
+    p = np.abs(displaced(space, fock_state(space, 1), 1.0)) ** 2
     assert abs(p[1]) < 1e-9
     assert abs(p[0] - E_MINUS_ONE) < 1e-9
     assert abs(p[2] - E_MINUS_ONE / 2.0) < 1e-9
@@ -413,7 +416,7 @@ def test_displaced_cat_parity_matches_closed_form():
     # expression e^{-2 d^2} (cos 4 a d + e^{-2 a^2}) / (1 + e^{-2 a^2})
     alpha, delta = 1.5, 0.3
     space = FockSpace(recommend_dim(alpha, delta))
-    state = displaced(cat_state(space, alpha), delta)
+    state = displaced(space, cat_state(space, alpha), delta)
     expected = math.exp(-2.0 * delta ** 2) * (
         math.cos(4.0 * alpha * delta) + math.exp(-2.0 * alpha ** 2)
     ) / (1.0 + math.exp(-2.0 * alpha ** 2))
@@ -427,14 +430,14 @@ def test_displaced_cat_parity_matches_closed_form():
 def test_apply_round_trip_displacement():
     space = FockSpace(32)
     for state in (fock_state(space, 1), cat_state(space, 1.0)):
-        back = displaced(displaced(state, 0.5), -0.5)
-        assert np.linalg.norm(back.amplitudes - state.amplitudes) < 1e-9
+        back = displaced(space, displaced(space, state, 0.5), -0.5)
+        assert np.linalg.norm(back - state) < 1e-9
 
 
 def test_apply_norm_change_controlled():
     space = FockSpace(recommend_dim(1.0, 0.5))
-    out = displaced(cat_state(space, 1.0), 0.5)
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
+    out = displaced(space, cat_state(space, 1.0), 0.5)
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +510,8 @@ def test_recommend_dim_overflowing_amplitude_names_max_dim(max_delta):
 def test_cat_state_properties(alpha):
     space = FockSpace(recommend_dim(2.5, 0.0))
     cat = cat_state(space, alpha)
-    assert np.all(cat.amplitudes[1::2] == 0.0)
-    assert abs(np.linalg.norm(cat.amplitudes) - 1.0) < 1e-12
+    assert np.all(cat[1::2] == 0.0)
+    assert abs(np.linalg.norm(cat) - 1.0) < 1e-12
     assert parity(cat) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -516,8 +519,8 @@ def test_cat_state_properties(alpha):
 @settings(max_examples=30, deadline=None)
 def test_displaced_fock_properties(delta, n):
     space = FockSpace(recommend_dim(2.0, 1.5))
-    state = displaced(fock_state(space, n), delta)
-    p = photon_distribution(state)
+    state = displaced(space, fock_state(space, n), delta)
+    p = np.abs(state) ** 2
     assert abs(p.sum() - 1.0) < 1e-10
     assert -1.0 - 1e-12 <= parity(state) <= 1.0 + 1e-12
-    assert abs(overlap(fock_state(space, n), state)) <= 1.0 + 1e-12
+    assert abs(np.vdot(fock_state(space, n), state)) <= 1.0 + 1e-12

@@ -15,13 +15,11 @@ from ngphase.analytic import cat_parity, cat_pn
 from ngphase.fock import (
     MAX_DIM,
     FockSpace,
-    PureState,
     _lowering,
     cat_state,
     displace,
     fock_state,
     parity_signs,
-    photon_distribution,
     recommend_dim,
 )
 from ngphase.loss import (
@@ -38,12 +36,12 @@ def coherent(space, alpha):
     """|alpha> from its Poisson amplitudes alpha^n / sqrt(n!), normalized on the
     basis (in place of the factor exp(-alpha^2/2))."""
     amps = np.array([alpha ** n / math.sqrt(math.factorial(n)) for n in range(space.dim)])
-    return PureState(space, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
 def fidelity_with_pure(psi, rho):
     """<psi|rho|psi>."""
-    return float(np.vdot(psi.amplitudes, rho @ psi.amplitudes).real)
+    return float(np.vdot(psi, rho @ psi).real)
 
 
 def trace_distance(rho, sigma):
@@ -65,11 +63,18 @@ def test_channel_rejects_bad_eta():
             apply_loss_via_purification(fock_state(space, 1), eta)
 
 
+@pytest.mark.parametrize("state", [np.eye(4)[:2], np.r_[1.0, np.zeros(MAX_DIM)]])
+def test_purification_rejects_a_state_that_is_no_basis_vector(state):
+    # a stack of states, and more amplitudes than any basis holds
+    with pytest.raises(ValueError, match="amplitudes"):
+        apply_loss_via_purification(state, 0.9)
+
+
 def test_eta_one_is_identity_channel():
     space = FockSpace(24)
     state = cat_state(space, 1.0)
     rho = apply_loss_via_purification(state, 1.0)
-    np.testing.assert_allclose(rho, np.outer(state.amplitudes, state.amplitudes.conj()),
+    np.testing.assert_allclose(rho, np.outer(state, state.conj()),
                                atol=1e-14)
 
 
@@ -152,8 +157,8 @@ def ladder_kraus(dim, eta, terms):
 
 def ladder_kraus_channel(state, eta):
     """sum_k E_k |psi><psi| E_k† over all dim ladder Kraus terms."""
-    dim = state.space.dim
-    vecs = [ek @ state.amplitudes for ek in ladder_kraus(dim, eta, dim)]
+    dim = len(state)
+    vecs = [ek @ state for ek in ladder_kraus(dim, eta, dim)]
     return sum(np.outer(v, v.conj()) for v in vecs)
 
 
@@ -168,16 +173,16 @@ def test_kraus_completeness():
 @pytest.mark.parametrize("eta", [0.5, 0.9, 0.98])
 def test_thin_matches_ladder_kraus_diagonal(eta):
     space = FockSpace(recommend_dim(2.0, 1.2))
-    states = [displace(fock_state(space, 1), [0.7])[0],
-              displace(fock_state(space, 3), [1.2])[0],
-              displace(cat_state(space, 2.0), [0.4])[0]]
+    states = [displace(space, fock_state(space, 1), [0.7])[0],
+              displace(space, fock_state(space, 3), [1.2])[0],
+              displace(space, cat_state(space, 2.0), [0.4])[0]]
     # all dim terms: the finite Kraus sum is then the exact channel
     kraus = ladder_kraus(space.dim, eta, space.dim)
-    thinned = thin([photon_distribution(s) for s in states], eta)
+    thinned = thin(np.abs(np.stack(states)) ** 2, eta)
     for q, state in zip(thinned, states):
-        reference = sum(np.abs(ek @ state.amplitudes) ** 2 for ek in kraus)
+        reference = sum(np.abs(ek @ state) ** 2 for ek in kraus)
         assert np.max(np.abs(q - reference)) <= 1e-12
-        assert np.max(np.abs(thin(photon_distribution(state), eta) - q)) <= 1e-12
+        assert np.max(np.abs(thin(np.abs(state) ** 2, eta) - q)) <= 1e-12
 
 
 @pytest.mark.parametrize("probs, message", [
@@ -204,8 +209,8 @@ def test_stacked_thinning_tables_keep_each_tables_bits():
 
 
 def _distributions(space):
-    states = [displace(cat_state(space, 2.0), [d])[0] for d in (0.1, 0.5, 1.0)]
-    return np.array([photon_distribution(s) for s in states + [fock_state(space, 3)]])
+    states = displace(space, cat_state(space, 2.0), [0.1, 0.5, 1.0])
+    return np.abs(np.concatenate((states, [fock_state(space, 3)]))) ** 2
 
 
 @pytest.mark.parametrize("per_product", [None, 1, 2])
@@ -285,7 +290,7 @@ def test_coherent_stays_coherent():
 def test_trace_preserved_and_positive(eta):
     # 24 levels leave 3e-11 of D(0.7)|cat 1.5> in their top five
     space = FockSpace(24, tail_tol=1e-9)
-    state = displace(cat_state(space, 1.5), [0.7])[0]
+    state = displace(space, cat_state(space, 1.5), [0.7])[0]
     rho = apply_loss_via_purification(state, eta)
     assert abs(np.trace(rho).real - 1.0) < 1e-9
     assert np.linalg.eigvalsh(rho)[0] > -1e-9
@@ -293,7 +298,7 @@ def test_trace_preserved_and_positive(eta):
 
 def test_loss_composition():
     space = FockSpace(recommend_dim(1.5, 0.5))
-    p = photon_distribution(displace(cat_state(space, 1.5), [0.5])[0])
+    p = np.abs(displace(space, cat_state(space, 1.5), [0.5])[0]) ** 2
     two_step = thin(thin(p, 0.8), 0.9)
     one_step = thin(p, 0.72)
     assert np.max(np.abs(two_step - one_step)) < 1e-8
@@ -303,7 +308,7 @@ def test_loss_composition():
 def test_purification_matches_kraus(eta):
     space = FockSpace(24)
     for state in (fock_state(space, 2), cat_state(space, 1.0),
-                  displace(fock_state(space, 1), [0.4])[0]):
+                  displace(space, fock_state(space, 1), [0.4])[0]):
         direct = ladder_kraus_channel(state, eta)
         purified = apply_loss_via_purification(state, eta)
         assert trace_distance(direct, purified) < 1e-9
@@ -321,7 +326,7 @@ def test_purification_matches_expm_unitary(eta):
     unitary = expm(theta * (a_sig @ a_bath.T - a_sig.T @ a_bath))
     for state in (fock_state(space, 3), cat_state(space, 0.6)):
         joint = np.zeros(d * d, dtype=complex)
-        joint[::d] = state.amplitudes
+        joint[::d] = state
         psi = (unitary @ joint).reshape(d, d)
         reference = psi @ psi.conj().T
         got = apply_loss_via_purification(state, eta)
@@ -350,7 +355,7 @@ def test_beamsplitter_sectors_match_dense_generator(d):
 def test_purification_memory_is_per_sector():
     # the dense d^2 x d^2 eigenbasis put 15.5 MiB through the allocator at d = 24
     space = FockSpace(24)
-    state = displace(cat_state(space, 1.0), [0.6])[0]
+    state = displace(space, cat_state(space, 1.0), [0.6])[0]
     _beamsplitter_eigenbasis.cache_clear()
     tracemalloc.start()
     try:
@@ -367,7 +372,7 @@ def test_purification_memory_is_per_sector():
 
 def test_lossy_fock1_no_displacement():
     space = FockSpace(16)
-    q = thin(photon_distribution(fock_state(space, 1)), 0.98)
+    q = thin(np.abs(fock_state(space, 1)) ** 2, 0.98)
     expected = np.zeros(16)
     expected[0] = 0.02
     expected[1] = 0.98
@@ -380,8 +385,8 @@ def test_lossy_fock1_miss_probability():
     d2 = eta * delta * delta
     expected = (eta * (1.0 - d2) ** 2 + (1.0 - eta) * d2) * math.exp(-d2)
     space = FockSpace(recommend_dim(1.0, delta))
-    displaced = displace(fock_state(space, 1), [delta])[0]
-    q = thin(photon_distribution(displaced), eta)
+    displaced = displace(space, fock_state(space, 1), [delta])[0]
+    q = thin(np.abs(displaced) ** 2, eta)
     assert q[1] == pytest.approx(expected, abs=1e-9)
 
 
@@ -393,7 +398,7 @@ def test_lossy_cat_lossless_limit_is_pure():
     # at eta = 1 the closed-form statistics are those of the pure displaced cat
     alpha, delta = 1.5, 0.3
     space = FockSpace(recommend_dim(alpha, delta))
-    p = photon_distribution(displace(cat_state(space, alpha), [delta])[0])
+    p = np.abs(displace(space, cat_state(space, alpha), [delta])[0]) ** 2
     closed = np.array([cat_pn(alpha, delta, 1.0, n) for n in range(space.dim)])
     assert np.max(np.abs(closed - p)) < 1e-9
 
@@ -401,8 +406,8 @@ def test_lossy_cat_lossless_limit_is_pure():
 def test_lossy_cat_photon_distribution_termwise():
     alpha, delta, eta = 1.5, 0.4, 0.9
     space = FockSpace(recommend_dim(alpha, delta))
-    displaced = displace(cat_state(space, alpha), [delta])[0]
-    q = thin(photon_distribution(displaced), eta)
+    displaced = displace(space, cat_state(space, alpha), [delta])[0]
+    q = thin(np.abs(displaced) ** 2, eta)
     for n in range(space.dim):
         assert q[n] == pytest.approx(cat_pn(alpha, delta, eta, n), abs=1e-9)
 
@@ -411,7 +416,7 @@ def test_lossy_cat_parity_closed_form():
     # parity of the purified lossy state: a reference that shares no code with thin
     alpha, delta, eta = 1.0, 0.35, 0.95
     space = FockSpace(24)
-    displaced = displace(cat_state(space, alpha), [delta])[0]
+    displaced = displace(space, cat_state(space, alpha), [delta])[0]
     rho = apply_loss_via_purification(displaced, eta)
     parity = float(parity_signs(space.dim) @ np.diagonal(rho).real)
     assert parity == pytest.approx(cat_parity(alpha, delta, eta), abs=1e-8)

@@ -2,9 +2,11 @@
 
 Each check name maps to a named fault, a monkeypatch that breaks one thing
 the check is there to watch (mutation testing: DeMillo, Lipton & Sayward,
-IEEE Computer 11(4), 1978).  Under its fault the check must FAIL or ERROR;
-without it the check must PASS, on the full grid that ``verify`` runs by
-default.
+IEEE Computer 11(4), 1978).  Under its fault the check must FAIL with a
+finite discrepancy, not ERROR: a fault that only makes the check raise (a
+wrapper left on an old signature, say) would kill it without testing what it
+measures.  Without the fault the check must PASS, on the full grid that
+``verify`` runs by default.
 """
 
 import math
@@ -63,8 +65,8 @@ def cat_overlap_zero_nudged(mp):
 def displacement_nudged(mp):
     """The numeric displacement moves every state by delta (1 + 1e-6)."""
     _wrap(mp, verification, "displace",
-          lambda displace: lambda state, deltas: displace(
-              state, [d * (1.0 + NUDGE) for d in deltas]))
+          lambda displace: lambda space, states, deltas: displace(
+              space, states, [d * (1.0 + NUDGE) for d in deltas]))
 
 
 def squeeze_nudged(mp):
@@ -102,8 +104,9 @@ def test_fault_kills_check(monkeypatch, name):
     assert clean.status == "PASS"
     KILL_TABLE[name](monkeypatch)
     (faulted,) = run_checks(grid="full", names=[name])
-    assert faulted.status in ("FAIL", "ERROR"), (
-        f"{name} survives {KILL_TABLE[name].__name__}: {faulted.discrepancy:.3e}")
+    assert faulted.status == "FAIL" and math.isfinite(faulted.discrepancy), (
+        f"{name} is not failed by {KILL_TABLE[name].__name__}: {faulted.status}, "
+        f"{faulted.discrepancy:.3e}, {faulted.error}")
 
 
 def test_raising_check_is_an_error_row(monkeypatch):
