@@ -49,6 +49,12 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; the CSV contract reserves 2
     # for computation failures, so remap through an exception.  The usage
     # text is folded onto the message's line: every error is one stderr line.
+    # Flags are matched by their full names only (subparsers are built with
+    # this class too), so adding or dropping a flag never changes what a
+    # prefix someone typed resolves to.
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         usage = " ".join(self.format_usage().split())
         raise _UsageError(f"{self.prog}: error: {message}; {usage}")

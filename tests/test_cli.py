@@ -95,6 +95,20 @@ def test_overlap_and_parity_refuse_the_scenario_flags_they_do_not_read(capsys, c
     assert err.count("\n") == 1 and f"unrecognized arguments: {flag}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "overlap --family fock --steps 2 --o f.csv",
+    "sweep --fam cat --alp 2 --axis eta --values 0.8,0.9",
+])
+def test_flag_prefixes_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
+    # a prefix of a flag is no flag: it used to resolve to whichever flag it
+    # was the unique prefix of, so the accepted surface moved with the table
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("ngphase")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # parity / evaluate / optimize / sweep
 
