@@ -85,6 +85,38 @@ COMMANDS = {
                          "--grid 0.639167 3.853266 50",
     "closed_form_optimize": "optimize --family cat --alpha 2.411157 --eta 0.957402",
     "closed_form_evaluate": "evaluate --family fock --n 1 --eta 0.957402 --phi 1.120731e-03",
+    # Fock operating points: the analytic-threshold label and a Laguerre root
+    # past the first scan step
+    "optimize_fock1": "optimize --family fock --n 1 --eta 0.9",
+    "optimize_fock1_oracle": "optimize --family fock --n 1 --eta 0.9 --oracle",
+    "optimize_fock3": "optimize --family fock --n 3",
+    # a prior other than 1/2 through every Helstrom branch
+    "evaluate_cat_p0": f"evaluate {CAT} --delta 1 --p0 0.3",
+    "evaluate_cat_p0_oracle": f"evaluate {CAT} --delta 1 --p0 0.3 --oracle",
+    "evaluate_fock1_p0": "evaluate --family fock --n 1 --eta 0.9 --delta 1 --p0 0.3",
+    "evaluate_fock2_lossless_p0": "evaluate --family fock --n 2 --delta 1.5 --p0 0.3",
+    "figure3": "figure --id 3 --steps 7",
+    # the delta_grid and oracle_sweep benchmark workloads at seed 1
+    "delta_grid_fock": "overlap --family fock --n 2 --delta-max 2.640667 --steps 16",
+    "delta_grid_cat": "overlap --family cat --alpha 1.769487 --delta-max 2.422584 --steps 16",
+    "delta_grid_parity": "parity --alpha 1.752755 --eta 0.9 --delta-max 2.434717 --steps 16",
+    "oracle_sweep_cat_eta": "sweep --family cat --alpha 1.926873 --eta 0.9 --axis eta "
+                            "--values 0.807999,0.814671,0.828084,0.838920,0.851989,0.864474,"
+                            "0.869470,0.880130,0.898647,0.906270,0.920486,0.924894,0.940133,"
+                            "0.953869,0.960684,0.978382 --oracle",
+    "oracle_sweep_cat_alpha": "sweep --family cat --alpha 2 --eta 0.913897 --axis alpha "
+                              "--values 1.102643,1.140559,1.265045,1.441641,1.606415,"
+                              "1.675620,1.784160,1.929712,2.015404,2.159669,2.306289,"
+                              "2.437081,2.535808,2.660587,2.784378,2.933460 --oracle",
+    "oracle_sweep_fock_eta": "sweep --family fock --n 1 --eta 0.9 --axis eta "
+                             "--values 0.803733,0.812568,0.831163,0.839883,0.851906,0.859048,"
+                             "0.877558,0.887615,0.892213,0.905369,0.920118,0.931276,"
+                             "0.944553,0.951174,0.966095,0.975908 --oracle",
+    # a flag of the other probe family
+    "evaluate_cat_with_n": "evaluate --family cat --alpha 2 --n 5 --delta 1",
+    "evaluate_fock_with_alpha": "evaluate --family fock --n 1 --alpha 2 --delta 1",
+    "overlap_fock_with_alpha": "overlap --family fock --n 1 --alpha 2 --steps 7",
+    "sweep_cat_with_n": f"sweep {CAT} --n 4 --axis eta --grid 0.5 1 3",
 }
 
 
