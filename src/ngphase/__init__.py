@@ -28,8 +28,8 @@ _HOME = {
     ), "fock"),
     **dict.fromkeys(("apply_loss_via_purification", "thin"), "loss"),
     **dict.fromkeys((
-        "Evaluation", "OperatingPoint", "OperatingPointSource", "UnsupportedProtocolError",
-        "delta_to_phi", "evaluate", "optimize_delta", "phi_to_delta", "sweep",
+        "Evaluation", "OperatingPoint", "UnsupportedProtocolError", "delta_to_phi",
+        "evaluate", "optimize_delta", "phi_to_delta", "sweep",
     ), "protocols"),
 }
 

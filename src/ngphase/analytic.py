@@ -48,9 +48,9 @@ class ProtocolParams:
     """One detection scenario.
 
     ``n`` applies to the Fock family, ``alpha`` to the cat family; ``photons``
-    is the mean photon number N at the phase object; ``p0``/``p_delta`` are
-    the prior probabilities of signal absence/presence (they enter only the
-    Helstrom reference bound).
+    is the mean photon number N at the phase object; ``p0`` is the prior
+    probability of signal absence, 1 - p0 that of its presence (they enter
+    only the Helstrom reference bound).
     """
 
     family: StateFamily
@@ -60,7 +60,6 @@ class ProtocolParams:
     eta: float = 1.0
     r: float = 0.0
     p0: float = 0.5
-    p_delta: float = 0.5
 
     def __post_init__(self):
         if self.family is StateFamily.FOCK:
@@ -81,10 +80,8 @@ class ProtocolParams:
                              f"is finite, got {self.r}")
         if not 0 < self.photons < math.inf:
             raise ValueError(f"photons must be finite and > 0, got {self.photons}")
-        if not (0.0 <= self.p0 <= 1.0 and 0.0 <= self.p_delta <= 1.0):
+        if not 0.0 <= self.p0 <= 1.0:
             raise ValueError("priors must lie in [0, 1]")
-        if abs(self.p0 + self.p_delta - 1.0) > PRIOR_ATOL:
-            raise ValueError(f"priors must sum to 1, got {self.p0 + self.p_delta}")
 
 
 @dataclass(frozen=True)
@@ -122,43 +119,35 @@ def laguerre(n: int, x: float) -> float:
     return cur
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Root of f in [lo, hi] by bisection; f(lo) and f(hi) must differ in sign."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
+def laguerre_first_root(n: int) -> float:
+    """Smallest positive root R_n of L_n; strictly decreasing in n.
+
+    A scan in steps of 1/n brackets the root by the first sign change, then
+    bisection narrows the bracket below a width of 1e-12 (at most 200 halvings).
+    """
+    if n < 1:
+        raise ValueError("L_0 has no roots")
+    step = 1.0 / n  # roots of L_n interlace below ~1/n scale
+    lo, flo = 0.0, 1.0  # L_n(0) = 1
+    hi = step
+    while True:
+        f = laguerre(n, hi)
+        if f == 0.0:
+            return hi
+        if flo * f < 0.0:
+            break
+        lo, flo = hi, f
+        hi += step
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0 or (hi - lo) < tol:
+        fmid = laguerre(n, mid)
+        if fmid == 0.0 or (hi - lo) < 1e-12:
             return mid
         if flo * fmid < 0.0:
             hi = mid
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
-
-
-def laguerre_first_root(n: int) -> float:
-    """Smallest positive root R_n of L_n; strictly decreasing in n."""
-    if n < 1:
-        raise ValueError("L_0 has no roots")
-    step = 1.0 / n  # roots of L_n interlace below ~1/n scale
-    x_prev, f_prev = 0.0, 1.0  # L_n(0) = 1
-    x = step
-    while True:
-        f = laguerre(n, x)
-        if f == 0.0:
-            return x
-        if f_prev * f < 0.0:
-            return bisect_root(lambda t: laguerre(n, t), x_prev, x, tol=1e-12)
-        x_prev, f_prev = x, f
-        x += step
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +233,12 @@ def threshold_phase(params: ProtocolParams) -> float:
     return target * math.exp(-params.r) / math.sqrt(params.eta * params.photons)
 
 
-def helstrom(p0: float, p_delta: float, overlap_sq: float) -> float:
-    """Minimum binary-discrimination error
-    (1/2)(1 - sqrt(1 - 4 p0 p_delta |<psi0|psi_delta>|^2))."""
-    arg = 1.0 - 4.0 * p0 * p_delta * overlap_sq
+def helstrom(p0: float, overlap_sq: float) -> float:
+    """Minimum error of discriminating two pure states with priors p0 and
+    1 - p0: (1/2)(1 - sqrt(1 - 4 p0 (1 - p0) |<psi0|psi_delta>|^2))."""
+    arg = 1.0 - 4.0 * p0 * (1.0 - p0) * overlap_sq
     if arg < -PRIOR_ATOL:
-        raise ValueError(f"inconsistent priors/overlap: 1 - 4 p0 pd s = {arg}")
+        raise ValueError(f"inconsistent prior/overlap: 1 - 4 p0 (1 - p0) s = {arg}")
     return 0.5 * (1.0 - math.sqrt(max(0.0, arg)))
 
 
@@ -264,8 +253,7 @@ def fock1_false_negative(delta: float, eta: float) -> float:
     return (eta * (1.0 - d2) ** 2 + (1.0 - eta) * d2) * math.exp(-d2)
 
 
-def fock1_error_rates(delta: float, eta: float,
-                      p0: float = 0.5, p_delta: float = 0.5) -> ErrorRates:
+def fock1_error_rates(delta: float, eta: float, p0: float = 0.5) -> ErrorRates:
     """Error rates of the single-photon counting strategy at displacement delta.
 
     A count of exactly one photon is read as "no signal".  The false-positive
@@ -278,7 +266,7 @@ def fock1_error_rates(delta: float, eta: float,
     return ErrorRates(
         p_fp=1.0 - eta,
         p_fn=fock1_false_negative(delta, eta),
-        helstrom=helstrom(p0, p_delta, s),
+        helstrom=helstrom(p0, s),
     )
 
 
@@ -334,8 +322,7 @@ def cat_false_positive_product_form(alpha: float, eta: float) -> float:
     ) / cat_norm(alpha)
 
 
-def cat_error_rates(alpha: float, delta: float, eta: float,
-                    p0: float = 0.5, p_delta: float = 0.5) -> ErrorRates:
+def cat_error_rates(alpha: float, delta: float, eta: float, p0: float = 0.5) -> ErrorRates:
     """Error rates of the even/odd counting strategy at displacement delta.
 
     An odd photon count is read as "signal".  The undisplaced cat is even, so
@@ -349,7 +336,7 @@ def cat_error_rates(alpha: float, delta: float, eta: float,
     return ErrorRates(
         p_fp=cat_false_positive_product_form(alpha, eta),
         p_fn=0.5 * (1.0 + p_delta_parity),
-        helstrom=helstrom(p0, p_delta, s),
+        helstrom=helstrom(p0, s),
     )
 
 

@@ -22,6 +22,7 @@ from . import analytic
 from .analytic import ProtocolParams, StateFamily
 from .limits import DEFAULT_TAIL_TOL, MAX_DIM, MAX_STEPS
 from .protocols import (
+    SWEEP_AXES,
     Evaluation,
     _cat_parity_minimum,
     _oracle_space,
@@ -129,15 +130,12 @@ def _check_steps(steps, flag: str, least: int) -> None:
 def _scenario(args) -> ProtocolParams:
     """The scenario the flags describe; --dim and --tail-tol are checked too."""
     family = StateFamily(args.family)
-    if family is StateFamily.FOCK:
-        n = 1 if args.n is None else args.n
-        params = ProtocolParams(family=family, photons=args.photons, n=n,
-                                eta=args.eta, r=args.r, p0=args.p0, p_delta=1.0 - args.p0)
-    else:
-        if args.alpha is None:
-            raise ValueError("--alpha is required for the cat family")
-        params = ProtocolParams(family=family, photons=args.photons, alpha=args.alpha,
-                                eta=args.eta, r=args.r, p0=args.p0, p_delta=1.0 - args.p0)
+    if family is StateFamily.CAT and args.alpha is None:
+        raise ValueError("--alpha is required for the cat family")
+    n = 1 if family is StateFamily.FOCK and args.n is None else args.n
+    # ProtocolParams refuses a flag of the other family
+    params = ProtocolParams(family=family, photons=args.photons, n=n, alpha=args.alpha,
+                            eta=args.eta, r=args.r, p0=args.p0)
     if args.dim is not None and not 2 <= args.dim <= MAX_DIM:
         raise ValueError(f"--dim must be in [2, {MAX_DIM}]")
     _check_tail_tol(args.tail_tol)
@@ -172,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="error rates along one parameter axis")
     _add_scenario_flags(p)
-    p.add_argument("--axis", choices=["alpha", "eta", "n", "delta", "r"], required=True)
+    p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     vals = p.add_mutually_exclusive_group(required=True)
     vals.add_argument("--values", help="comma-separated axis values")
     vals.add_argument("--grid", nargs=3, type=float, metavar=("MIN", "MAX", "STEPS"),
@@ -285,7 +283,8 @@ def _cmd_optimize(args) -> int:
     header = ["source", "phi0", "delta_detected"] + _RATE_HEADER
     if args.oracle:
         header += _NUMERIC_HEADER
-    row = [op.source.value, fmt(op.phi0), fmt(op.delta)] + _rate_cells(ev, args.oracle)
+    source = "analytic-threshold" if params.family is StateFamily.FOCK else "parity-minimized"
+    row = [source, fmt(op.phi0), fmt(op.delta)] + _rate_cells(ev, args.oracle)
     _write_rows(args.out, header, [row])
     return EXIT_OK
 

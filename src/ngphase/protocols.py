@@ -10,7 +10,6 @@ use them, so the closed-form route runs without numpy.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -30,11 +29,6 @@ class UnsupportedProtocolError(ValueError):
     """Requested combination has no analytic form (lossy Fock with n >= 2)."""
 
 
-class OperatingPointSource(enum.Enum):
-    ANALYTIC_THRESHOLD = "analytic-threshold"
-    PARITY_MINIMIZED = "parity-minimized"
-
-
 @dataclass(frozen=True)
 class OperatingPoint:
     """Chosen phase and the displacement the detector sees there.
@@ -45,7 +39,6 @@ class OperatingPoint:
 
     phi0: float
     delta: float
-    source: OperatingPointSource
 
 
 @dataclass(frozen=True)
@@ -178,23 +171,20 @@ def _numeric_rates(points, space: FockSpace) -> list[ErrorRates]:
             # an odd count reads "signal"
             p_fp, p_fn = 0.5 * (1.0 - quiet), 0.5 * (1.0 + signal)
         rates.append(ErrorRates(p_fp=_clamped(p_fp, "p_fp"), p_fn=_clamped(p_fn, "p_fn"),
-                                helstrom=analytic.helstrom(params.p0, params.p_delta,
-                                                           min(abs(o) ** 2, 1.0))))
+                                helstrom=analytic.helstrom(params.p0, min(abs(o) ** 2, 1.0))))
     return rates
 
 
 def _analytic_rates(params: ProtocolParams, delta: float) -> ErrorRates | None:
     """Closed-form rates, or None where no closed form exists."""
     if params.family is StateFamily.CAT:
-        return analytic.cat_error_rates(
-            params.alpha, delta, params.eta, params.p0, params.p_delta
-        )
+        return analytic.cat_error_rates(params.alpha, delta, params.eta, params.p0)
     if params.n == 1:
-        return analytic.fock1_error_rates(delta, params.eta, params.p0, params.p_delta)
+        return analytic.fock1_error_rates(delta, params.eta, params.p0)
     if params.eta == 1.0:
         # Lossless n-photon counting: orthogonality drives both errors.
         s = analytic.fock_overlap(params.n, delta) ** 2
-        return ErrorRates(p_fp=0.0, p_fn=s, helstrom=analytic.helstrom(params.p0, params.p_delta, s))
+        return ErrorRates(p_fp=0.0, p_fn=s, helstrom=analytic.helstrom(params.p0, s))
     return None
 
 
@@ -361,17 +351,15 @@ def optimize_delta(params: ProtocolParams) -> OperatingPoint:
                 f"no lossy operating-point formula for Fock n={params.n}"
             )
         delta_detected = math.sqrt(analytic.laguerre_first_root(params.n))
-        source = OperatingPointSource.ANALYTIC_THRESHOLD
     else:
         delta_detected, _ = _cat_parity_minimum(params.alpha, params.eta)
-        source = OperatingPointSource.PARITY_MINIMIZED
     eta_photons = params.eta * params.photons
     phi0 = (delta_detected / (math.sqrt(eta_photons) * math.exp(params.r))
             if eta_photons >= sys.float_info.min else 0.0)
     if not sys.float_info.min <= phi0 < math.inf:
         raise ValueError(f"eta {params.eta!r}, photons {params.photons!r} and r {params.r!r} "
                          f"put the operating phase phi0 out of float range")
-    return OperatingPoint(phi0=phi0, delta=delta_detected, source=source)
+    return OperatingPoint(phi0=phi0, delta=delta_detected)
 
 
 SWEEP_AXES = ("alpha", "eta", "n", "delta", "r")

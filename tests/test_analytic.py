@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import eval_laguerre
 
 from ngphase.analytic import (
@@ -18,7 +19,6 @@ from ngphase.analytic import (
     ProtocolParams,
     StateFamily,
     baseline_phase_errors,
-    bisect_root,
     cat_error_rates,
     cat_false_positive_product_form,
     cat_norm,
@@ -72,10 +72,11 @@ def test_params_accept_largest_cat_amplitudes():
         ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=alpha)
 
 
-def test_params_priors_must_sum_to_one():
-    with pytest.raises(ValueError):
-        ProtocolParams(family=StateFamily.FOCK, photons=1e6, n=1, p0=0.6, p_delta=0.5)
-    ProtocolParams(family=StateFamily.FOCK, photons=1e6, n=1, p0=0.3, p_delta=0.7)
+def test_params_prior_must_lie_in_the_unit_interval():
+    for p0 in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError, match="priors"):
+            ProtocolParams(family=StateFamily.FOCK, photons=1e6, n=1, p0=p0)
+    ProtocolParams(family=StateFamily.FOCK, photons=1e6, n=1, p0=0.3)
 
 
 def test_error_rates_ranges():
@@ -196,11 +197,11 @@ def test_cat_overlap_zero_direct_value():
 
 
 def test_cat_overlap_zero_against_root_finding():
-    # oracle: bisect the overlap formula itself around the claimed zero
+    # oracle: scipy's Brent root of the overlap formula itself around the claimed zero
     for alpha in (1.0, 1.5, 2.5):
         zero = cat_overlap_zero(alpha, 0)
-        found = bisect_root(lambda d: cat_overlap(alpha, d),
-                            0.5 * zero, zero + 0.4 / alpha, tol=1e-13)
+        found = brentq(lambda d: cat_overlap(alpha, d), 0.5 * zero, zero + 0.4 / alpha,
+                       xtol=1e-13)
         assert found == pytest.approx(zero, abs=1e-10)
 
 
@@ -256,20 +257,20 @@ def test_snl_to_threshold_ratio():
 
 
 def test_helstrom_orthogonal_states():
-    assert helstrom(0.5, 0.5, 0.0) == 0.0
+    assert helstrom(0.5, 0.0) == 0.0
 
 
 def test_helstrom_identical_states():
-    assert helstrom(0.5, 0.5, 1.0) == pytest.approx(0.5, abs=1e-15)
+    assert helstrom(0.5, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_helstrom_half_overlap():
-    assert helstrom(0.5, 0.5, 0.5) == pytest.approx(HALF_OVERLAP_HELSTROM, abs=1e-15)
+    assert helstrom(0.5, 0.5) == pytest.approx(HALF_OVERLAP_HELSTROM, abs=1e-15)
 
 
 def test_helstrom_rejects_inconsistent_inputs():
     with pytest.raises(ValueError):
-        helstrom(0.5, 0.5, 1.0 + 1e-9)
+        helstrom(0.5, 1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------

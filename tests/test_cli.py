@@ -177,6 +177,41 @@ def test_optimize_cat(capsys):
     assert float(row["p_fn"]) == pytest.approx(0.126, abs=0.01)
 
 
+@pytest.mark.parametrize("family, source", [
+    (("--family", "fock", "--n", "1", "--eta", "0.9"), "analytic-threshold"),
+    (("--family", "fock", "--n", "3"), "analytic-threshold"),
+    (("--family", "cat", "--alpha", "2", "--eta", "0.9"), "parity-minimized"),
+    (("--family", "cat", "--alpha", "0.5"), "parity-minimized"),
+])
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)])
+def test_optimize_source_column_names_the_family_rule(capsys, family, source, oracle):
+    code, out, _ = run_cli(capsys, "optimize", *family, *oracle)
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header[0] == "source"
+    assert [row[0] for row in rows] == [source]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("evaluate", "--family", "cat", "--alpha", "2", "--n", "5", "--delta", "1"), "n"),
+    (("evaluate", "--family", "fock", "--n", "1", "--alpha", "2", "--delta", "1"), "alpha"),
+    (("optimize", "--family", "cat", "--alpha", "2", "--n", "1"), "n"),
+    (("optimize", "--family", "fock", "--alpha", "2"), "alpha"),
+    (("overlap", "--family", "fock", "--n", "1", "--alpha", "2"), "alpha"),
+    (("overlap", "--family", "cat", "--alpha", "2", "--n", "1"), "n"),
+    (("sweep", "--family", "cat", "--alpha", "2", "--n", "4", "--axis", "eta",
+      "--grid", "0.5", "1", "3"), "n"),
+    (("sweep", "--family", "fock", "--alpha", "2", "--axis", "delta", "--values", "1"),
+     "alpha"),
+])
+def test_cross_family_flags_are_validation_errors(capsys, argv, field):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"ngphase: invalid request: {field} is a " \
+                  f"{'Fock' if field == 'n' else 'cat'}-family field\n"
+
+
 def test_sweep_values_and_grid(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--family", "cat", "--alpha", "2",
                            "--axis", "eta", "--values", "0.9,1.0")

@@ -112,7 +112,7 @@ COMMANDS = {
                              "--values 0.803733,0.812568,0.831163,0.839883,0.851906,0.859048,"
                              "0.877558,0.887615,0.892213,0.905369,0.920118,0.931276,"
                              "0.944553,0.951174,0.966095,0.975908 --oracle",
-    # a flag of the other probe family
+    # a flag of the other probe family is a validation error
     "evaluate_cat_with_n": "evaluate --family cat --alpha 2 --n 5 --delta 1",
     "evaluate_fock_with_alpha": "evaluate --family fock --n 1 --alpha 2 --delta 1",
     "overlap_fock_with_alpha": "overlap --family fock --n 1 --alpha 2 --steps 7",

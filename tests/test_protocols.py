@@ -14,7 +14,6 @@ from ngphase import analytic, protocols
 from ngphase.analytic import ProtocolParams, StateFamily, cat_overlap_zero, cat_parity
 from ngphase.fock import recommend_dim
 from ngphase.protocols import (
-    OperatingPointSource,
     OracleRangeError,
     SweepPointError,
     UnsupportedProtocolError,
@@ -104,7 +103,6 @@ def test_optimize_fock_lossy():
     op = optimize_delta(params)
     assert op.delta == pytest.approx(1.0, abs=1e-12)
     assert op.phi0 == pytest.approx(1.0 / math.sqrt(0.9e6), rel=1e-12)
-    assert op.source is OperatingPointSource.ANALYTIC_THRESHOLD
 
 
 def test_operating_point_relation():
@@ -122,7 +120,6 @@ def test_optimize_cat_against_grid_scan():
     op = optimize_delta(params)
     grid = np.linspace(1e-4, math.pi / 4.0, 20001)
     best = grid[int(np.argmin([cat_parity(2.0, d, 1.0) for d in grid]))]
-    assert op.source is OperatingPointSource.PARITY_MINIMIZED
     assert abs(op.delta - best) < 1e-4
     assert abs(op.delta - 0.371) < 0.005
     ev = evaluate(params, op.phi0)
