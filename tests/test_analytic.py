@@ -264,6 +264,12 @@ def test_helstrom_identical_states():
     assert helstrom(0.5, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("p0", [0.0, 0.1, 0.3, 0.7, 1.0])
+def test_helstrom_identical_states_err_with_the_smaller_prior(p0):
+    # indistinguishable states: guess the likelier hypothesis, err with the other prior
+    assert helstrom(p0, 1.0) == pytest.approx(min(p0, 1.0 - p0), abs=1e-15)
+
+
 def test_helstrom_half_overlap():
     assert helstrom(0.5, 0.5) == pytest.approx(HALF_OVERLAP_HELSTROM, abs=1e-15)
 

@@ -179,9 +179,7 @@ def test_optimize_cat(capsys):
 
 @pytest.mark.parametrize("family, source", [
     (("--family", "fock", "--n", "1", "--eta", "0.9"), "analytic-threshold"),
-    (("--family", "fock", "--n", "3"), "analytic-threshold"),
     (("--family", "cat", "--alpha", "2", "--eta", "0.9"), "parity-minimized"),
-    (("--family", "cat", "--alpha", "0.5"), "parity-minimized"),
 ])
 @pytest.mark.parametrize("oracle", [(), ("--oracle",)])
 def test_optimize_source_column_names_the_family_rule(capsys, family, source, oracle):
