@@ -15,8 +15,11 @@ the same commit and names each moved command in CHANGES.md:
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
+import math
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -117,7 +120,21 @@ COMMANDS = {
     "evaluate_fock_with_alpha": "evaluate --family fock --n 1 --alpha 2 --delta 1",
     "overlap_fock_with_alpha": "overlap --family fock --n 1 --alpha 2 --steps 7",
     "sweep_cat_with_n": f"sweep {CAT} --n 4 --axis eta --grid 0.5 1 3",
+    # a sweep axis of the other probe family
+    "sweep_fock_alpha_axis": "sweep --family fock --axis alpha --values 1,2",
+    "sweep_cat_n_axis": "sweep --family cat --alpha 2 --axis n --values 1,2",
+    # every check's status and discrepancy
+    "verify_full": "verify --grid full",
+    "verify_small": "verify --grid small",
 }
+
+# What stands in for the last (``seconds``) cell of each ``verify`` report row.
+MASK = "<seconds>"
+
+
+def _masked_seconds(stdout: str) -> str:
+    header, *rows = stdout.splitlines(keepends=True)
+    return header + "".join(row.rsplit(",", 1)[0] + f",{MASK}\n" for row in rows)
 
 
 def run(argv: list[str]) -> str:
@@ -125,8 +142,15 @@ def run(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    stdout = _masked_seconds(out.getvalue()) if argv[0] == "verify" else out.getvalue()
     return f"# ngphase {shlex.join(argv)}\n# exit {code}\n# stderr {err.getvalue()!r}\n" \
-           + out.getvalue()
+           + stdout
+
+
+@functools.cache
+def _output(name: str) -> str:
+    """The corpus text ``COMMANDS[name]`` gives now, run once per session."""
+    return run(shlex.split(COMMANDS[name]))
 
 
 def test_corpus_holds_exactly_the_listed_commands():
@@ -136,7 +160,56 @@ def test_corpus_holds_exactly_the_listed_commands():
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_command_prints_its_corpus_bytes(name):
     expected = (CORPUS / f"{name}.txt").read_text(encoding="utf-8")
-    assert run(shlex.split(COMMANDS[name])) == expected
+    assert _output(name) == expected
+
+
+# ---------------------------------------------------------------------------
+# the Helstrom floor
+
+RATE_TRIPLES = (("p_fp", "p_fn", "helstrom"),
+                ("p_fp_numeric", "p_fn_numeric", "helstrom_numeric"))
+# Relative slack of the floor: a few ulps of the rounding in the three cells.
+FLOOR_ULPS = 4
+
+
+def _prior(name: str) -> float:
+    argv = shlex.split(COMMANDS[name])
+    return float(argv[argv.index("--p0") + 1]) if "--p0" in argv else 0.5
+
+
+def _rate_triples(text: str) -> list[tuple[float, float, float]]:
+    """Every (p_fp, p_fn, helstrom) a corpus text prints, analytic and
+    numeric; a triple with a nan cell (no closed form) holds no number."""
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    if not lines:
+        return []
+    header = lines[0].split(",")
+    triples = []
+    for columns in RATE_TRIPLES:
+        if set(columns) <= set(header):
+            at = [header.index(column) for column in columns]
+            for line in lines[1:]:
+                cells = line.split(",")
+                triples.append(tuple(float(cells[i]) for i in at))
+    return [t for t in triples if not any(math.isnan(x) for x in t)]
+
+
+FLOORED = sorted(name for name in COMMANDS
+                 if _rate_triples((CORPUS / f"{name}.txt").read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("name", FLOORED)
+def test_printed_error_never_beats_the_helstrom_floor(name):
+    """Loss followed by photon counting is one measurement on the lossless
+    pair of states, so its error p0 p_fp + (1 - p0) p_fn is never below the
+    least error of any measurement, the Helstrom bound (Helstrom, Quantum
+    Detection and Estimation Theory, 1976).  At delta = 0 the two meet."""
+    p0 = _prior(name)
+    triples = _rate_triples(_output(name))
+    assert triples
+    slack = 1.0 - FLOOR_ULPS * sys.float_info.epsilon
+    for p_fp, p_fn, helstrom in triples:
+        assert p0 * p_fp + (1.0 - p0) * p_fn >= helstrom * slack, (p_fp, p_fn, helstrom)
 
 
 if __name__ == "__main__":
