@@ -364,6 +364,9 @@ def optimize_delta(params: ProtocolParams) -> OperatingPoint:
 
 SWEEP_AXES = ("alpha", "eta", "n", "delta", "r")
 
+# Axes that only one probe family has, with the family's word for the field.
+_FAMILY_AXES = {"alpha": (StateFamily.CAT, "cat"), "n": (StateFamily.FOCK, "Fock")}
+
 
 class SweepPointError(RuntimeError):
     """Failure at one sweep point, tagged with its index."""
@@ -398,10 +401,16 @@ def sweep(params: ProtocolParams, axis: str, values, *, with_oracle: bool = Fals
     along every other axis the operating point is re-optimized per point.
     Every point is checked first (its parameters, its operating point and its
     closed form); then the oracle runs once over all of them on one basis, as
-    ``evaluate`` runs it for one point.  ``dim`` sets that basis.
+    ``evaluate`` runs it for one point.  ``dim`` sets that basis.  An axis
+    of the other probe family (``alpha`` for Fock, ``n`` for cat) is a
+    ValueError before any point is read.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    family, word = _FAMILY_AXES.get(axis, (params.family, ""))
+    if family is not params.family:
+        raise ValueError(f"{axis} is a {word}-family field; a {params.family.value} sweep "
+                         f"has no {axis} axis")
     points = []
     for index, value in enumerate(values):
         try:

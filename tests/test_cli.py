@@ -211,6 +211,17 @@ def test_cross_family_flags_are_validation_errors(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("sweep", "--family", "fock", "--axis", "alpha", "--values", "1,2"),
+     "ngphase: invalid request: alpha is a cat-family field; a fock sweep has no alpha "
+     "axis\n"),
+    (("sweep", "--family", "cat", "--alpha", "2", "--axis", "n", "--values", "1,2"),
+     "ngphase: invalid request: n is a Fock-family field; a cat sweep has no n axis\n"),
+])
+def test_sweep_axis_of_the_other_family_is_refused_before_any_point(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", message)
+
+
 def test_sweep_values_and_grid(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--family", "cat", "--alpha", "2",
                            "--axis", "eta", "--values", "0.9,1.0")

@@ -460,6 +460,16 @@ def test_sweep_rejects_unknown_axis():
         sweep(params, "gamma", (1.0,))
 
 
+@pytest.mark.parametrize("params, axis", [(FOCK1, "alpha"), (CAT2, "n")])
+def test_sweep_refuses_an_axis_of_the_other_family_before_any_point(params, axis):
+    # no point is at fault, so the error is no SweepPointError; an empty
+    # sweep is refused too
+    for values in ((1.0, 2.0), ()):
+        with pytest.raises(ValueError, match=f"has no {axis} axis") as err:
+            sweep(ProtocolParams(**params), axis, values)
+        assert not isinstance(err.value, SweepPointError)
+
+
 def test_helstrom_zero_iff_orthogonal():
     from ngphase.analytic import threshold_phase
 
