@@ -340,15 +340,17 @@ def cat_error_rates(alpha: float, delta: float, eta: float, p0: float = 0.5) -> 
     )
 
 
-def cat_pn(alpha: float, delta: float, eta: float, n: int) -> float:
-    """Photon-number probability of the displaced lossy cat.
+def cat_pn(alpha: float, delta: float, eta: float, levels: int) -> list[float]:
+    """Photon-number distribution p_0 .. p_{levels-1} of the displaced lossy cat.
 
     p_n = (2 e^{-a'^2-d'^2} / (K n!)) [ (a'^2+d'^2)^n
           + e^{-2(1-eta) a^2} Re{ e^{2i a'd'} (-(a'+i d')^2)^n } ].
-    Evaluated in log space so large n does not overflow the factorial.
+    Each entry is evaluated in log space, so large n does not overflow the
+    factorial; the n-free factors (a', d', their log-modulus and phase, the
+    damping and K) are computed once for all levels.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    if not levels >= 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not 0.0 < eta <= 1.0:
@@ -357,15 +359,18 @@ def cat_pn(alpha: float, delta: float, eta: float, n: int) -> float:
     delta_p = math.sqrt(eta) * delta
     lam = alpha_p * alpha_p + delta_p * delta_p
     if lam == 0.0:
-        envelope = 1.0 if n == 0 else 0.0
+        envelopes = [1.0] + [0.0] * (levels - 1)
     else:
-        envelope = math.exp(n * math.log(lam) - lam - math.lgamma(n + 1))
-    if envelope == 0.0:
-        return 0.0
+        log_lam = math.log(lam)
+        envelopes = [math.exp(n * log_lam - lam - math.lgamma(n + 1)) for n in range(levels)]
+    scale = 2.0 / cat_norm(alpha)
     damping = math.exp(-2.0 * (1.0 - eta) * alpha * alpha)
     # -(a'+id')^2 has modulus lam; only its phase survives in the ratio.
-    angle = 2.0 * alpha_p * delta_p + n * (math.pi + 2.0 * math.atan2(delta_p, alpha_p))
-    return (2.0 / cat_norm(alpha)) * envelope * (1.0 + damping * math.cos(angle))
+    shift = 2.0 * alpha_p * delta_p
+    turn = math.pi + 2.0 * math.atan2(delta_p, alpha_p)
+    return [0.0 if envelope == 0.0
+            else scale * envelope * (1.0 + damping * math.cos(shift + n * turn))
+            for n, envelope in enumerate(envelopes)]
 
 
 # ---------------------------------------------------------------------------

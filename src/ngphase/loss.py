@@ -158,28 +158,35 @@ def _beamsplitter_eigenbasis(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], .
     return tuple(sectors)
 
 
-def apply_loss_via_purification(state: np.ndarray, eta: float) -> np.ndarray:
+def apply_loss_via_purification(state: np.ndarray, eta) -> np.ndarray:
     """Density matrix of ``state``, an amplitude vector, after loss of
     efficiency ``eta``: couple it to a vacuum bath with a beamsplitter
     unitary, then trace the bath out.
 
-    Exact on the truncated space because the beamsplitter conserves total
-    photon number; intended for cross-validation at small dimensions.  Each
+    ``eta`` is one efficiency, or a sequence of them; a sequence gives a
+    stack of density matrices, one per efficiency, in its order.  Exact on
+    the truncated space because the beamsplitter conserves total photon
+    number; intended for cross-validation at small dimensions.  Each
     amplitude psi_n of |n>|0> is evolved inside its own sector N = n, in that
-    sector's eigenbasis, so no d^2-dimensional operator is ever formed.  An
-    efficiency outside (0, 1] or a state that is not a vector of 1 to
-    MAX_DIM amplitudes is a ValueError.
+    sector's eigenbasis, once for all efficiencies (sectors with a zero
+    amplitude are skipped), so no d^2-dimensional operator is ever formed.  An efficiency outside (0, 1] or a state that is
+    not a vector of 1 to MAX_DIM amplitudes is a ValueError.
     """
     _check_eta(eta)
     state = np.asarray(state)
     if not (state.ndim == 1 and 1 <= len(state) <= MAX_DIM):
         raise ValueError(f"state has shape {state.shape}, expected 1 to {MAX_DIM} amplitudes")
     d = len(state)
-    theta = math.acos(math.sqrt(eta))
-    psi = np.zeros((d, d), dtype=complex)  # psi[k, m]: signal k, bath m
+    # scalar angles, as math takes them
+    theta = np.array([math.acos(math.sqrt(e)) for e in np.ravel(eta)])
+    psi = np.zeros((len(theta), d, d), dtype=complex)  # psi[j, k, m]: eta j, signal k, bath m
     for n, (lam, vec) in enumerate(_beamsplitter_eigenbasis(d)):
+        if state[n] == 0:
+            continue  # an empty sector stays zero
         k = np.arange(n + 1)
         # |n>|0> is the sector's last basis vector, so V† e_last = conj(V[-1])
-        psi[k, n - k] = vec @ (np.exp(-1j * theta * lam) * vec[-1].conj()) * state[n]
-    rho = psi @ psi.conj().T
-    return 0.5 * (rho + rho.conj().T)
+        evolved = np.exp(-1j * np.multiply.outer(theta, lam)) * vec[-1].conj()
+        psi[:, k, n - k] = evolved @ vec.T * state[n]
+    rho = psi @ psi.conj().transpose(0, 2, 1)
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    return rho[0] if np.ndim(eta) == 0 else rho

@@ -8,6 +8,7 @@ tests both run through this registry.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -101,9 +102,35 @@ def _space_for(alpha: float, delta: float) -> FockSpace:
     return FockSpace(recommend_dim(alpha, delta))
 
 
-def _self_overlap(space: FockSpace, probe: np.ndarray, delta: float) -> complex:
-    """<probe|D(delta) probe>, read off the displaced row as the oracle reads it."""
-    return complex(np.vdot(probe, displace(space, probe, [delta])[0]))
+def _displaced(points) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(probe, D(delta) probe) for each point (space, probe, delta), where
+    ``probe(space)`` builds the state: one ``displace`` per distinct space,
+    over all of its points' states and deltas.  In input order."""
+    members: dict[FockSpace, list[int]] = {}
+    for i, (space, _, _) in enumerate(points):
+        members.setdefault(space, []).append(i)
+    out = [None] * len(points)
+    for space, indices in members.items():
+        probes = [points[i][1](space) for i in indices]
+        rows = displace(space, probes[0] if len(probes) == 1 else np.array(probes),
+                        [points[i][2] for i in indices])
+        for i, probe, row in zip(indices, probes, rows):
+            out[i] = probe, row
+    return out
+
+
+def _self_overlaps(points) -> list[complex]:
+    """<probe|D(delta) probe> for each point of ``_displaced``, read off the
+    displaced row as the oracle reads it."""
+    return [complex(np.vdot(probe, row)) for probe, row in _displaced(points)]
+
+
+def _fock(n: int):
+    return functools.partial(fock_state, n=n)
+
+
+def _cat(alpha: float):
+    return functools.partial(cat_state, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +141,11 @@ def _self_overlap(space: FockSpace, probe: np.ndarray, delta: float) -> complex:
 def _fock_orthogonality(grid: str) -> float:
     """|<n|D(sqrt(R_n))|n>| vanishes at the first Laguerre root."""
     top = 4 if grid == "small" else 10
-    worst = 0.0
+    points = []
     for n in range(1, top + 1):
         delta = math.sqrt(analytic.laguerre_first_root(n))
-        space = _space_for(math.sqrt(n), delta)
-        worst = max(worst, abs(_self_overlap(space, fock_state(space, n), delta)))
-    return worst
+        points.append((_space_for(math.sqrt(n), delta), _fock(n), delta))
+    return max(abs(o) for o in _self_overlaps(points))
 
 
 @_check("fock1_operating_point_analytic", 1e-12)
@@ -138,13 +164,17 @@ def _fock1_point_numeric(grid: str) -> float:
     """The oracle's rates (``protocols._numeric_rates``: thinned photon
     statistics, read as the detector reads them) reproduce the closed-form
     rates."""
-    worst = 0.0
+    points: dict[FockSpace, list] = {}
     for eta in (0.8, 0.9, 0.98):
         delta = 1.0 / math.sqrt(eta)
         params = ProtocolParams(family=StateFamily.FOCK, photons=1e6, n=1, eta=eta)
-        (rates,) = _numeric_rates([(params, delta)], _space_for(1.0, delta))
-        worst = max(worst, abs(rates.p_fp - (1.0 - eta)),
-                    abs(rates.p_fn - (1.0 - eta) / math.e))
+        points.setdefault(_space_for(1.0, delta), []).append((params, delta))
+    worst = 0.0
+    for space, on_space in points.items():
+        for (params, _), rates in zip(on_space, _numeric_rates(on_space, space)):
+            eta = params.eta
+            worst = max(worst, abs(rates.p_fp - (1.0 - eta)),
+                        abs(rates.p_fn - (1.0 - eta) / math.e))
     return worst
 
 
@@ -160,13 +190,12 @@ def _cat_zeros_analytic(grid: str) -> float:
 
 @_check("cat_overlap_zeros_numeric", 1e-8)
 def _cat_zeros_numeric(grid: str) -> float:
-    worst = 0.0
+    points = []
     for alpha in (1.5, 2.0, 3.0):
         for k in (0, 1):
             delta = analytic.cat_overlap_zero(alpha, k)
-            space = _space_for(alpha, delta)
-            worst = max(worst, abs(_self_overlap(space, cat_state(space, alpha), delta)))
-    return worst
+            points.append((_space_for(alpha, delta), _cat(alpha), delta))
+    return max(abs(o) for o in _self_overlaps(points))
 
 
 @_check("lossy_cat_statistics", 1e-8)
@@ -175,19 +204,20 @@ def _lossy_cat_statistics(grid: str) -> float:
     oracle's readout) of the displaced cat against their closed forms."""
     alphas = (1.0, 3.0) if grid == "small" else (1.0, 2.0, 3.0)
     deltas = (0.4,) if grid == "small" else (0.1, 0.4, 0.8)
+    etas = _etas(grid)
+    cases = [(alpha, delta) for alpha in alphas for delta in deltas]
+    displaced = _displaced([(_space_for(alpha, delta), _cat(alpha), delta)
+                            for alpha, delta in cases])
     worst = 0.0
-    for alpha in alphas:
-        for delta in deltas:
-            space = _space_for(alpha, delta)
-            p = np.abs(displace(space, cat_state(space, alpha), [delta])[0]) ** 2
-            for eta in _etas(grid):
-                q = thin(p, eta)
-                closed = np.array([analytic.cat_pn(alpha, delta, eta, n)
-                                   for n in range(space.dim)])
-                worst = max(worst,
-                            abs(float(parity_signs(space.dim) @ q)
-                                - analytic.cat_parity(alpha, delta, eta)),
-                            float(np.max(np.abs(q - closed))))
+    for (alpha, delta), (_, shifted) in zip(cases, displaced):
+        p = np.abs(shifted) ** 2
+        # one row per eta, thinned and closed-form
+        q = thin([p] * len(etas), etas)
+        closed = np.array([analytic.cat_pn(alpha, delta, eta, len(p)) for eta in etas])
+        signs = parity_signs(len(p))
+        worst = max(worst, float(np.max(np.abs(q - closed))),
+                    *(abs(float(signs @ q_eta) - analytic.cat_parity(alpha, delta, eta))
+                      for eta, q_eta in zip(etas, q)))
     return worst
 
 
@@ -209,17 +239,24 @@ def _fp_product_identity(grid: str) -> float:
 @_check("squeeze_displacement_sandwich", 1e-8)
 def _squeeze_sandwich(grid: str) -> float:
     """S(r)† D(delta) S(r) = D(delta e^r) on |0>..|3>: squeezing scales the signal by e^r."""
-    deltas = np.array([0.05, 0.5, 1.0])
+    deltas = (0.05, 0.5, 1.0)
+    squeezes = (0.25, 0.5)
     worst = 0.0
     for dim in (96, 128):
         space = FockSpace(dim)
-        for r in (0.25, 0.5):
-            s_mat = squeeze(space, r)
-            for n in range(4):
-                # rows of S† D(delta) S|n>, as (S† v)^T = v^T conj(S)
-                lhs = displace(space, s_mat[:, n], deltas) @ s_mat.conj()
-                rhs = displace(space, fock_state(space, n), deltas * math.exp(r))
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        mats = [squeeze(space, r) for r in squeezes]
+        # one row per (r, n, delta): D(delta) S|n>, then D(delta e^r)|n>
+        cases = [(r, s_mat, n, delta) for r, s_mat in zip(squeezes, mats)
+                 for n in range(4) for delta in deltas]
+        rows = displace(space,
+                        [s_mat[:, n] for _, s_mat, n, _ in cases]
+                        + [fock_state(space, n) for _, _, n, _ in cases],
+                        [delta for *_, delta in cases]
+                        + [delta * math.exp(r) for r, _, _, delta in cases])
+        sides = [np.split(side, len(squeezes)) for side in np.split(rows, 2)]
+        for s_mat, squeezed, plain in zip(mats, *sides):
+            # rows of S† D(delta) S|n>, as (S† v)^T = v^T conj(S)
+            worst = max(worst, float(np.max(np.abs(squeezed @ s_mat.conj() - plain))))
     return worst
 
 
@@ -227,24 +264,19 @@ def _squeeze_sandwich(grid: str) -> float:
 def _fock_overlap_grid(grid: str) -> float:
     """<n|D(delta)|n> against L_n(delta^2) exp(-delta^2/2) for n <= 10."""
     top = 4 if grid == "small" else 10
-    worst = 0.0
-    for delta in (0.1, 0.5, 1.0, 2.0):
-        space = _space_for(math.sqrt(top), delta)
-        for n in range(top + 1):
-            numeric = _self_overlap(space, fock_state(space, n), delta)
-            worst = max(worst, abs(numeric - analytic.fock_overlap(n, delta)))
-    return worst
+    cases = [(n, delta) for delta in (0.1, 0.5, 1.0, 2.0) for n in range(top + 1)]
+    spaces = {delta: _space_for(math.sqrt(top), delta) for _, delta in cases}
+    numeric = _self_overlaps([(spaces[delta], _fock(n), delta) for n, delta in cases])
+    return max(abs(o - analytic.fock_overlap(n, delta)) for o, (n, delta) in zip(numeric, cases))
 
 
 @_check("cat_overlap_formula", 1e-8)
 def _cat_overlap_formula(grid: str) -> float:
-    worst = 0.0
-    for alpha in (1.0, 1.5, 3.0):
-        for delta in (0.1, 0.3, 1.0, 2.0):
-            space = _space_for(alpha, delta)
-            numeric = _self_overlap(space, cat_state(space, alpha), delta)
-            worst = max(worst, abs(numeric - analytic.cat_overlap(alpha, delta)))
-    return worst
+    cases = [(alpha, delta) for alpha in (1.0, 1.5, 3.0) for delta in (0.1, 0.3, 1.0, 2.0)]
+    numeric = _self_overlaps([(_space_for(alpha, delta), _cat(alpha), delta)
+                              for alpha, delta in cases])
+    return max(abs(o - analytic.cat_overlap(alpha, delta))
+               for o, (alpha, delta) in zip(numeric, cases))
 
 
 @_check("loss_composition", 1e-8)
@@ -252,12 +284,12 @@ def _loss_composition(grid: str) -> float:
     """Thinning at eta1 after thinning at eta2 equals thinning at eta1 * eta2."""
     space = _space_for(1.5, 0.5)
     p = np.abs(displace(space, cat_state(space, 1.5), [0.5])[0]) ** 2
-    worst = 0.0
-    for eta1, eta2 in ((0.9, 0.8), (0.95, 0.5)):
-        seq = thin(thin(p, eta2), eta1)
-        direct = thin(p, eta1 * eta2)
-        worst = max(worst, float(np.max(np.abs(seq - direct))))
-    return worst
+    pairs = ((0.9, 0.8), (0.95, 0.5))
+    # p thinned at each eta2 and at each eta1 * eta2, then the first at eta1
+    once = thin([p] * 2 * len(pairs), [eta2 for _, eta2 in pairs]
+                + [eta1 * eta2 for eta1, eta2 in pairs])
+    seq = thin(once[:len(pairs)], [eta1 for eta1, _ in pairs])
+    return float(np.max(np.abs(seq - once[len(pairs):])))
 
 
 @_check("loss_thinning_vs_purification", 1e-9)
@@ -267,12 +299,13 @@ def _thinning_purification(grid: str) -> float:
     space = FockSpace(24)
     states = (fock_state(space, 2), cat_state(space, 1.0),
               displace(space, cat_state(space, 1.0), [0.6])[0])
+    etas = [0.5, 0.9, 0.98]
+    # thinned[j, i]: state i at eta j; purified[j]: one state at eta j
+    thinned = thin([np.abs(np.stack(states)) ** 2] * len(etas), etas)
     worst = 0.0
-    for eta in (0.5, 0.9, 0.98):
-        thinned = thin(np.abs(np.stack(states)) ** 2, eta)
-        for q, state in zip(thinned, states):
-            purified = np.diagonal(apply_loss_via_purification(state, eta)).real
-            worst = max(worst, float(np.max(np.abs(q - purified))))
+    for i, state in enumerate(states):
+        purified = np.diagonal(apply_loss_via_purification(state, etas), axis1=1, axis2=2).real
+        worst = max(worst, float(np.max(np.abs(thinned[:, i] - purified))))
     return worst
 
 
@@ -291,11 +324,12 @@ def _fock1_stationarity(grid: str) -> float:
 @_check("parity_bounds", 1e-12)
 def _parity_bounds(grid: str) -> float:
     """|P_delta| never exceeds 1."""
+    deltas = [float(delta) for delta in np.linspace(0.0, 2.0, 21)]
     worst = 0.0
     for alpha in (0.5, 1.0, 2.0, 3.0):
         for eta in _etas(grid):
-            for delta in np.linspace(0.0, 2.0, 21):
-                worst = max(worst, abs(analytic.cat_parity(alpha, float(delta), eta)) - 1.0)
+            for delta in deltas:
+                worst = max(worst, abs(analytic.cat_parity(alpha, delta, eta)) - 1.0)
     return max(0.0, worst)
 
 

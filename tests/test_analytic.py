@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import eval_laguerre
@@ -37,7 +37,9 @@ from ngphase.analytic import (
     threshold_phase,
 )
 from ngphase.fock import FockSpace, cat_state, displace, fock_state, parity_signs, recommend_dim
+from ngphase.limits import MAX_DIM
 from ngphase.loss import thin
+from reference_cat_pn import scalar_cat_pn
 from reference_search import golden_section_minimize
 
 L2_FIRST_ROOT = 0.58578643762690495  # 2 - sqrt(2)
@@ -427,22 +429,51 @@ def test_cat_parity_bounded(alpha, delta, eta):
 
 def test_cat_pn_sums_to_one():
     alpha, delta, eta = 1.5, 0.4, 0.9
-    total = sum(cat_pn(alpha, delta, eta, n) for n in range(81))
+    total = sum(cat_pn(alpha, delta, eta, 81))
     assert abs(total - 1.0) < 1e-10
 
 
 def test_cat_pn_alternating_sum_is_parity():
     alpha, delta, eta = 1.5, 0.4, 0.9
-    signed = sum((-1.0) ** n * cat_pn(alpha, delta, eta, n) for n in range(81))
+    signed = sum((-1.0) ** n * p for n, p in enumerate(cat_pn(alpha, delta, eta, 81)))
     assert abs(signed - cat_parity(alpha, delta, eta)) < 1e-10
 
 
 def test_cat_pn_odd_terms_vanish_lossless_undisplaced():
+    probs = cat_pn(1.5, 0.0, 1.0, 42)
     for n in (1, 3, 5, 17, 41):
-        assert cat_pn(1.5, 0.0, 1.0, n) == 0.0
+        assert probs[n] == 0.0
 
 
 def test_cat_pn_large_n_no_overflow():
-    value = cat_pn(3.0, 0.5, 0.9, 400)
+    value = cat_pn(3.0, 0.5, 0.9, 401)[400]
     assert value >= 0.0
     assert math.isfinite(value)
+
+
+@given(alpha=st.floats(min_value=-200.0, max_value=2.0).map(lambda e: 10.0 ** e),
+       delta=st.floats(min_value=-5.0, max_value=5.0),
+       eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       levels=st.integers(1, MAX_DIM))
+@example(alpha=1e-200, delta=0.0, eta=1.0, levels=3)  # lambda underflows to 0
+@example(alpha=1e-200, delta=1e-200, eta=0.5, levels=MAX_DIM)
+@settings(max_examples=200, deadline=None)
+def test_cat_pn_matches_the_scalar_form_bit_for_bit(alpha, delta, eta, levels):
+    # the n-free factors are hoisted out of the per-level loop, not rewritten
+    got = cat_pn(alpha, delta, eta, levels)
+    assert len(got) == levels
+    assert [p.hex() for p in got] == [scalar_cat_pn(alpha, delta, eta, n).hex()
+                                       for n in range(levels)]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.5, 0.4, 0.9, 0), r"^levels must be >= 1, got 0$"),
+    ((1.5, 0.4, 0.9, -3), r"^levels must be >= 1, got -3$"),
+    ((0.0, 0.4, 0.9, 5), r"^alpha must be > 0, got 0.0$"),
+    ((math.nan, 0.4, 0.9, 5), r"^alpha must be > 0, got nan$"),
+    ((1.5, 0.4, 0.0, 5), r"^eta must be in \(0, 1\], got 0.0$"),
+    ((1.5, 0.4, 1.1, 5), r"^eta must be in \(0, 1\], got 1.1$"),
+])
+def test_cat_pn_guards(args, message):
+    with pytest.raises(ValueError, match=message):
+        cat_pn(*args)

@@ -61,6 +61,8 @@ def test_channel_rejects_bad_eta():
             thin([valid] * 3, [0.9, eta, 0.5])
         with pytest.raises(ValueError, match=message):
             apply_loss_via_purification(fock_state(space, 1), eta)
+        with pytest.raises(ValueError, match=message):
+            apply_loss_via_purification(fock_state(space, 1), [0.9, eta])
 
 
 @pytest.mark.parametrize("state", [np.eye(4)[:2], np.r_[1.0, np.zeros(MAX_DIM)]])
@@ -269,6 +271,19 @@ def test_kraus_operators_match_ladder_construction(dim):
             assert np.max(np.abs(np.diagonal(ek, k) ** 2 - np.diagonal(table, k))) <= 1e-12
 
 
+def test_purification_over_a_sequence_of_etas_stacks_each_eta():
+    # one density matrix per efficiency, in order, each as its single call
+    # gives it up to rounding; a one-element sequence is a stack of one
+    space = FockSpace(24)
+    state = displace(space, cat_state(space, 1.0), [0.6])[0]
+    etas = [0.5, 0.9, 1.0, 0.98]
+    stack = apply_loss_via_purification(state, etas)
+    assert stack.shape == (len(etas), 24, 24)
+    for rho, eta in zip(stack, etas):
+        assert np.max(np.abs(rho - apply_loss_via_purification(state, eta))) <= 1e-15
+    assert apply_loss_via_purification(state, [0.9]).shape == (1, 24, 24)
+
+
 def test_single_photon_loss_matrix():
     space = FockSpace(24)
     rho = apply_loss_via_purification(fock_state(space, 1), 0.98)
@@ -399,7 +414,7 @@ def test_lossy_cat_lossless_limit_is_pure():
     alpha, delta = 1.5, 0.3
     space = FockSpace(recommend_dim(alpha, delta))
     p = np.abs(displace(space, cat_state(space, alpha), [delta])[0]) ** 2
-    closed = np.array([cat_pn(alpha, delta, 1.0, n) for n in range(space.dim)])
+    closed = np.array(cat_pn(alpha, delta, 1.0, space.dim))
     assert np.max(np.abs(closed - p)) < 1e-9
 
 
@@ -408,8 +423,9 @@ def test_lossy_cat_photon_distribution_termwise():
     space = FockSpace(recommend_dim(alpha, delta))
     displaced = displace(space, cat_state(space, alpha), [delta])[0]
     q = thin(np.abs(displaced) ** 2, eta)
+    closed = cat_pn(alpha, delta, eta, space.dim)
     for n in range(space.dim):
-        assert q[n] == pytest.approx(cat_pn(alpha, delta, eta, n), abs=1e-9)
+        assert q[n] == pytest.approx(closed[n], abs=1e-9)
 
 
 def test_lossy_cat_parity_closed_form():

@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from ngphase import analytic, loss, verification
+from ngphase import analytic, fock, loss, verification
 from ngphase.cli import main
 from ngphase.verification import check_names, run_checks
 
@@ -107,6 +107,42 @@ def test_fault_kills_check(monkeypatch, name):
     assert faulted.status == "FAIL" and math.isfinite(faulted.discrepancy), (
         f"{name} is not failed by {KILL_TABLE[name].__name__}: {faulted.status}, "
         f"{faulted.discrepancy:.3e}, {faulted.error}")
+
+
+def _counted(monkeypatch, calls, owner, name, key, size=None):
+    """Count the calls of ``owner.name`` under ``key``; ``size`` records a
+    figure of each call's arguments under ``key + '_sizes'``."""
+    def make(fn):
+        def counting(*args, **kwargs):
+            calls[key] += 1
+            if size is not None:
+                calls.setdefault(key + "_sizes", []).append(size(*args))
+            return fn(*args, **kwargs)
+        return counting
+    _wrap(monkeypatch, owner, name, make)
+
+
+def test_full_grid_batches_displacement_loss_and_the_closed_form(monkeypatch):
+    # the checks call displace and thin by their own names, the oracle route
+    # (fock1_operating_point_numeric, sweep_dual_path) through fock and loss
+    calls = dict.fromkeys(("displace", "thin", "purification", "cat_pn"), 0)
+    for owner in (verification, fock):
+        _counted(monkeypatch, calls, owner, "displace", "displace")
+    for owner in (verification, loss):
+        _counted(monkeypatch, calls, owner, "thin", "thin")
+    _counted(monkeypatch, calls, verification, "apply_loss_via_purification", "purification")
+    _counted(monkeypatch, calls, analytic, "cat_pn", "cat_pn",
+             size=lambda alpha, delta, eta, levels: levels)
+    assert all(r.status == "PASS" for r in run_checks(grid="full"))
+    # one displacement per basis a check uses, one thinning per distribution
+    # over all its etas, one purification per state over all its etas
+    assert calls["displace"] <= 56
+    assert calls["thin"] <= 23
+    assert calls["purification"] == 3
+    # one closed-form distribution per (alpha, delta, eta) of the 3 x 3 x 6
+    # lossy cat grid, each over a whole basis
+    assert calls["cat_pn"] == 54
+    assert min(calls["cat_pn_sizes"]) > 30
 
 
 def test_raising_check_is_an_error_row(monkeypatch):
