@@ -169,8 +169,9 @@ def apply_loss_via_purification(state: np.ndarray, eta) -> np.ndarray:
     number; intended for cross-validation at small dimensions.  Each
     amplitude psi_n of |n>|0> is evolved inside its own sector N = n, in that
     sector's eigenbasis, once for all efficiencies (sectors with a zero
-    amplitude are skipped), so no d^2-dimensional operator is ever formed.  An efficiency outside (0, 1] or a state that is
-    not a vector of 1 to MAX_DIM amplitudes is a ValueError.
+    amplitude are skipped), so no d^2-dimensional operator is ever formed.
+    An efficiency outside (0, 1] or a state that is not a vector of 1 to
+    MAX_DIM amplitudes is a ValueError.
     """
     _check_eta(eta)
     state = np.asarray(state)
@@ -187,6 +188,6 @@ def apply_loss_via_purification(state: np.ndarray, eta) -> np.ndarray:
         # |n>|0> is the sector's last basis vector, so V† e_last = conj(V[-1])
         evolved = np.exp(-1j * np.multiply.outer(theta, lam)) * vec[-1].conj()
         psi[:, k, n - k] = evolved @ vec.T * state[n]
-    rho = psi @ psi.conj().transpose(0, 2, 1)
-    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    rho = psi @ psi.conj().mT
+    rho = 0.5 * (rho + rho.conj().mT)
     return rho[0] if np.ndim(eta) == 0 else rho

@@ -8,10 +8,10 @@ tests both run through this registry.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -112,6 +112,7 @@ def _displaced(points) -> list[tuple[np.ndarray, np.ndarray]]:
     out = [None] * len(points)
     for space, indices in members.items():
         probes = [points[i][1](space) for i in indices]
+        # a lone state stays a vector, so its row keeps a one-point call's rounding
         rows = displace(space, probes[0] if len(probes) == 1 else np.array(probes),
                         [points[i][2] for i in indices])
         for i, probe, row in zip(indices, probes, rows):
@@ -125,14 +126,6 @@ def _self_overlaps(points) -> list[complex]:
     return [complex(np.vdot(probe, row)) for probe, row in _displaced(points)]
 
 
-def _fock(n: int):
-    return functools.partial(fock_state, n=n)
-
-
-def _cat(alpha: float):
-    return functools.partial(cat_state, alpha=alpha)
-
-
 # ---------------------------------------------------------------------------
 # acceptance-criteria checks
 
@@ -144,7 +137,7 @@ def _fock_orthogonality(grid: str) -> float:
     points = []
     for n in range(1, top + 1):
         delta = math.sqrt(analytic.laguerre_first_root(n))
-        points.append((_space_for(math.sqrt(n), delta), _fock(n), delta))
+        points.append((_space_for(math.sqrt(n), delta), partial(fock_state, n=n), delta))
     return max(abs(o) for o in _self_overlaps(points))
 
 
@@ -194,7 +187,7 @@ def _cat_zeros_numeric(grid: str) -> float:
     for alpha in (1.5, 2.0, 3.0):
         for k in (0, 1):
             delta = analytic.cat_overlap_zero(alpha, k)
-            points.append((_space_for(alpha, delta), _cat(alpha), delta))
+            points.append((_space_for(alpha, delta), partial(cat_state, alpha=alpha), delta))
     return max(abs(o) for o in _self_overlaps(points))
 
 
@@ -206,7 +199,7 @@ def _lossy_cat_statistics(grid: str) -> float:
     deltas = (0.4,) if grid == "small" else (0.1, 0.4, 0.8)
     etas = _etas(grid)
     cases = [(alpha, delta) for alpha in alphas for delta in deltas]
-    displaced = _displaced([(_space_for(alpha, delta), _cat(alpha), delta)
+    displaced = _displaced([(_space_for(alpha, delta), partial(cat_state, alpha=alpha), delta)
                             for alpha, delta in cases])
     worst = 0.0
     for (alpha, delta), (_, shifted) in zip(cases, displaced):
@@ -266,14 +259,15 @@ def _fock_overlap_grid(grid: str) -> float:
     top = 4 if grid == "small" else 10
     cases = [(n, delta) for delta in (0.1, 0.5, 1.0, 2.0) for n in range(top + 1)]
     spaces = {delta: _space_for(math.sqrt(top), delta) for _, delta in cases}
-    numeric = _self_overlaps([(spaces[delta], _fock(n), delta) for n, delta in cases])
+    numeric = _self_overlaps([(spaces[delta], partial(fock_state, n=n), delta)
+                              for n, delta in cases])
     return max(abs(o - analytic.fock_overlap(n, delta)) for o, (n, delta) in zip(numeric, cases))
 
 
 @_check("cat_overlap_formula", 1e-8)
 def _cat_overlap_formula(grid: str) -> float:
     cases = [(alpha, delta) for alpha in (1.0, 1.5, 3.0) for delta in (0.1, 0.3, 1.0, 2.0)]
-    numeric = _self_overlaps([(_space_for(alpha, delta), _cat(alpha), delta)
+    numeric = _self_overlaps([(_space_for(alpha, delta), partial(cat_state, alpha=alpha), delta)
                               for alpha, delta in cases])
     return max(abs(o - analytic.cat_overlap(alpha, delta))
                for o, (alpha, delta) in zip(numeric, cases))

@@ -206,19 +206,14 @@ FOCK_WITH_ALPHA = "ngphase: invalid request: alpha is a cat-family field\n"
       "--grid", "0.5", "1", "3"), CAT_WITH_N),
     (("sweep", "--family", "fock", "--alpha", "2", "--axis", "delta", "--values", "1"),
      FOCK_WITH_ALPHA),
-])
-def test_cross_family_flags_are_validation_errors(capsys, argv, message):
-    assert run_cli(capsys, *argv) == (1, "", message)
-
-
-@pytest.mark.parametrize("argv, message", [
+    # a sweep axis of the other family is refused before any point is read
     (("sweep", "--family", "fock", "--axis", "alpha", "--values", "1,2"),
      "ngphase: invalid request: alpha is a cat-family field; a fock sweep has no alpha "
      "axis\n"),
     (("sweep", "--family", "cat", "--alpha", "2", "--axis", "n", "--values", "1,2"),
      "ngphase: invalid request: n is a Fock-family field; a cat sweep has no n axis\n"),
 ])
-def test_sweep_axis_of_the_other_family_is_refused_before_any_point(capsys, argv, message):
+def test_cross_family_flags_are_validation_errors(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", message)
 
 
