@@ -69,10 +69,13 @@ def _lowering(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
 
 
-def _checked_eigenbasis(hermitian: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenpairs (lam, V) of a Hermitian generator H = V diag(lam) V†,
-    so that exp(-i t H) = V diag(e^{-i t lam}) V† for every t."""
-    lam, vec = np.linalg.eigh(hermitian)
+def _checked_eigenbasis(off: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs (lam, W) of the real symmetric tridiagonal T with
+    zero diagonal and off-diagonal ``off``: T = W diag(lam) W^T, W real
+    orthogonal.  Every generator H here is such a T, or is one up to a
+    diagonal unitary of phases, H = P T P^dag; then exp(-i t H) =
+    V diag(e^{-i t lam}) V^dag with V = P W."""
+    lam, vec = np.linalg.eigh(np.diag(off, k=1) + np.diag(off, k=-1))
     if not (np.isfinite(lam).all() and np.isfinite(vec).all()):
         raise ConvergenceError(f"{label}: eigendecomposition produced non-finite entries")
     return _freeze(lam), _freeze(vec)
@@ -87,6 +90,11 @@ def _phases(times, lam: np.ndarray, label: str) -> np.ndarray:
     return np.exp(-1j * np.multiply.outer(times, lam))
 
 
+def _powers_of(unit: complex, count: int) -> np.ndarray:
+    """unit^k for k = 0..count-1, exactly, for unit one of 1j and -1j."""
+    return np.array([1.0, unit, -1.0, -unit])[np.arange(count) % 4]
+
+
 @functools.lru_cache(maxsize=_EIGENBASIS_CACHE)
 def _quadrature_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the real tridiagonal X = a + a†; V is real orthogonal.
@@ -94,21 +102,45 @@ def _quadrature_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
     The eigenvalues are sqrt(2) times the roots of the Hermite polynomial
     H_dim (Golub & Welsch, Math. Comp. 23, 1969).
     """
-    a = _lowering(dim)
-    return _checked_eigenbasis(a + a.T, "displacement")
+    return _checked_eigenbasis(np.sqrt(np.arange(1, dim, dtype=float)), "displacement")
 
 
 @functools.lru_cache(maxsize=_EIGENBASIS_CACHE)
-def _squeeze_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of H = (i/2)(a†^2 - a^2), with S(r) = exp(-i r H)."""
-    a = _lowering(dim)
-    return _checked_eigenbasis(0.5j * (a.T @ a.T - a @ a), "squeeze")
+def _squeeze_eigenbasis(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Eigenpairs (lam, W) of H = (i/2)(a†^2 - a^2), with S(r) = exp(-i r H),
+    one pair per photon-number parity p = 0, 1 on the levels n = p + 2k.
+
+    H couples n only to n + 2, by <n+2|H|n> = (i/2) sqrt((n+1)(n+2)), so on
+    each parity it is diag(i^k) T diag(i^k)^dag with T real symmetric
+    tridiagonal, and its eigenvectors there are V = diag(i^k) W.
+    """
+    n = np.arange(dim - 2, dtype=float)
+    off = 0.5 * np.sqrt((n + 1.0) * (n + 2.0))
+    return tuple(_checked_eigenbasis(off[parity::2], "squeeze") for parity in (0, 1))
 
 
-def squeeze(space: FockSpace, r: float) -> np.ndarray:
-    """Matrix of the squeeze operator S(r), with S†(r) a S(r) = a cosh r + a† sinh r."""
-    lam, vec = _squeeze_eigenbasis(space.dim)
-    return (vec * _phases(r, lam, "squeeze")) @ vec.conj().T
+def squeeze(space: FockSpace, states, r: float) -> np.ndarray:
+    """S(r) psi for each state psi in ``states``, one read-only row per state
+    (a lone state gives one vector), with S†(r) a S(r) = a cosh r + a† sinh r
+    and S†(r) = S(-r).
+
+    ``states`` is one state on ``space`` or a 2-D array of them, one per row;
+    a last axis other than ``space.dim`` is a ValueError.  Each parity block
+    is one product in its real eigenbasis (``_squeeze_eigenbasis``), so no
+    dense S(r) is formed.
+    """
+    states = np.asarray(states, dtype=complex)
+    if states.ndim not in (1, 2) or states.shape[-1] != space.dim:
+        raise ValueError(f"states have shape {states.shape}, expected ({space.dim},) or "
+                         f"(k, {space.dim})")
+    out = np.empty_like(states)
+    for parity, (lam, vec) in enumerate(_squeeze_eigenbasis(space.dim)):
+        # as rows, S psi = psi^T conj(V) diag(e^{-i r lam}) V^T with V = diag(i^k) W
+        phases = _powers_of(1j, len(lam))
+        coeffs = (states[..., parity::2] * phases.conj()) @ vec
+        coeffs *= _phases(r, lam, "squeeze")
+        out[..., parity::2] = (coeffs @ vec.T) * phases
+    return _freeze(out)
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +157,17 @@ def fock_state(space: FockSpace, n: int) -> np.ndarray:
 
 
 def _coherent_amplitudes(space: FockSpace, alpha: float) -> np.ndarray:
-    """Untruncated coherent amplitudes <n|alpha> on the finite basis."""
-    amps = np.empty(space.dim, dtype=complex)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    """Untruncated coherent amplitudes <n|alpha> on the finite basis.
+
+    A float recurrence; multiplying by 1/sqrt(n) rounds as numpy's complex
+    division by sqrt(n) did, so every amplitude keeps its bits.
+    """
+    amp = math.exp(-0.5 * abs(alpha) ** 2)
+    amps = [amp]
     for n in range(1, space.dim):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    return amps
+        amp = amp * alpha * (1.0 / math.sqrt(n))
+        amps.append(amp)
+    return np.array(amps, dtype=complex)
 
 
 def cat_state(space: FockSpace, alpha: float) -> np.ndarray:

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .fock import _checked_eigenbasis
+from .fock import _checked_eigenbasis, _freeze, _powers_of
 from .limits import MAX_DIM
 
 # Bounds ``thin`` holds every lossy distribution to: no entry below
@@ -36,19 +36,20 @@ def _check_eta(eta) -> None:
         raise ValueError(f"eta must be in (0, 1], got {bad[0]}")
 
 
-# One MAX_DIM x MAX_DIM float64 matrix, 8 MAX_DIM^2 bytes (512 KiB at 256),
-# shared by every dim and built once per process; the build peaks below
-# 1 MiB.
-@functools.cache
-def _log_binomials() -> np.ndarray:
-    """L[m, n] = log C(n, m) = log n! - log m! - log (n-m)! for m <= n, and
-    -inf below the diagonal, where exp(L + ...) is then zero.  Read-only."""
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, MAX_DIM)))))
-    # window i is padded[i:i + MAX_DIM], so reversed window m holds log (n-m)!
+# One dim x dim float64 matrix for the basis in use, 8 dim^2 bytes, so the
+# cache holds at most 512 KiB (at MAX_DIM); the build peaks below 1 MiB.
+@functools.lru_cache(maxsize=1)
+def _log_binomials(dim: int) -> np.ndarray:
+    """L[m, n] = log C(n, m) = log n! - log m! - log (n-m)! for m, n < dim
+    with m <= n, and -inf below the diagonal, where exp(L + ...) is then
+    zero.  Read-only.  Each entry has the same bits at every dim, because
+    the cumulative log-factorials share their prefix."""
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
+    # window i is padded[i:i + dim], so reversed window m holds log (n-m)!
     # at n >= m and +inf (making L = -inf) at n < m; a view, not a matrix
-    padded = np.concatenate((np.full(MAX_DIM - 1, np.inf), log_fact))
+    padded = np.concatenate((np.full(dim - 1, np.inf), log_fact))
     log_binom = log_fact - log_fact[:, None]
-    log_binom -= np.lib.stride_tricks.sliding_window_view(padded, MAX_DIM)[::-1]
+    log_binom -= np.lib.stride_tricks.sliding_window_view(padded, dim)[::-1]
     log_binom.flags.writeable = False
     return log_binom
 
@@ -57,9 +58,9 @@ def _thinning_table(dim: int, eta) -> np.ndarray:
     """B[m, n] = C(n, m) eta^m (1-eta)^(n-m): the probability that n photons
     leave m after loss.  Upper triangular, columns sum to 1, and the identity
     at eta = 1.  Built from log-factorials, so no factorial overflows and no
-    0 log 0 is formed.  The eta-free half, log C(n, m), is cached once per
-    process (``_log_binomials``); the eta half and the exp are built per
-    call.  ``eta`` is one efficiency, or a 1-D array of them for a stack of
+    0 log 0 is formed.  The eta-free half, log C(n, m), is cached for the
+    last basis size (``_log_binomials``); the eta half and the exp are built
+    per call.  ``eta`` is one efficiency, or a 1-D array of them for a stack of
     tables, one per entry, each with the bits of its single table."""
     etas = np.asarray(eta, dtype=float)
     lossless = etas == 1.0
@@ -70,7 +71,7 @@ def _thinning_table(dim: int, eta) -> np.ndarray:
     log_eta = np.array([math.log(e) for e in etas.flat]).reshape(column)
     log_loss = np.array([0.0 if e == 1.0 else math.log1p(-e) for e in etas.flat]).reshape(column)
     k = np.arange(dim)
-    log_b = _log_binomials()[:dim, :dim] + k[:, None] * log_eta
+    log_b = _log_binomials(dim) + k[:, None] * log_eta
     log_b += (k - k[:, None]) * log_loss
     table = np.exp(log_b, out=log_b)
     if lossless.any():
@@ -146,15 +147,18 @@ def _beamsplitter_eigenbasis(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], .
     N = 0..dim-1, on the basis |k>|N-k> for k = 0..N.
 
     H conserves N, and a b† |k, N-k> = sqrt(k (N-k+1)) |k-1, N-k+1>, so each
-    sector's generator is tridiagonal.  exp(-i theta H) maps
-    a -> a cos(theta) + b sin(theta): coherent |alpha>|0> goes to
-    |sqrt(eta) alpha>|sqrt(1-eta) alpha> at cos(theta)^2 = eta.
+    sector's generator is tridiagonal, i(hop - hop^T) with hop the sector's
+    a b†.  It is diag((-i)^k) (hop + hop^T) diag((-i)^k)^dag, so its
+    eigenvectors are V = diag((-i)^k) W with W those of the real
+    hop + hop^T.  exp(-i theta H) maps a -> a cos(theta) + b sin(theta):
+    coherent |alpha>|0> goes to |sqrt(eta) alpha>|sqrt(1-eta) alpha> at
+    cos(theta)^2 = eta.
     """
     sectors = []
     for n in range(dim):
         k = np.arange(1, n + 1)
-        hop = np.diag(np.sqrt(k * (n - k + 1.0)), k=1)  # a b† on |k>|n-k>
-        sectors.append(_checked_eigenbasis(1j * (hop - hop.T), "beamsplitter"))
+        lam, vec = _checked_eigenbasis(np.sqrt(k * (n - k + 1.0)), "beamsplitter")
+        sectors.append((lam, _freeze(_powers_of(-1j, n + 1)[:, None] * vec)))
     return tuple(sectors)
 
 

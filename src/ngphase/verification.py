@@ -237,19 +237,18 @@ def _squeeze_sandwich(grid: str) -> float:
     worst = 0.0
     for dim in (96, 128):
         space = FockSpace(dim)
-        mats = [squeeze(space, r) for r in squeezes]
+        low = np.array([fock_state(space, n) for n in range(4)])
+        squeezed = {r: squeeze(space, low, r) for r in squeezes}
         # one row per (r, n, delta): D(delta) S|n>, then D(delta e^r)|n>
-        cases = [(r, s_mat, n, delta) for r, s_mat in zip(squeezes, mats)
-                 for n in range(4) for delta in deltas]
+        cases = [(r, n, delta) for r in squeezes for n in range(4) for delta in deltas]
         rows = displace(space,
-                        [s_mat[:, n] for _, s_mat, n, _ in cases]
-                        + [fock_state(space, n) for _, _, n, _ in cases],
+                        [squeezed[r][n] for r, n, _ in cases] + [low[n] for _, n, _ in cases],
                         [delta for *_, delta in cases]
-                        + [delta * math.exp(r) for r, _, _, delta in cases])
+                        + [delta * math.exp(r) for r, _, delta in cases])
         sides = [np.split(side, len(squeezes)) for side in np.split(rows, 2)]
-        for s_mat, squeezed, plain in zip(mats, *sides):
-            # rows of S† D(delta) S|n>, as (S† v)^T = v^T conj(S)
-            worst = max(worst, float(np.max(np.abs(squeezed @ s_mat.conj() - plain))))
+        for r, shifted, plain in zip(squeezes, *sides):
+            # S(r)† = S(-r)
+            worst = max(worst, float(np.max(np.abs(squeeze(space, shifted, -r) - plain))))
     return worst
 
 

@@ -18,13 +18,16 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import ngphase
+from reference_coherent_amplitudes import loop_coherent_amplitudes
 from ngphase.fock import (
     MAX_DIM,
     ConvergenceError,
     FockSpace,
     LeakageError,
+    _coherent_amplitudes,
     _lowering,
     _quadrature_eigenbasis,
+    _squeeze_eigenbasis,
     cat_state,
     displace,
     fock_state,
@@ -141,8 +144,13 @@ def test_displacement_single_photon_orthogonality():
     assert abs(displaced(space, fock_state(space, 1), 1.0)[1]) < 1e-9
 
 
+def squeeze_matrix(space, r):
+    """The matrix of S(r), column j the squeezed |j>."""
+    return squeeze(space, np.eye(space.dim), r).T
+
+
 def test_squeeze_zero_is_identity():
-    np.testing.assert_allclose(squeeze(FockSpace(16), 0.0), np.eye(16), atol=1e-14)
+    np.testing.assert_allclose(squeeze_matrix(FockSpace(16), 0.0), np.eye(16), atol=1e-14)
 
 
 def test_squeeze_conjugation_identity():
@@ -150,7 +158,7 @@ def test_squeeze_conjugation_identity():
     # so the comparison block must sit well below the truncation.
     r = 0.5
     space = FockSpace(128)
-    s_mat = squeeze(space, r)
+    s_mat = squeeze_matrix(space, r)
     a = _lowering(space.dim)
     lhs = s_mat.conj().T @ a @ s_mat
     rhs = a * math.cosh(r) + a.T * math.sinh(r)
@@ -163,13 +171,48 @@ def test_squeeze_amplifies_displacement():
     # multiplies the phase signal by e^r.
     amp, phi, r = 5.0, 0.01, 0.5
     space = FockSpace(128)
-    s_mat = squeeze(space, r)
+    s_mat = squeeze_matrix(space, r)
     block = 24
     lhs = np.column_stack([s_mat.conj().T @ displaced(space, s_mat[:, n], amp * phi)
                            for n in range(block)])
     rhs = np.column_stack([displaced(space, fock_state(space, n), amp * phi * math.exp(r))
                            for n in range(block)])
     assert np.linalg.norm((lhs - rhs)[:block]) < 1e-8
+
+
+def test_squeeze_of_minus_r_undoes_squeeze_of_r():
+    # S(r)† = S(-r): the sandwich check's inverse, on the low block
+    space = FockSpace(96)
+    low = np.eye(space.dim)[:8]
+    back = squeeze(space, squeeze(space, low, 0.5), -0.5)
+    assert np.max(np.abs(back - low)) <= 1e-12
+
+
+def test_squeeze_takes_a_lone_state_or_rows():
+    space = FockSpace(20)
+    psi = cat_state(space, 1.0)
+    row = squeeze(space, psi, 0.3)
+    assert row.shape == (20,) and not row.flags.writeable
+    np.testing.assert_allclose(row, squeeze(space, np.array([psi, psi]), 0.3)[1], atol=1e-15)
+    for bad in (np.zeros(19), np.zeros((2, 21)), np.zeros((1, 2, 20))):
+        with pytest.raises(ValueError, match="expected"):
+            squeeze(space, bad, 0.3)
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        squeeze(space, psi, math.nan)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 9, 40])
+def test_squeeze_eigenbases_are_real_and_give_the_generator(dim):
+    # per parity, V = diag(i^k) W with W real: V diag(lam) V† is the block of
+    # (i/2)(a†^2 - a^2) on the levels of that parity
+    a = _lowering(dim)
+    dense = 0.5j * (a.T @ a.T - a @ a)
+    for parity, (lam, vec) in enumerate(_squeeze_eigenbasis(dim)):
+        assert lam.dtype == vec.dtype == np.float64
+        levels = np.arange(parity, dim, 2)
+        phased = (1j ** np.arange(len(levels)))[:, None] * vec
+        block = (phased * lam) @ phased.conj().T
+        assert np.max(np.abs(block - dense[np.ix_(levels, levels)])) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [8, 30, 76])
@@ -187,7 +230,7 @@ def test_displacement_matches_expm(dim, delta):
 def test_squeeze_matches_expm(dim, r):
     a = _lowering(dim)
     reference = expm(0.5 * r * (a.T @ a.T - a @ a))
-    got = squeeze(FockSpace(dim), r)
+    got = squeeze_matrix(FockSpace(dim), r)
     assert np.max(np.abs(got - reference)) <= 1e-12
 
 
@@ -283,7 +326,7 @@ def test_displacement_unitary_on_low_block(delta):
 @pytest.mark.parametrize("r", [0.25, 0.5])
 def test_squeeze_unitary_on_low_block(r):
     space = FockSpace(96)
-    mat = squeeze(space, r)
+    mat = squeeze_matrix(space, r)
     half = space.dim // 2
     gram = (mat.conj().T @ mat)[:half, :half]
     assert np.linalg.norm(gram - np.eye(half)) < 1e-8
@@ -503,6 +546,20 @@ def test_recommend_dim_overflowing_amplitude_names_max_dim(max_delta):
 
 # ---------------------------------------------------------------------------
 # properties
+
+
+@given(dim=st.integers(2, MAX_DIM),
+       log_alpha=st.floats(min_value=math.log(1e-5), max_value=math.log(16.0)))
+@settings(max_examples=200, deadline=None)
+def test_coherent_amplitudes_keep_the_loop_bits(dim, log_alpha):
+    alpha = math.exp(log_alpha)
+    got = _coherent_amplitudes(FockSpace(dim), alpha)
+    expected = loop_coherent_amplitudes(dim, alpha)
+    assert got.dtype == expected.dtype == complex
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    # at -alpha only the sign of an underflowed zero may differ
+    assert np.array_equal(_coherent_amplitudes(FockSpace(dim), -alpha),
+                          loop_coherent_amplitudes(dim, -alpha))
 
 
 @given(alpha=st.floats(min_value=0.05, max_value=2.5))

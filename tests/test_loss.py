@@ -117,23 +117,30 @@ def test_cached_log_binomials_keep_the_table_bits(eta):
 
 
 def test_cached_log_binomials_are_read_only():
-    with pytest.raises(ValueError, match="read-only"):
-        _log_binomials()[0, 1] = 0.0
+    for dim in (8, MAX_DIM):
+        with pytest.raises(ValueError, match="read-only"):
+            _log_binomials(dim)[0, 1] = 0.0
     table = _thinning_table(8, 0.9)
     table[0, 1] = 0.0  # each call still returns its own table
 
 
 def test_log_binomial_cache_memory_is_bounded():
-    # the bounds stated at _log_binomials: 512 KiB held, a build below 1 MiB
-    _log_binomials.cache_clear()
-    tracemalloc.start()
-    try:
-        _thinning_table(2, 0.9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert _log_binomials().nbytes == 8 * MAX_DIM ** 2 <= 2 ** 19
-    assert peak < 2 ** 20
+    # the bounds stated at _log_binomials: the cache holds one table, for the
+    # basis in use, so at most 512 KiB; its build stays below 1 MiB and
+    # shrinks with the basis
+    assert _log_binomials.cache_info().maxsize == 1
+    for dim in (2, 24, 60, 128, MAX_DIM):
+        _log_binomials.cache_clear()
+        tracemalloc.start()
+        try:
+            table = _log_binomials(dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == 8 * dim ** 2 <= 2 ** 19
+        assert peak < 2 ** 20
+        assert peak <= 4 * table.nbytes + 2 ** 12
+        assert _log_binomials.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("eta1, eta2", [(0.9, 0.8), (0.95, 0.5), (0.3, 0.99)])
@@ -250,7 +257,7 @@ def test_thin_per_channel_memory_is_bounded():
     etas = np.linspace(0.5, 0.99, 200)
     probs = np.zeros((len(etas), MAX_DIM))
     probs[:, 0] = 1.0
-    _log_binomials()
+    _log_binomials(MAX_DIM)
     tracemalloc.start()
     try:
         q = thin(probs, etas)

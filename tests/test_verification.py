@@ -11,6 +11,7 @@ measures.  Without the fault the check must PASS, on the full grid that
 
 import math
 
+import numpy as np
 import pytest
 
 from ngphase import analytic, fock, loss, verification
@@ -70,9 +71,9 @@ def displacement_nudged(mp):
 
 
 def squeeze_nudged(mp):
-    """The squeeze matrix is built at r (1 + 1e-6)."""
+    """Every squeeze acts at r (1 + 1e-6)."""
     _wrap(mp, verification, "squeeze",
-          lambda squeeze: lambda space, r: squeeze(space, r * (1.0 + NUDGE)))
+          lambda squeeze: lambda space, states, r: squeeze(space, states, r * (1.0 + NUDGE)))
 
 
 KILL_TABLE = {
@@ -143,6 +144,30 @@ def test_full_grid_batches_displacement_loss_and_the_closed_form(monkeypatch):
     # lossy cat grid, each over a whole basis
     assert calls["cat_pn"] == 54
     assert min(calls["cat_pn_sizes"]) > 30
+
+
+def test_no_complex_matrix_is_diagonalised(monkeypatch, capsys):
+    # every generator is decomposed as a real symmetric tridiagonal matrix:
+    # through verify's checks and one oracle command of each probe family
+    dtypes = []
+    real_eigh = np.linalg.eigh
+
+    def recording(matrix, *args, **kwargs):
+        dtypes.append(np.asarray(matrix).dtype)
+        return real_eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    for cached in (fock._quadrature_eigenbasis, fock._squeeze_eigenbasis,
+                   loss._beamsplitter_eigenbasis):
+        cached.cache_clear()
+    assert all(r.status == "PASS" for r in run_checks(grid="full"))
+    for argv in (["evaluate", "--family", "cat", "--alpha", "2", "--eta", "0.9", "--delta", "1",
+                  "--oracle"],
+                 ["evaluate", "--family", "fock", "--n", "2", "--eta", "0.9", "--delta", "1.5",
+                  "--oracle"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert dtypes and all(dtype == np.float64 for dtype in dtypes), set(dtypes)
 
 
 def test_raising_check_is_an_error_row(monkeypatch):
