@@ -20,6 +20,7 @@ from ngphase.analytic import ProtocolParams, StateFamily, cat_overlap_zero, cat_
 from ngphase.cli import main
 from ngphase.limits import MAX_DIM, MAX_STEPS
 from ngphase.protocols import SWEEP_AXES, optimize_delta
+from test_corpus import FLOOR_ULPS, RATE_TRIPLES, _rate_triples
 
 
 def run_cli(capsys, *argv):
@@ -927,6 +928,15 @@ def test_cli_contract_holds_for_any_flag_values(argv):
     assert code in (0, 1, 2, 3)
     assert err.getvalue().count("\n") <= 1
     assert "Traceback" not in err.getvalue()
+    if code == 0:
+        # the Helstrom floor of tests/test_corpus.py; the numeric triple only
+        # on the recommended basis, as a user-set --dim may be too small
+        p0 = next((float(flag[len("--p0="):]) for flag in argv if flag.startswith("--p0=")), 0.5)
+        dim_set = any(flag.startswith("--dim=") for flag in argv)
+        slack = 1.0 - FLOOR_ULPS * sys.float_info.epsilon
+        for p_fp, p_fn, helstrom in _rate_triples(out.getvalue(),
+                                                  RATE_TRIPLES[:1] if dim_set else RATE_TRIPLES):
+            assert p0 * p_fp + (1.0 - p0) * p_fn >= helstrom * slack, (p_fp, p_fn, helstrom)
 
 
 # ---------------------------------------------------------------------------

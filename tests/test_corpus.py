@@ -163,6 +163,26 @@ def test_command_prints_its_corpus_bytes(name):
     assert _output(name) == expected
 
 
+# A relative nudge that every printed oracle number should show.
+NUDGE = 1e-6
+
+
+def test_nudged_displacement_moves_some_command(monkeypatch):
+    """The corpus can see a fault in the oracle: with ``fock.displace``'s
+    delta scaled by 1 + 1e-6, some command prints other bytes.  Oracle
+    commands first, stopping at the first that moves; run outside
+    ``_output``, whose cache must hold the unfaulted texts."""
+    from ngphase import fock
+
+    real = fock.displace
+    monkeypatch.setattr(fock, "displace", lambda space, states, deltas: real(
+        space, states, [delta * (1.0 + NUDGE) for delta in deltas]))
+    for name in sorted(COMMANDS, key=lambda name: "--oracle" not in COMMANDS[name]):
+        if run(shlex.split(COMMANDS[name])) != (CORPUS / f"{name}.txt").read_text(encoding="utf-8"):
+            return
+    pytest.fail("no corpus command moved under a nudged displacement")
+
+
 # ---------------------------------------------------------------------------
 # the Helstrom floor
 
@@ -177,15 +197,16 @@ def _prior(name: str) -> float:
     return float(argv[argv.index("--p0") + 1]) if "--p0" in argv else 0.5
 
 
-def _rate_triples(text: str) -> list[tuple[float, float, float]]:
-    """Every (p_fp, p_fn, helstrom) a corpus text prints, analytic and
-    numeric; a triple with a nan cell (no closed form) holds no number."""
+def _rate_triples(text: str, columns_of=RATE_TRIPLES) -> list[tuple[float, float, float]]:
+    """Every (p_fp, p_fn, helstrom) a corpus text or a CSV prints under the
+    column names ``columns_of`` (by default analytic and numeric); a triple
+    with a nan cell (no closed form) holds no number."""
     lines = [line for line in text.splitlines() if not line.startswith("#")]
     if not lines:
         return []
     header = lines[0].split(",")
     triples = []
-    for columns in RATE_TRIPLES:
+    for columns in columns_of:
         if set(columns) <= set(header):
             at = [header.index(column) for column in columns]
             for line in lines[1:]:
