@@ -64,11 +64,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 # generators
 
 
-def _lowering(dim: int) -> np.ndarray:
-    """Real matrix of the ladder operator a on dim levels."""
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
-
-
 def _checked_eigenbasis(off: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
     """Read-only eigenpairs (lam, W) of the real symmetric tridiagonal T with
     zero diagonal and off-diagonal ``off``: T = W diag(lam) W^T, W real

@@ -19,13 +19,13 @@ from scipy.linalg import expm
 
 import ngphase
 from reference_coherent_amplitudes import loop_coherent_amplitudes
+from reference_ladder import lowering
 from ngphase.fock import (
     MAX_DIM,
     ConvergenceError,
     FockSpace,
     LeakageError,
     _coherent_amplitudes,
-    _lowering,
     _quadrature_eigenbasis,
     _squeeze_eigenbasis,
     cat_state,
@@ -115,15 +115,15 @@ def test_states_are_immutable():
 
 
 def test_annihilation_dim2():
-    np.testing.assert_array_equal(_lowering(2), np.array([[0, 1], [0, 0]]))
+    np.testing.assert_array_equal(lowering(2), np.array([[0, 1], [0, 0]]))
 
 
 def test_annihilation_entry_sqrt2():
-    assert _lowering(3)[1, 2] == pytest.approx(math.sqrt(2))
+    assert lowering(3)[1, 2] == pytest.approx(math.sqrt(2))
 
 
 def test_number_operator_from_ladders():
-    a = _lowering(12)
+    a = lowering(12)
     np.testing.assert_allclose(a.T @ a, np.diag(np.arange(12.0)), atol=1e-12)
 
 
@@ -159,7 +159,7 @@ def test_squeeze_conjugation_identity():
     r = 0.5
     space = FockSpace(128)
     s_mat = squeeze_matrix(space, r)
-    a = _lowering(space.dim)
+    a = lowering(space.dim)
     lhs = s_mat.conj().T @ a @ s_mat
     rhs = a * math.cosh(r) + a.T * math.sinh(r)
     block = 24
@@ -205,7 +205,7 @@ def test_squeeze_takes_a_lone_state_or_rows():
 def test_squeeze_eigenbases_are_real_and_give_the_generator(dim):
     # per parity, V = diag(i^k) W with W real: V diag(lam) V† is the block of
     # (i/2)(a†^2 - a^2) on the levels of that parity
-    a = _lowering(dim)
+    a = lowering(dim)
     dense = 0.5j * (a.T @ a.T - a @ a)
     for parity, (lam, vec) in enumerate(_squeeze_eigenbasis(dim)):
         assert lam.dtype == vec.dtype == np.float64
@@ -218,7 +218,7 @@ def test_squeeze_eigenbases_are_real_and_give_the_generator(dim):
 @pytest.mark.parametrize("dim", [8, 30, 76])
 @pytest.mark.parametrize("delta", [0.0, -1.3, 0.7, 3.0])
 def test_displacement_matches_expm(dim, delta):
-    a = _lowering(dim)
+    a = lowering(dim)
     reference = expm(1j * delta * (a + a.T))
     space = unguarded(dim)
     got = np.column_stack([displaced(space, fock_state(space, k), delta) for k in range(dim)])
@@ -228,7 +228,7 @@ def test_displacement_matches_expm(dim, delta):
 @pytest.mark.parametrize("dim", [8, 30, 76])
 @pytest.mark.parametrize("r", [0.0, -0.4, 0.25, 0.5])
 def test_squeeze_matches_expm(dim, r):
-    a = _lowering(dim)
+    a = lowering(dim)
     reference = expm(0.5 * r * (a.T @ a.T - a @ a))
     got = squeeze_matrix(FockSpace(dim), r)
     assert np.max(np.abs(got - reference)) <= 1e-12

@@ -15,7 +15,6 @@ from ngphase.analytic import cat_parity, cat_pn
 from ngphase.fock import (
     MAX_DIM,
     FockSpace,
-    _lowering,
     cat_state,
     displace,
     fock_state,
@@ -30,6 +29,7 @@ from ngphase.loss import (
     thin,
 )
 from ngphase.limits import MAX_STEPS
+from reference_ladder import lowering
 
 
 def coherent(space, alpha):
@@ -154,7 +154,7 @@ def ladder_kraus(dim, eta, terms):
     """E_k = sqrt((1-eta)^k / k!) eta^(n/2) a^k from matrix powers of the
     lowering operator, independent of the thinning table."""
     damp = np.diag(eta ** (0.5 * np.arange(dim)))
-    a = _lowering(dim)
+    a = lowering(dim)
     a_pow = np.eye(dim)
     ops = []
     for k in range(terms):
@@ -341,7 +341,7 @@ def test_purification_matches_expm_unitary(eta):
     # oracle: the dense beamsplitter unitary expm(theta (a b† - a† b))
     d = 8
     space = FockSpace(d, tail_tol=1e-6)
-    a = _lowering(d)
+    a = lowering(d)
     eye = np.eye(d)
     a_sig, a_bath = np.kron(a, eye), np.kron(eye, a)
     theta = math.acos(math.sqrt(eta))
@@ -358,7 +358,7 @@ def test_purification_matches_expm_unitary(eta):
 @pytest.mark.parametrize("d", [8, 24])
 def test_beamsplitter_sectors_match_dense_generator(d):
     # the dense i(a b† - a† b) on the d^2 joint space, index k d + m for |k>|m>
-    a = _lowering(d)
+    a = lowering(d)
     eye = np.eye(d)
     a_sig, a_bath = np.kron(a, eye), np.kron(eye, a)
     dense = 1j * (a_sig @ a_bath.T - a_sig.T @ a_bath)
