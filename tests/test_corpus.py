@@ -163,7 +163,7 @@ def test_command_prints_its_corpus_bytes(name):
     assert _output(name) == expected
 
 
-# A relative nudge that every printed oracle number should show.
+# The relative error the nudge test puts on every displacement.
 NUDGE = 1e-6
 
 
@@ -197,16 +197,16 @@ def _prior(name: str) -> float:
     return float(argv[argv.index("--p0") + 1]) if "--p0" in argv else 0.5
 
 
-def _rate_triples(text: str, columns_of=RATE_TRIPLES) -> list[tuple[float, float, float]]:
+def _rate_triples(text: str, names=RATE_TRIPLES) -> list[tuple[float, float, float]]:
     """Every (p_fp, p_fn, helstrom) a corpus text or a CSV prints under the
-    column names ``columns_of`` (by default analytic and numeric); a triple
+    column names ``names`` (by default analytic and numeric); a triple
     with a nan cell (no closed form) holds no number."""
     lines = [line for line in text.splitlines() if not line.startswith("#")]
     if not lines:
         return []
     header = lines[0].split(",")
     triples = []
-    for columns in columns_of:
+    for columns in names:
         if set(columns) <= set(header):
             at = [header.index(column) for column in columns]
             for line in lines[1:]:
