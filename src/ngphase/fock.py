@@ -90,6 +90,16 @@ def _powers_of(unit: complex, count: int) -> np.ndarray:
     return np.array([1.0, unit, -1.0, -unit])[np.arange(count) % 4]
 
 
+def _as_states(space: FockSpace, states) -> np.ndarray:
+    """``states`` as a contiguous complex array: one state on ``space``, or a
+    2-D array of them, one per row; any other shape is a ValueError."""
+    states = np.ascontiguousarray(states, dtype=complex)
+    if states.ndim not in (1, 2) or states.shape[-1] != space.dim:
+        raise ValueError(f"states have shape {states.shape}, expected ({space.dim},) or "
+                         f"(k, {space.dim})")
+    return states
+
+
 @functools.lru_cache(maxsize=_EIGENBASIS_CACHE)
 def _quadrature_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the real tridiagonal X = a + a†; V is real orthogonal.
@@ -124,10 +134,7 @@ def squeeze(space: FockSpace, states, r: float) -> np.ndarray:
     is one product in its real eigenbasis (``_squeeze_eigenbasis``), so no
     dense S(r) is formed.
     """
-    states = np.asarray(states, dtype=complex)
-    if states.ndim not in (1, 2) or states.shape[-1] != space.dim:
-        raise ValueError(f"states have shape {states.shape}, expected ({space.dim},) or "
-                         f"(k, {space.dim})")
+    states = _as_states(space, states)
     out = np.empty_like(states)
     for parity, (lam, vec) in enumerate(_squeeze_eigenbasis(space.dim)):
         # as rows, S psi = psi^T conj(V) diag(e^{-i r lam}) V^T with V = diag(i^k) W
@@ -218,10 +225,7 @@ def displace(space: FockSpace, states, deltas) -> np.ndarray:
     raised where the probability a result puts on its top
     ``_top_levels(dim)`` levels exceeds the space's ``tail_tol``.
     """
-    states = np.ascontiguousarray(states, dtype=complex)
-    if states.ndim not in (1, 2) or states.shape[-1] != space.dim:
-        raise ValueError(f"states have shape {states.shape}, expected ({space.dim},) or "
-                         f"(k, {space.dim})")
+    states = _as_states(space, states)
     if states.ndim == 2 and len(states) != len(deltas):
         raise ValueError(f"{len(states)} states for {len(deltas)} displacements")
     norms = np.linalg.norm(states, axis=-1).reshape(-1)
