@@ -54,41 +54,19 @@ def _log_binomials(dim: int) -> np.ndarray:
     return log_binom
 
 
-def _thinning_table(dim: int, eta) -> np.ndarray:
+def _thinning_table(dim: int, eta: float) -> np.ndarray:
     """B[m, n] = C(n, m) eta^m (1-eta)^(n-m): the probability that n photons
     leave m after loss.  Upper triangular, columns sum to 1, and the identity
     at eta = 1.  Built from log-factorials, so no factorial overflows and no
     0 log 0 is formed.  The eta-free half, log C(n, m), is cached for the
     last basis size (``_log_binomials``); the eta half and the exp are built
-    per call.  ``eta`` is one efficiency, or a 1-D array of them for a stack of
-    tables, one per entry, each with the bits of its single table."""
-    etas = np.asarray(eta, dtype=float)
-    lossless = etas == 1.0
-    if lossless.all():
-        return np.broadcast_to(np.eye(dim), etas.shape + (dim, dim)).copy()
-    # scalar logs, as math takes them; log1p(-1) is never formed
-    column = etas.shape + (1, 1)
-    log_eta = np.array([math.log(e) for e in etas.flat]).reshape(column)
-    log_loss = np.array([0.0 if e == 1.0 else math.log1p(-e) for e in etas.flat]).reshape(column)
+    per call."""
+    if eta == 1.0:
+        return np.eye(dim)
     k = np.arange(dim)
-    log_b = _log_binomials(dim) + k[:, None] * log_eta
-    log_b += (k - k[:, None]) * log_loss
-    table = np.exp(log_b, out=log_b)
-    if lossless.any():
-        table[lossless] = np.eye(dim)
-    return table
-
-
-# Bytes of thinning tables one batched product in ``thin`` builds at once.
-# Larger stacks made no measurable difference to an eta sweep's time but did
-# raise its peak memory; at MAX_DIM a product holds one table (512 KiB).
-_PRODUCT_BYTES = 2 ** 17
-
-
-def _tables_per_product(dim: int) -> int:
-    """Efficiencies per batched product in ``thin``: at least one, and
-    otherwise as many as keep their tables within ``_PRODUCT_BYTES``."""
-    return max(1, _PRODUCT_BYTES // (8 * dim * dim))
+    log_b = _log_binomials(dim) + k[:, None] * math.log(eta)
+    log_b += (k - k[:, None]) * math.log1p(-eta)
+    return np.exp(log_b, out=log_b)
 
 
 def thin(probs, eta) -> np.ndarray:
@@ -96,11 +74,10 @@ def thin(probs, eta) -> np.ndarray:
     or for each row of a stack of them, on a basis of ``probs.shape[-1]``
     levels.
 
-    ``eta`` is one efficiency, or a sequence of them, one per entry of the
-    leading axis of ``probs`` (a distribution or a stack of them each).  A
-    sequence is applied as batched products over at most
-    ``_tables_per_product`` efficiencies each, with one table per distinct
-    efficiency among them.
+    ``eta`` is one efficiency, applied to every row in one product, or a
+    sequence of them, one per entry of the leading axis of ``probs`` (a
+    distribution or a stack of them each), each entry thinned by its own
+    table in turn.
 
     An efficiency outside (0, 1] or a last axis outside [1, MAX_DIM] is a
     ValueError.  Every result entry must be >= -NEGATIVITY_ATOL and every
@@ -119,15 +96,8 @@ def thin(probs, eta) -> np.ndarray:
             raise ValueError(f"{len(eta)} efficiencies for {len(probs)} distributions")
         stacks = probs.reshape(len(probs), -1, d)
         out = np.empty_like(stacks)
-        step = _tables_per_product(d)
-        for start in range(0, len(eta), step):
-            etas = eta[start:start + step]
-            distinct = dict.fromkeys(etas)
-            tables = _thinning_table(d, np.array(list(distinct)))
-            if len(distinct) < len(etas):
-                position = {e: i for i, e in enumerate(distinct)}
-                tables = tables[[position[e] for e in etas]]
-            out[start:start + step] = stacks[start:start + step] @ tables.transpose(0, 2, 1)
+        for i, e in enumerate(eta):
+            out[i] = stacks[i] @ _thinning_table(d, e).T
         out = out.reshape(probs.shape)
     low = float(np.min(out))
     if not low >= -NEGATIVITY_ATOL:

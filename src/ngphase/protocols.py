@@ -101,7 +101,7 @@ def _readout(points, space: FockSpace):
     """The oracle's counting statistics for ``points``, pairs (params, delta)
     of one probe family: each distinct probe built once on ``space``, one
     ``displace`` of every point's probe by its delta, and one ``thin`` of the
-    displaced states and the quiet probes with one table per distinct eta.
+    displaced states and the quiet probes, each point's pair by its own eta.
     Returns, per point, the quiet readout, the signal readout (the
     probability of n photons for a Fock probe, the parity for a cat) and the
     overlap <probe|D(delta) probe>."""
@@ -159,22 +159,6 @@ def _clamped(p: float, name: str) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _numeric_rates(points, space: FockSpace) -> list[ErrorRates]:
-    """Rates from the truncated-basis simulation, one per point (params,
-    delta), from one ``_readout`` on ``space``."""
-    rates = []
-    for (params, _), quiet, signal, o in zip(points, *_readout(points, space)):
-        if params.family is StateFamily.FOCK:
-            # a count of exactly n photons reads "no signal"
-            p_fp, p_fn = 1.0 - quiet, signal
-        else:
-            # an odd count reads "signal"
-            p_fp, p_fn = 0.5 * (1.0 - quiet), 0.5 * (1.0 + signal)
-        rates.append(ErrorRates(p_fp=_clamped(p_fp, "p_fp"), p_fn=_clamped(p_fn, "p_fn"),
-                                helstrom=analytic.helstrom(params.p0, min(abs(o) ** 2, 1.0))))
-    return rates
-
-
 def _analytic_rates(params: ProtocolParams, delta: float) -> ErrorRates | None:
     """Closed-form rates, or None where no closed form exists."""
     if params.family is StateFamily.CAT:
@@ -208,11 +192,22 @@ def _closed_form_evaluation(params: ProtocolParams, phi: float, with_oracle: boo
 
 def _add_oracle(points, dim: int | None, tail_tol: float) -> list[Evaluation]:
     """The evaluations of ``points``, pairs (params, evaluation), with the
-    rates of one ``_numeric_rates`` on one basis."""
+    rates of the truncated-basis simulation: one ``_readout`` on one basis,
+    read as the detector reads it."""
     pairs = [(params, ev.delta) for params, ev in points]
-    rates = _numeric_rates(pairs, _oracle_space(pairs, dim, tail_tol))
-    return [Evaluation(ev.phi, ev.delta, ev.delta_detected, ev.analytic, numeric)
-            for (_, ev), numeric in zip(points, rates)]
+    out = []
+    for (params, ev), quiet, signal, o in zip(
+            points, *_readout(pairs, _oracle_space(pairs, dim, tail_tol))):
+        if params.family is StateFamily.FOCK:
+            # a count of exactly n photons reads "no signal"
+            p_fp, p_fn = 1.0 - quiet, signal
+        else:
+            # an odd count reads "signal"
+            p_fp, p_fn = 0.5 * (1.0 - quiet), 0.5 * (1.0 + signal)
+        numeric = ErrorRates(p_fp=_clamped(p_fp, "p_fp"), p_fn=_clamped(p_fn, "p_fn"),
+                             helstrom=analytic.helstrom(params.p0, min(abs(o) ** 2, 1.0)))
+        out.append(Evaluation(ev.phi, ev.delta, ev.delta_detected, ev.analytic, numeric))
+    return out
 
 
 def evaluate(params: ProtocolParams, phi: float, *, with_oracle: bool = False,

@@ -20,7 +20,7 @@ from . import analytic
 from .analytic import ProtocolParams, StateFamily
 from .fock import FockSpace, cat_state, displace, fock_state, parity_signs, recommend_dim, squeeze
 from .loss import apply_loss_via_purification, thin
-from .protocols import _numeric_rates, evaluate, optimize_delta, sweep
+from .protocols import evaluate, optimize_delta, sweep
 
 
 @dataclass(frozen=True)
@@ -154,21 +154,13 @@ def _fock1_point_analytic(grid: str) -> float:
 
 @_check("fock1_operating_point_numeric", 1e-8)
 def _fock1_point_numeric(grid: str) -> float:
-    """The oracle's rates (``protocols._numeric_rates``: thinned photon
-    statistics, read as the detector reads them) reproduce the closed-form
-    rates."""
-    points: dict[FockSpace, list] = {}
-    for eta in (0.8, 0.9, 0.98):
-        delta = 1.0 / math.sqrt(eta)
-        params = ProtocolParams(family=StateFamily.FOCK, photons=1e6, n=1, eta=eta)
-        points.setdefault(_space_for(1.0, delta), []).append((params, delta))
-    worst = 0.0
-    for space, on_space in points.items():
-        for (params, _), rates in zip(on_space, _numeric_rates(on_space, space)):
-            eta = params.eta
-            worst = max(worst, abs(rates.p_fp - (1.0 - eta)),
-                        abs(rates.p_fn - (1.0 - eta) / math.e))
-    return worst
+    """The oracle's rates at the optimized phase, as ``sweep --oracle``
+    prints them along eta, reproduce (1-eta, (1-eta)/e)."""
+    fock = ProtocolParams(family=StateFamily.FOCK, photons=1e6, n=1)
+    etas = (0.8, 0.9, 0.98)
+    return max(max(abs(ev.numeric.p_fp - (1.0 - eta)),
+                   abs(ev.numeric.p_fn - (1.0 - eta) / math.e))
+               for eta, ev in zip(etas, sweep(fock, "eta", etas, with_oracle=True)))
 
 
 @_check("cat_overlap_zeros_analytic", 1e-12)

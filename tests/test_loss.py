@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ngphase import loss
 from ngphase.analytic import cat_parity, cat_pn
 from ngphase.fock import (
     MAX_DIM,
@@ -205,29 +204,14 @@ def test_thin_rejects_invalid_distributions(probs, message):
         thin(probs, 0.9)
 
 
-def test_stacked_thinning_tables_keep_each_tables_bits():
-    etas = [0.3, 1.0, 0.9, 1e-9, 0.999999, 0.9]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for dim in (2, 17, 60, MAX_DIM):
-            stack = _thinning_table(dim, np.array(etas))
-            assert stack.shape == (len(etas), dim, dim)
-            for eta, table in zip(etas, stack):
-                assert np.array_equal(table, _thinning_table(dim, eta)), (dim, eta)
-        assert np.array_equal(_thinning_table(5, np.array([1.0, 1.0])), np.stack([np.eye(5)] * 2))
-
-
 def _distributions(space):
     states = displace(space, cat_state(space, 2.0), [0.1, 0.5, 1.0])
     return np.abs(np.concatenate((states, [fock_state(space, 3)]))) ** 2
 
 
-@pytest.mark.parametrize("per_product", [None, 1, 2])
-def test_thin_per_channel_matches_one_channel_at_a_time(monkeypatch, per_product):
+def test_thin_per_channel_matches_one_channel_at_a_time():
     # an eta sweep thins each point by its own efficiency; repeated and lossless
-    # efficiencies included, in one product or in several
-    if per_product is not None:
-        monkeypatch.setattr(loss, "_tables_per_product", lambda dim: per_product)
+    # efficiencies included
     space = FockSpace(recommend_dim(2.0, 1.0))
     probs = _distributions(space)
     etas = [0.8, 1.0, 0.8, 0.5]
