@@ -223,7 +223,8 @@ def displace(space: FockSpace, states, deltas) -> np.ndarray:
     of a + a†.  Truncating the generator makes D(delta) wrong once a
     displaced state reaches the top of the basis, so a LeakageError is
     raised where the probability a result puts on its top
-    ``_top_levels(dim)`` levels exceeds the space's ``tail_tol``.
+    ``_top_levels(dim)`` levels exceeds the space's ``tail_tol``; its
+    message advises a larger dim below ``MAX_DIM`` and names that limit at it.
     """
     states = _as_states(space, states)
     if states.ndim == 2 and len(states) != len(deltas):
@@ -242,10 +243,12 @@ def displace(space: FockSpace, states, deltas) -> np.ndarray:
     bad = np.flatnonzero(~(top <= space.tail_tol))
     if bad.size:
         i = bad[0]
+        advice = ("increase dim" if space.dim < MAX_DIM
+                  else f"the state needs a basis above MAX_DIM={MAX_DIM}")
         raise LeakageError(
             f"displace(delta={float(deltas[i])!r}): {top[i]:.3e} of the probability sits "
             f"in the top {levels} levels, above tail_tol {space.tail_tol:.3e} at dim "
-            f"{space.dim}; increase dim"
+            f"{space.dim}; {advice}"
         )
     return _freeze(rows)
 
