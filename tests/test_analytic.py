@@ -38,6 +38,7 @@ from ngphase.analytic import (
 )
 from ngphase.fock import FockSpace, cat_state, displace, fock_state, parity_signs, recommend_dim
 from ngphase.limits import MAX_DIM
+from ngphase.verification import run_checks
 from ngphase.loss import thin
 from reference_cat_pn import scalar_cat_pn
 from reference_search import golden_section_minimize
@@ -477,3 +478,23 @@ def test_cat_pn_matches_the_scalar_form_bit_for_bit(alpha, delta, eta, levels):
 def test_cat_pn_guards(args, message):
     with pytest.raises(ValueError, match=message):
         cat_pn(*args)
+
+
+# Guards that no CLI input reaches: only a direct call can fire them.
+API_GUARDS = [
+    (laguerre, (-1, 0.5), r"^n must be >= 0, got -1$"),
+    (fock_overlap, (-1, 0.5), r"^n must be >= 0, got -1$"),
+    (cat_overlap, (0.0, 0.5), r"^alpha must be > 0, got 0.0$"),
+    (cat_overlap_zero, (0.0,), r"^alpha must be > 0, got 0.0$"),
+    (cat_overlap_zero, (1.0, -1), r"^k must be >= 0, got -1$"),
+    (fock1_error_rates, (0.5, 0.0), r"^eta must be in \(0, 1\], got 0.0$"),
+    (baseline_phase_errors, (0.0,), r"^photon number must be > 0, got 0.0$"),
+    (run_checks, ("medium",), r"^grid must be 'small' or 'full', got 'medium'$"),
+]
+
+
+@pytest.mark.parametrize("fn, args, message", API_GUARDS,
+                         ids=[f"{fn.__name__}{args}" for fn, args, _ in API_GUARDS])
+def test_api_only_guards(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)

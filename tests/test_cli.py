@@ -917,26 +917,71 @@ def _argv(draw):
     return argv
 
 
-@given(argv=_argv())
-@settings(max_examples=100, deadline=None)
-def test_cli_contract_holds_for_any_flag_values(argv):
-    # main() must return a documented exit code with at most one line on
-    # stderr; an exception escaping main() would end the CLI in a traceback
+def _run_contract(argv):
+    """Run ``argv`` and hold main() to its contract: a documented exit code
+    with at most one line on stderr (an exception escaping main() would end
+    the CLI in a traceback), and, on exit 0, the Helstrom floor of
+    tests/test_corpus.py on every printed triple; the numeric triple only on
+    the recommended basis, as a user-set --dim may be too small.  Returns the
+    exit code and the triples."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     assert err.getvalue().count("\n") <= 1
     assert "Traceback" not in err.getvalue()
-    if code == 0:
-        # the Helstrom floor of tests/test_corpus.py; the numeric triple only
-        # on the recommended basis, as a user-set --dim may be too small
-        p0 = next((float(flag[len("--p0="):]) for flag in argv if flag.startswith("--p0=")), 0.5)
-        dim_set = any(flag.startswith("--dim=") for flag in argv)
-        slack = 1.0 - FLOOR_ULPS * sys.float_info.epsilon
-        for p_fp, p_fn, helstrom in _rate_triples(out.getvalue(),
-                                                  RATE_TRIPLES[:1] if dim_set else RATE_TRIPLES):
-            assert p0 * p_fp + (1.0 - p0) * p_fn >= helstrom * slack, (p_fp, p_fn, helstrom)
+    if code != 0:
+        return code, []
+    p0 = next((float(flag[len("--p0="):]) for flag in argv if flag.startswith("--p0=")), 0.5)
+    dim_set = any(flag.startswith("--dim=") for flag in argv)
+    slack = 1.0 - FLOOR_ULPS * sys.float_info.epsilon
+    triples = _rate_triples(out.getvalue(), RATE_TRIPLES[:1] if dim_set else RATE_TRIPLES)
+    for p_fp, p_fn, helstrom in triples:
+        assert p0 * p_fp + (1.0 - p0) * p_fn >= helstrom * slack, (p_fp, p_fn, helstrom)
+    return code, triples
+
+
+@given(argv=_argv())
+@settings(max_examples=100, deadline=None)
+def test_cli_contract_holds_for_any_flag_values(argv):
+    _run_contract(argv)
+
+
+# Axis values of valid scenarios: displacements, efficiencies, cat amplitudes.
+VALID_AXES = {"delta": st.floats(0.0, 3.0), "eta": st.floats(0.05, 1.0),
+              "alpha": st.floats(0.3, 3.0)}
+
+
+@st.composite
+def _valid_argv(draw):
+    """A valid scenario of either family, evaluated, optimized or swept along
+    delta, eta or (cat) alpha, with or without the oracle."""
+    family = draw(st.sampled_from(["fock", "cat"]))
+    command = draw(st.sampled_from(["evaluate", "optimize", "sweep"]))
+    argv = [command, f"--family={family}"]
+    if family == "fock":
+        argv.append(f"--n={draw(st.integers(1, 5))}")
+    else:
+        argv.append(f"--alpha={draw(VALID_AXES['alpha'])!r}")
+    argv += [f"--eta={draw(st.one_of(st.just(1.0), VALID_AXES['eta']))!r}",
+             f"--p0={draw(st.floats(0.0, 1.0))!r}"]
+    if command == "evaluate":
+        argv.append(f"--delta={draw(VALID_AXES['delta'])!r}")
+    elif command == "sweep":
+        axis = draw(st.sampled_from(["delta", "eta"] + (["alpha"] if family == "cat" else [])))
+        values = draw(st.lists(VALID_AXES[axis], min_size=1, max_size=3))
+        argv += [f"--axis={axis}", f"--values={','.join(repr(v) for v in values)}"]
+    return argv + draw(st.sampled_from([[], ["--oracle"]]))
+
+
+@given(argv=_valid_argv())
+@settings(max_examples=60, deadline=None)
+def test_valid_scenarios_print_rates_above_the_helstrom_floor(argv):
+    # a valid scenario is refused (exit 1) only where no formula or no basis
+    # up to MAX_DIM serves it: lossy Fock n >= 2, or a far operating point
+    code, triples = _run_contract(argv)
+    assert code in (0, 1)
+    assert code == 1 or triples
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ measures.  Without the fault the check must PASS, on the full grid that
 ``verify`` runs by default.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ngphase import analytic, fock, loss, verification
+from ngphase import analytic, fock, loss, protocols, verification
+from ngphase.analytic import StateFamily
 from ngphase.cli import main
 from ngphase.verification import check_names, run_checks
 
@@ -107,6 +109,35 @@ def test_fault_kills_check(monkeypatch, name):
     (faulted,) = run_checks(grid="full", names=[name])
     assert faulted.status == "FAIL" and math.isfinite(faulted.discrepancy), (
         f"{name} is not failed by {KILL_TABLE[name].__name__}: {faulted.status}, "
+        f"{faulted.discrepancy:.3e}, {faulted.error}")
+
+
+def fock_operating_phase_scaled(mp):
+    """``optimize_delta`` returns a Fock phase phi0 0.1% too large."""
+    def make(optimize):
+        def scaled(params):
+            point = optimize(params)
+            if params.family is not StateFamily.FOCK:
+                return point
+            return dataclasses.replace(point, phi0=point.phi0 * 1.001)
+        return scaled
+    _wrap(mp, protocols, "optimize_delta", make)
+
+
+# The converse of the kill table: a fault in a number the CLI prints, mapped
+# to the check that must FAIL under it.
+PRINTED_FAULTS = {
+    "optimize_delta's Fock phi0": (fock_operating_phase_scaled, "fock1_operating_point_numeric"),
+}
+
+
+@pytest.mark.parametrize("number", sorted(PRINTED_FAULTS))
+def test_fault_in_a_printed_number_fails_a_check(monkeypatch, number):
+    fault, name = PRINTED_FAULTS[number]
+    fault(monkeypatch)
+    (faulted,) = run_checks(grid="full", names=[name])
+    assert faulted.status == "FAIL" and math.isfinite(faulted.discrepancy), (
+        f"{name} is not failed by {fault.__name__}: {faulted.status}, "
         f"{faulted.discrepancy:.3e}, {faulted.error}")
 
 
