@@ -38,8 +38,8 @@ from ngphase.analytic import (
 )
 from ngphase.fock import FockSpace, cat_state, displace, fock_state, parity_signs, recommend_dim
 from ngphase.limits import MAX_DIM
-from ngphase.verification import run_checks
 from ngphase.loss import thin
+from ngphase.verification import run_checks
 from reference_cat_pn import scalar_cat_pn
 from reference_search import golden_section_minimize
 

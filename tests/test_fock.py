@@ -291,15 +291,6 @@ def test_displace_leakage_is_top_block_mass():
         displace(FockSpace(6), fock_state(FockSpace(6), 1), [0.0, 3.0])
 
 
-def test_displace_leakage_at_max_dim_names_the_limit():
-    # no --dim can grow a basis past MAX_DIM, so there the message names the limit
-    for dim, advice in ((MAX_DIM - 1, "increase dim"),
-                        (MAX_DIM, f"the state needs a basis above MAX_DIM={MAX_DIM}")):
-        space = FockSpace(dim)
-        with pytest.raises(LeakageError, match=rf"at dim {dim}; {advice}$"):
-            displace(space, fock_state(space, 60), [8.0])
-
-
 def test_displace_guard_fires_where_truncation_shows():
     # D(3)|1> is wrong by more than 1e-12 in any basis of at most 20 levels
     for dim in range(2, 21):
