@@ -132,6 +132,16 @@ COMMANDS = {
     # every check's status and discrepancy
     "verify_full": "verify --grid full",
     "verify_small": "verify --grid small",
+    # the rest of the README's CLI block (test_readme.py reads these files);
+    # the README writes figure 3 to --out, whose bytes are this stdout
+    "readme_overlap": "overlap --family fock --n 1 --delta-max 3 --steps 300",
+    "readme_parity": "parity --alpha 1.5 --eta 0.9",
+    "readme_evaluate": "evaluate --family fock --n 1 --eta 0.98 --phi 1.01e-3 --oracle",
+    "readme_sweep_eta": "sweep --family cat --alpha 2 --axis eta --values 0.8,0.9,0.95,0.98",
+    "readme_sweep_alpha_oracle": "sweep --family cat --alpha 2 --axis alpha --grid 0.5 4 200 "
+                                 "--oracle",
+    "readme_figure3": "figure --id 3",
+    "readme_verify_tolerance": "verify --tolerance 1e-15",
 }
 
 # What stands in for the last (``seconds``) cell of each ``verify`` report row.

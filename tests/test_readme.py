@@ -1,8 +1,11 @@
-"""The README's CLI examples run as documented.
+"""The README's CLI examples run as documented, byte for byte.
 
 Every ``ngphase ...`` line of the README's CLI code block goes through
-``cli.main`` in a temporary working directory (one of them writes a file) and
-must end in its documented exit code.
+``cli.main`` in a temporary working directory (one of them writes a file).
+Its exit code, stderr line and stdout must equal those of its entry in the
+characterization corpus (``test_corpus.py``); a command that writes ``--out``
+is held to that file instead of its (empty) stdout, and ``verify``'s seconds
+column is masked as the corpus masks it.
 """
 
 import shlex
@@ -10,12 +13,24 @@ from pathlib import Path
 
 import pytest
 
-from ngphase.cli import main
+from test_corpus import CORPUS, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# Documented exit codes other than 0.
-EXIT_CODES = {"verify --tolerance 1e-15": 3}
+# The corpus entry that holds each README command's output.
+CORPUS_ENTRIES = {
+    "overlap --family fock --n 1 --delta-max 3 --steps 300": "readme_overlap",
+    "parity --alpha 1.5 --eta 0.9": "readme_parity",
+    "evaluate --family fock --n 1 --eta 0.98 --phi 1.01e-3 --oracle": "readme_evaluate",
+    "optimize --family cat --alpha 2 --eta 0.95": "optimize_cat",
+    "sweep --family cat --alpha 2 --axis eta --values 0.8,0.9,0.95,0.98": "readme_sweep_eta",
+    "sweep --family cat --alpha 2 --axis alpha --grid 0.5 4 200 --oracle":
+        "readme_sweep_alpha_oracle",
+    "figure --id 3 --out fig3.csv": "readme_figure3",
+    "verify": "verify_full",
+    "verify --grid small": "verify_small",
+    "verify --tolerance 1e-15": "readme_verify_tolerance",
+}
 
 
 def _cli_commands() -> list[list[str]]:
@@ -31,12 +46,27 @@ COMMANDS = _cli_commands()
 
 def test_readme_block_is_found():
     # an unparsed block would leave the test below with no cases
-    assert set(EXIT_CODES) <= {" ".join(argv) for argv in COMMANDS}
+    assert sorted(" ".join(argv) for argv in COMMANDS) == sorted(CORPUS_ENTRIES)
+
+
+def _output(argv: list[str], tmp_path: Path, monkeypatch) -> tuple[str, str]:
+    """The corpus text one README command gives now, then the text of its
+    corpus entry, each without its first line (which names the command)."""
+    monkeypatch.chdir(tmp_path)
+    got = run(argv).split("\n", 1)[1]
+    if "--out" in argv:
+        got += (tmp_path / argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+    expected = (CORPUS / f"{CORPUS_ENTRIES[' '.join(argv)]}.txt").read_text(encoding="utf-8")
+    return got, expected.split("\n", 1)[1]
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
-def test_readme_command_exit_code(capsys, monkeypatch, tmp_path, argv):
-    monkeypatch.chdir(tmp_path)
-    code = main(argv)
-    err = capsys.readouterr().err
-    assert code == EXIT_CODES.get(" ".join(argv), 0), err
+def test_readme_command_exit_code(monkeypatch, tmp_path, argv):
+    got, expected = _output(argv, tmp_path, monkeypatch)
+    assert got.split("\n", 1)[0] == expected.split("\n", 1)[0]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_readme_command_prints_its_corpus_bytes(monkeypatch, tmp_path, argv):
+    got, expected = _output(argv, tmp_path, monkeypatch)
+    assert got == expected
