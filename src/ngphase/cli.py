@@ -212,6 +212,20 @@ def _delta_grid(delta_max: float, steps: int) -> list[float]:
     return [(i * delta_max) / steps for i in range(steps)]
 
 
+def _grid(lo: float, hi: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced values from ``lo`` to ``hi``, both included."""
+    return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+
+
+def _delta_table(out: str | None, deltas: list[float], closed_form, numeric) -> None:
+    """One CSV row per delta: closed form, numeric real part, modulus of their difference."""
+    rows = []
+    for delta, value in zip(deltas, numeric):
+        a = closed_form(delta)
+        rows.append([fmt(delta), fmt(a), fmt(value.real), fmt(abs(a - value))])
+    _write_rows(out, ["delta", "analytic", "numeric", "abs_diff"], rows)
+
+
 def _cmd_overlap(args) -> int:
     import numpy as np
 
@@ -225,12 +239,8 @@ def _cmd_overlap(args) -> int:
         closed_form = lambda d: analytic.fock_overlap(params.n, d)
     else:
         closed_form = lambda d: analytic.cat_overlap(params.alpha, d)
-    rows = []
-    for delta, row in zip(deltas, displace(space, probe, deltas)):
-        numeric = complex(np.vdot(probe, row))
-        a = closed_form(delta)
-        rows.append([fmt(delta), fmt(a), fmt(numeric.real), fmt(abs(a - numeric))])
-    _write_rows(args.out, ["delta", "analytic", "numeric", "abs_diff"], rows)
+    _delta_table(args.out, deltas, closed_form,
+                 (complex(np.vdot(probe, row)) for row in displace(space, probe, deltas)))
     return EXIT_OK
 
 
@@ -239,12 +249,7 @@ def _cmd_parity(args) -> int:
     deltas = _delta_grid(args.delta_max, args.steps)
     space = _oracle_space([(params, args.delta_max)], args.dim, args.tail_tol)
     _, parities, _ = _readout([(params, delta) for delta in deltas], space)
-    closed_form = analytic.cat_parity_curve(params.alpha, params.eta)
-    rows = []
-    for delta, numeric in zip(deltas, parities):
-        a = closed_form(delta)
-        rows.append([fmt(delta), fmt(a), fmt(numeric), fmt(abs(a - numeric))])
-    _write_rows(args.out, ["delta", "analytic", "numeric", "abs_diff"], rows)
+    _delta_table(args.out, deltas, analytic.cat_parity_curve(params.alpha, params.eta), parities)
     return EXIT_OK
 
 
@@ -252,27 +257,29 @@ _RATE_HEADER = ["p_fp", "p_fn", "helstrom"]
 _NUMERIC_HEADER = ["p_fp_numeric", "p_fn_numeric", "helstrom_numeric", "max_abs_diff"]
 
 
-def _rate_cells(ev: Evaluation, oracle: bool) -> list[str]:
-    if ev.analytic is not None:
-        cells = [fmt(ev.analytic.p_fp), fmt(ev.analytic.p_fn), fmt(ev.analytic.helstrom)]
-    else:
-        cells = ["nan", "nan", "nan"]
-    if oracle:
-        gap = ev.max_discrepancy
-        cells += [fmt(ev.numeric.p_fp), fmt(ev.numeric.p_fn), fmt(ev.numeric.helstrom),
-                  fmt(gap) if gap is not None else "nan"]
-    return cells
+def _rate_table(args, lead: list[str], rows: list[tuple[list[str], Evaluation]]) -> None:
+    """One CSV row per (lead cells, evaluation): the closed-form rates ("nan"
+    where there are none) and, under --oracle, the numeric rates and the gap."""
+    header = lead + _RATE_HEADER + (_NUMERIC_HEADER if args.oracle else [])
+    table = []
+    for cells, ev in rows:
+        a = ev.analytic
+        cells = cells + ([fmt(a.p_fp), fmt(a.p_fn), fmt(a.helstrom)] if a is not None
+                         else ["nan", "nan", "nan"])
+        if args.oracle:
+            gap, n = ev.max_discrepancy, ev.numeric
+            cells += [fmt(n.p_fp), fmt(n.p_fn), fmt(n.helstrom),
+                      fmt(gap) if gap is not None else "nan"]
+        table.append(cells)
+    _write_rows(args.out, header, table)
 
 
 def _cmd_evaluate(args) -> int:
     params = _scenario(args)
     phi = args.phi if args.phi is not None else delta_to_phi(params, args.delta)
     ev = evaluate(params, phi, with_oracle=args.oracle, dim=args.dim, tail_tol=args.tail_tol)
-    header = ["phi", "delta", "delta_detected"] + _RATE_HEADER
-    if args.oracle:
-        header += _NUMERIC_HEADER
-    row = [fmt(ev.phi), fmt(ev.delta), fmt(ev.delta_detected)] + _rate_cells(ev, args.oracle)
-    _write_rows(args.out, header, [row])
+    _rate_table(args, ["phi", "delta", "delta_detected"],
+                [([fmt(ev.phi), fmt(ev.delta), fmt(ev.delta_detected)], ev)])
     return EXIT_OK
 
 
@@ -280,12 +287,9 @@ def _cmd_optimize(args) -> int:
     params = _scenario(args)
     op = optimize_delta(params)
     ev = evaluate(params, op.phi0, with_oracle=args.oracle, dim=args.dim, tail_tol=args.tail_tol)
-    header = ["source", "phi0", "delta_detected"] + _RATE_HEADER
-    if args.oracle:
-        header += _NUMERIC_HEADER
     source = "analytic-threshold" if params.family is StateFamily.FOCK else "parity-minimized"
-    row = [source, fmt(op.phi0), fmt(op.delta)] + _rate_cells(ev, args.oracle)
-    _write_rows(args.out, header, [row])
+    _rate_table(args, ["source", "phi0", "delta_detected"],
+                [([source, fmt(op.phi0), fmt(op.delta)], ev)])
     return EXIT_OK
 
 
@@ -310,20 +314,14 @@ def _cmd_sweep(args) -> int:
     else:
         lo, hi, steps = args.grid
         _check_steps(steps, "--grid STEPS", 2)
-        steps = int(steps)
-        values = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+        values = _grid(lo, hi, int(steps))
     evaluations = sweep(params, args.axis, values, with_oracle=args.oracle, dim=args.dim,
                         tail_tol=args.tail_tol)
     # the delta axis is named apart from the evaluated delta column beside it
     axis = "delta_axis" if args.axis == "delta" else args.axis
-    header = [axis, "phi", "delta", "delta_detected"] + _RATE_HEADER
-    if args.oracle:
-        header += _NUMERIC_HEADER
-    rows = []
-    for value, ev in zip(values, evaluations):
-        rows.append([fmt(value), fmt(ev.phi), fmt(ev.delta), fmt(ev.delta_detected)]
-                    + _rate_cells(ev, args.oracle))
-    _write_rows(args.out, header, rows)
+    _rate_table(args, [axis, "phi", "delta", "delta_detected"],
+                [([fmt(value), fmt(ev.phi), fmt(ev.delta), fmt(ev.delta_detected)], ev)
+                 for value, ev in zip(values, evaluations)])
     return EXIT_OK
 
 
@@ -374,21 +372,14 @@ def _figure_3(args) -> tuple[list[str], list[list[str]]]:
     header = ["delta"] + _column_labels("parity_alpha_", alphas, "--alphas")
     steps = _figure_steps(args, 500)
     curves = [analytic.cat_parity_curve(a, 1.0) for a in alphas]
-    rows = []
-    for i in range(steps):
-        delta = (i * 2.5) / (steps - 1)
-        rows.append([fmt(delta)] + [fmt(curve(delta)) for curve in curves])
-    return header, rows
-
-
-def _alpha_grid(steps: int) -> list[float]:
-    return [0.5 + i * 3.5 / (steps - 1) for i in range(steps)]
+    return header, [[fmt(delta)] + [fmt(curve(delta)) for curve in curves]
+                    for delta in _grid(0.0, 2.5, steps)]
 
 
 def _figure_4(args) -> tuple[list[str], list[list[str]]]:
     steps = _figure_steps(args, 200)
     rows = []
-    for alpha in _alpha_grid(steps):
+    for alpha in _grid(0.5, 4.0, steps):
         delta_opt, parity = _cat_parity_minimum(alpha, 1.0)
         p_even = 0.5 * (1.0 + parity)
         rows.append([fmt(alpha), fmt(delta_opt), fmt(p_even), fmt(1.0 - p_even)])
@@ -406,7 +397,7 @@ def _eta_columns(args, prefix: str, rate) -> tuple[list[str], list[list[str]]]:
     header = ["alpha"] + _column_labels(prefix, etas, "--etas")
     steps = _figure_steps(args, 200)
     return header, [[fmt(alpha)] + [fmt(rate(alpha, eta)) for eta in etas]
-                    for alpha in _alpha_grid(steps)]
+                    for alpha in _grid(0.5, 4.0, steps)]
 
 
 def _figure_5(args) -> tuple[list[str], list[list[str]]]:

@@ -257,32 +257,6 @@ def displace(space: FockSpace, states, deltas) -> np.ndarray:
 # truncation sizing
 
 
-def poisson_tail_cutoff(lam: float, tail_tol: float) -> int:
-    """Smallest n0 with P(Poisson(lam) >= n0) <= tail_tol.
-
-    Raises ValueError when n0 plus ``DIM_MARGIN`` would exceed ``MAX_DIM``,
-    and for a non-finite ``lam`` (an overflowed alpha^2 + delta^2).
-    """
-    if not lam < math.inf:
-        raise ValueError(f"mean photon number {lam:g} needs a basis above MAX_DIM={MAX_DIM}")
-    if lam <= 0.0:
-        return 1
-    pmf = math.exp(-lam)
-    cdf = pmf
-    n = 0
-    target = 1.0 - tail_tol
-    while cdf < target:
-        n += 1
-        if n + 1 + DIM_MARGIN > MAX_DIM:
-            raise ValueError(
-                f"mean photon number {lam:g} needs a basis above MAX_DIM={MAX_DIM} "
-                f"at tail_tol {tail_tol:g}"
-            )
-        pmf *= lam / n
-        cdf += pmf
-    return n + 1
-
-
 def recommend_dim(max_alpha: float, max_delta: float,
                   tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     """Basis size for states of coherent amplitude up to sqrt(alpha^2 + delta^2).
@@ -297,4 +271,19 @@ def recommend_dim(max_alpha: float, max_delta: float,
     if not tail_tol > 0:
         raise ValueError("tail_tol must be > 0")
     lam = max_alpha * max_alpha + max_delta * max_delta
-    return max(2, poisson_tail_cutoff(lam, tail_tol)) + DIM_MARGIN
+    if not lam < math.inf:
+        raise ValueError(f"mean photon number {lam:g} needs a basis above MAX_DIM={MAX_DIM}")
+    pmf = math.exp(-lam)
+    cdf = pmf
+    n = 0
+    target = 1.0 - tail_tol
+    while cdf < target:
+        n += 1
+        if n + 1 + DIM_MARGIN > MAX_DIM:
+            raise ValueError(
+                f"mean photon number {lam:g} needs a basis above MAX_DIM={MAX_DIM} "
+                f"at tail_tol {tail_tol:g}"
+            )
+        pmf *= lam / n
+        cdf += pmf
+    return max(2, n + 1) + DIM_MARGIN
