@@ -5,9 +5,9 @@ the one carrier of the basis size and the leakage tolerance.  A state is a
 read-only complex amplitude vector of that length, and ``displace`` returns
 one read-only row per displacement; overlaps (``np.vdot``) and photon-number
 distributions (``np.abs(rows) ** 2``) are read off those arrays directly.
-The truncation dimension is chosen so that the probability mass the
-untruncated state would carry above the cutoff ("leakage") stays below the
-space's tolerance; see ``recommend_dim``.  ``cat_state`` and ``displace``
+The truncation dimension holds the probability mass the untruncated state
+would carry above the cutoff ("leakage") near the space's tolerance, by a
+float Poisson sum; see ``recommend_dim``.  ``cat_state`` and ``displace``
 raise LeakageError where a state's leakage exceeds that tolerance.  All
 values are immutable after construction and safe to share between threads.
 """
@@ -261,10 +261,14 @@ def recommend_dim(max_alpha: float, max_delta: float,
                   tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     """Basis size for states of coherent amplitude up to sqrt(alpha^2 + delta^2).
 
-    The returned dimension keeps the Poisson tail above ``dim - DIM_MARGIN``
-    below ``tail_tol``; the margin absorbs what truncating the generator
-    a + a† does to the top of the basis.  Monotone nondecreasing in both
-    amplitudes and in 1/tail_tol; a size above ``MAX_DIM`` is a ValueError.
+    The size is ``DIM_MARGIN`` levels above n0 (at least 2), the first level
+    at which a forward float sum of the Poisson(alpha^2 + delta^2)
+    probabilities below it reaches 1 - tail_tol; the margin absorbs what
+    truncating the generator a + a† does to the top of the basis.  The sum
+    rounds, so n0 can sit one level off the exact tail's: above or below it
+    for 13 of the means 0, 0.01, ..., 140 at the default tail_tol.  The size
+    is nondecreasing in 1/tail_tol; below a tail_tol of about 1e-13 it can
+    drop as the amplitudes grow.  A size above ``MAX_DIM`` is a ValueError.
     """
     if not (0 <= max_alpha < math.inf and 0 <= max_delta < math.inf):
         raise ValueError(f"amplitudes must be finite and >= 0, got {max_alpha}, {max_delta}")

@@ -16,11 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import pdtrc
 
 import ngphase
 from reference_coherent_amplitudes import loop_coherent_amplitudes
 from reference_ladder import lowering
+from ngphase.cli import main
 from ngphase.fock import (
+    DIM_MARGIN,
     MAX_DIM,
     ConvergenceError,
     FockSpace,
@@ -35,6 +38,7 @@ from ngphase.fock import (
     recommend_dim,
     squeeze,
 )
+from ngphase.limits import DEFAULT_TAIL_TOL
 
 E_MINUS_HALF = 0.60653065971263342  # exp(-1/2)
 E_MINUS_ONE = 0.36787944117144233  # exp(-1)
@@ -306,6 +310,30 @@ def test_non_finite_displacement_rejected(delta):
         displace(space, fock_state(space, 1), [0.5, delta])
 
 
+def test_non_finite_eigendecomposition_is_a_convergence_error(monkeypatch, capsys):
+    # no input reaches this guard: it needs eigh to hand back a NaN
+    real = np.linalg.eigh
+
+    def nan_eigh(matrix):
+        lam, vec = real(matrix)
+        lam[0] = math.nan
+        return lam, vec
+
+    message = "displacement: eigendecomposition produced non-finite entries"
+    monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+    _quadrature_eigenbasis.cache_clear()
+    try:
+        space = FockSpace(16)
+        with pytest.raises(ConvergenceError) as info:
+            displace(space, fock_state(space, 1), [0.5])
+        assert str(info.value) == message
+        capsys.readouterr()
+        assert main(["overlap", "--family", "fock", "--steps", "3"]) == 2
+        assert capsys.readouterr().err == f"ngphase: computation failed: {message}\n"
+    finally:
+        _quadrature_eigenbasis.cache_clear()
+
+
 def test_import_does_not_load_scipy():
     src = str(Path(ngphase.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -519,6 +547,21 @@ def test_recommend_dim_monotone_in_amplitude():
     assert dims == sorted(dims)
     dims_d = [recommend_dim(1.0, d) for d in (0.0, 0.5, 1.0, 2.0)]
     assert dims_d == sorted(dims_d)
+
+
+def test_recommend_dim_stays_within_a_level_of_the_exact_tail():
+    # the float sum's rounding may put n0 one level off the exact n0 (the
+    # first level whose tail P(N >= n0), scipy's pdtrc(n0 - 1, lam), is at
+    # most tail_tol); at the default tail_tol n0 never drops as the mean grows
+    levels = np.arange(MAX_DIM)
+    sizes = []
+    for i in range(1401):
+        lam = i / 10
+        n0 = recommend_dim(math.sqrt(lam), 0.0) - DIM_MARGIN
+        exact = 1 + np.argmax(pdtrc(levels, lam) <= DEFAULT_TAIL_TOL)
+        assert abs(n0 - exact) <= 1, (lam, n0, exact)
+        sizes.append(n0)
+    assert sizes == sorted(sizes)
 
 
 def test_recommend_dim_rejects_bad_args():
