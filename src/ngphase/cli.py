@@ -267,8 +267,8 @@ def _rate_table(args, lead: list[str], rows: list[tuple[list[str], Evaluation]])
         cells = cells + ([fmt(a.p_fp), fmt(a.p_fn), fmt(a.helstrom)] if a is not None
                          else ["nan", "nan", "nan"])
         if args.oracle:
-            gap, n = ev.max_discrepancy, ev.numeric
-            cells += [fmt(n.p_fp), fmt(n.p_fn), fmt(n.helstrom),
+            gap, num = ev.max_discrepancy, ev.numeric
+            cells += [fmt(num.p_fp), fmt(num.p_fn), fmt(num.helstrom),
                       fmt(gap) if gap is not None else "nan"]
         table.append(cells)
     _write_rows(args.out, header, table)
