@@ -5,7 +5,9 @@ roots, the truncated-basis numerics for overlaps and parities, bracketed
 searches for optima.
 """
 
+import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -275,6 +277,23 @@ def test_helstrom_identical_states_err_with_the_smaller_prior(p0):
 
 def test_helstrom_half_overlap():
     assert helstrom(0.5, 0.5) == pytest.approx(HALF_OVERLAP_HELSTROM, abs=1e-15)
+
+
+@pytest.mark.parametrize("p0, overlap_sq", [
+    (0.9792698990633135, 0.9999999999999983),  # a 0.98 prior on a barely displaced cat
+    (0.5, 1.0 - 2.0 ** -40),  # near-identical states at equal priors
+    (0.5, 1e-20),  # nearly orthogonal states: about x / 4
+    (0.3, 0.6),
+    (1e-6, 0.99),
+])
+def test_helstrom_is_within_two_ulps_of_the_exact_bound(p0, overlap_sq):
+    # the exact value of (1 - sqrt(1 - 4 p0 (1 - p0) s)) / 2 for the float inputs
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p, s = decimal.Decimal(p0), decimal.Decimal(overlap_sq)
+        exact = (1 - (1 - 4 * p * (1 - p) * s).sqrt()) / 2
+    assert helstrom(p0, overlap_sq) == pytest.approx(float(exact), rel=2 * sys.float_info.epsilon,
+                                                     abs=0)
 
 
 def test_helstrom_rejects_inconsistent_inputs():
