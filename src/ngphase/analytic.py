@@ -169,10 +169,8 @@ def fock_overlap(n: int, delta: float) -> float:
     Where that product is not finite (L_n overflowing while the exponential
     underflows), the recurrence is rerun with L divided by 2^_SCALE_BITS
     whenever |L| exceeds it, and the bits divided out are carried into the
-    exponent.
+    exponent.  A negative n is laguerre's ValueError.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     d2 = delta * delta
     value = laguerre(n, d2) * math.exp(-0.5 * d2)
     if math.isfinite(value) or not math.isfinite(d2):

@@ -39,8 +39,6 @@ EXIT_VALIDATION = 1
 EXIT_COMPUTATION = 2
 EXIT_VERIFICATION = 3
 
-DEFAULT_FIGURE_ETAS = (0.8, 0.9, 0.95, 0.98)
-
 
 class _UsageError(Exception):
     pass
@@ -100,6 +98,19 @@ _SCENARIO_FLAGS = (
     ("--tail-tol", dict(type=float, default=DEFAULT_TAIL_TOL, help="truncation leakage budget")),
     ("--oracle", dict(action="store_true", help="also run the numeric route and report both")),
     ("--out", dict(help="output CSV path (default: stdout)")),
+)
+
+
+# The figure flags, as (flag, argparse keywords).  None of them has a parser
+# default, so ``_cmd_figure`` can tell which were given; the defaults of the
+# flags a figure reads sit beside its builder, in ``_FIGURES``.
+_FIGURE_FLAGS = (
+    ("--alphas", dict(help="cat amplitudes (figure 3)")),
+    ("--etas", dict(help="efficiency grid (figures 5-6)")),
+    ("--steps", dict(type=int, help="grid points (figure 3: 500, figures 4-6: 200)")),
+    ("--delta", dict(type=float, help="displacement (figure 2)")),
+    ("--levels", dict(type=int, help="photon levels shown (figure 2)")),
+    ("--tail-tol", dict(type=float, help="truncation leakage budget (figure 2)")),
 )
 
 
@@ -177,18 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="evenly spaced axis values")
 
     p = sub.add_parser("figure", help="regenerate the data behind one figure")
-    p.add_argument("--id", type=int, choices=[2, 3, 4, 5, 6], required=True)
-    p.add_argument("--alphas", default="1.5,3", help="cat amplitudes (figure 3)")
-    p.add_argument("--etas", default=",".join(str(e) for e in DEFAULT_FIGURE_ETAS),
-                   help="efficiency grid (figures 5-6)")
-    p.add_argument("--steps", type=int, help="grid points (figure 3: 500, figures 4-6: 200)")
-    p.add_argument("--delta", type=float, default=1.0, help="displacement (figure 2)")
-    p.add_argument("--levels", type=int, default=16, help="photon levels shown (figure 2)")
-    p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL)
+    p.add_argument("--id", type=int, choices=sorted(_FIGURES), required=True)
+    for flag, spec in _FIGURE_FLAGS:
+        p.add_argument(flag, **spec)
     p.add_argument("--out", help="output CSV path (default: stdout)")
 
     p = sub.add_parser("verify", help="run the analytic-vs-numeric verification suite")
-    p.add_argument("--grid", choices=["small", "full"], default="full")
+    # one suite: --grid full names it, as it did when there was a choice
+    p.add_argument("--grid", choices=["full"], help="the suite (full, the only one)")
     p.add_argument("--tolerance", type=float,
                    help="override every check's tolerance")
     p.add_argument("--out", help="write the report CSV here as well as stdout")
@@ -343,13 +350,6 @@ def _figure_2(args) -> tuple[list[str], list[list[str]]]:
     return ["n", "p_initial", "p_displaced"], rows
 
 
-def _figure_steps(args, default: int) -> int:
-    """Length of a figure grid; it includes both end points, so at least 2."""
-    steps = default if args.steps is None else args.steps
-    _check_steps(steps, "--steps", 2)
-    return steps
-
-
 def _column_labels(prefix: str, values: list[float], flag: str) -> list[str]:
     """One CSV column label per list-flag value; {:g} keeps 6 significant
     digits, so two values that print alike would give two columns one name."""
@@ -370,16 +370,16 @@ def _figure_3(args) -> tuple[list[str], list[list[str]]]:
         raise ValueError(f"--alphas values must be > 0 with 2 alpha^2 a finite float, "
                          f"got {bad[0]}")
     header = ["delta"] + _column_labels("parity_alpha_", alphas, "--alphas")
-    steps = _figure_steps(args, 500)
+    _check_steps(args.steps, "--steps", 2)
     curves = [analytic.cat_parity_curve(a, 1.0) for a in alphas]
     return header, [[fmt(delta)] + [fmt(curve(delta)) for curve in curves]
-                    for delta in _grid(0.0, 2.5, steps)]
+                    for delta in _grid(0.0, 2.5, args.steps)]
 
 
 def _figure_4(args) -> tuple[list[str], list[list[str]]]:
-    steps = _figure_steps(args, 200)
+    _check_steps(args.steps, "--steps", 2)
     rows = []
-    for alpha in _grid(0.5, 4.0, steps):
+    for alpha in _grid(0.5, 4.0, args.steps):
         delta_opt, parity = _cat_parity_minimum(alpha, 1.0)
         p_even = 0.5 * (1.0 + parity)
         rows.append([fmt(alpha), fmt(delta_opt), fmt(p_even), fmt(1.0 - p_even)])
@@ -395,9 +395,9 @@ def _eta_columns(args, prefix: str, rate) -> tuple[list[str], list[list[str]]]:
     if bad:
         raise ValueError(f"--etas values must be in (0, 1], got {bad[0]}")
     header = ["alpha"] + _column_labels(prefix, etas, "--etas")
-    steps = _figure_steps(args, 200)
+    _check_steps(args.steps, "--steps", 2)
     return header, [[fmt(alpha)] + [fmt(rate(alpha, eta)) for eta in etas]
-                    for alpha in _grid(0.5, 4.0, steps)]
+                    for alpha in _grid(0.5, 4.0, args.steps)]
 
 
 def _figure_5(args) -> tuple[list[str], list[list[str]]]:
@@ -409,9 +409,27 @@ def _figure_6(args) -> tuple[list[str], list[list[str]]]:
                         lambda alpha, eta: 0.5 * (1.0 + _cat_parity_minimum(alpha, eta)[1]))
 
 
+# Each figure's builder and the defaults of the figure flags it reads.
+_FIGURE_ETAS = "0.8,0.9,0.95,0.98"
+_FIGURES = {
+    2: (_figure_2, dict(delta=1.0, levels=16, tail_tol=DEFAULT_TAIL_TOL)),
+    3: (_figure_3, dict(alphas="1.5,3", steps=500)),
+    4: (_figure_4, dict(steps=200)),
+    5: (_figure_5, dict(etas=_FIGURE_ETAS, steps=200)),
+    6: (_figure_6, dict(etas=_FIGURE_ETAS, steps=200)),
+}
+
+
 def _cmd_figure(args) -> int:
-    builders = {2: _figure_2, 3: _figure_3, 4: _figure_4, 5: _figure_5, 6: _figure_6}
-    header, rows = builders[args.id](args)
+    build, defaults = _FIGURES[args.id]
+    # a figure flag the figure does not read would change nothing it prints
+    for flag, _ in _FIGURE_FLAGS:
+        name = flag[2:].replace("-", "_")
+        if getattr(args, name) is None:
+            setattr(args, name, defaults.get(name))
+        elif name not in defaults:
+            raise ValueError(f"figure {args.id} does not read {flag}")
+    header, rows = build(args)
     _write_rows(args.out, header, rows)
     return EXIT_OK
 
@@ -422,7 +440,7 @@ def _cmd_verify(args) -> int:
     # open --out first, so an unwritable path fails before the suite runs
     fh = _open_out(args.out)
     with fh or contextlib.nullcontext():
-        results = run_checks(grid=args.grid, tolerance=args.tolerance)
+        results = run_checks(tolerance=args.tolerance)
         header = ["status", "check", "max_discrepancy", "tolerance", "seconds"]
         text = _csv_text(header, [
             [r.status, r.name, fmt(r.discrepancy), fmt(r.tolerance), f"{r.seconds:.3f}"]

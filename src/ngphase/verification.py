@@ -42,11 +42,11 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-_REGISTRY: list[tuple[str, float, Callable[[str], float]]] = []
+_REGISTRY: list[tuple[str, float, Callable[[], float]]] = []
 
 
 def _check(name: str, tolerance: float):
-    def wrap(fn: Callable[[str], float]):
+    def wrap(fn: Callable[[], float]):
         _REGISTRY.append((name, tolerance, fn))
         return fn
     return wrap
@@ -56,19 +56,17 @@ def check_names() -> list[str]:
     return [name for name, _, _ in _REGISTRY]
 
 
-def run_checks(grid: str = "full", tolerance: float | None = None,
+def run_checks(tolerance: float | None = None,
                names: list[str] | None = None) -> list[CheckResult]:
-    """Run the registered checks and collect their worst discrepancies.
+    """Run the registered checks, or those in ``names``, and collect their
+    worst discrepancies.  The suite is fixed: every check runs its own grid.
 
     ``tolerance`` overrides every check's own threshold (useful to probe how
-    tight the agreement actually is); ``grid='small'`` shrinks the parameter
-    grids for a quick smoke run.  A check that raises is recorded as an
+    tight the agreement actually is).  A check that raises is recorded as an
     ERROR result and the remaining checks still run.  A ``tolerance`` that is
     not finite and > 0 would pass or fail every check whatever it measured, so
     it is a ValueError; so is an unknown name in ``names``.
     """
-    if grid not in ("small", "full"):
-        raise ValueError(f"grid must be 'small' or 'full', got {grid!r}")
     if tolerance is not None and not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     unknown = sorted(set(names or ()) - set(check_names()))
@@ -81,7 +79,7 @@ def run_checks(grid: str = "full", tolerance: float | None = None,
         tol = default_tol if tolerance is None else tolerance
         start = time.perf_counter()
         try:
-            disc, error = fn(grid), None
+            disc, error = fn(), None
         except Exception as exc:
             disc, error = math.inf, f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
@@ -91,39 +89,28 @@ def run_checks(grid: str = "full", tolerance: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# grids
+# grids and the oracle's basis
 
 
-def _etas(grid: str) -> list[float]:
-    return [0.5, 0.98] if grid == "small" else [0.5, 0.8, 0.9, 0.95, 0.98, 1.0]
+_ETAS = (0.5, 0.8, 0.9, 0.95, 0.98, 1.0)
 
 
-def _space_for(alpha: float, delta: float) -> FockSpace:
-    return FockSpace(recommend_dim(alpha, delta))
-
-
-def _displaced(points) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(probe, D(delta) probe) for each point (space, probe, delta), where
-    ``probe(space)`` builds the state: one ``displace`` per distinct space,
-    over all of its points' states and deltas.  In input order."""
-    members: dict[FockSpace, list[int]] = {}
-    for i, (space, _, _) in enumerate(points):
-        members.setdefault(space, []).append(i)
-    out = [None] * len(points)
-    for space, indices in members.items():
-        probes = [points[i][1](space) for i in indices]
-        # a lone state stays a vector, so its row keeps a one-point call's rounding
-        rows = displace(space, probes[0] if len(probes) == 1 else np.array(probes),
-                        [points[i][2] for i in indices])
-        for i, probe, row in zip(indices, probes, rows):
-            out[i] = probe, row
-    return out
+def _displaced(points) -> tuple[np.ndarray, np.ndarray]:
+    """The probes of ``points``, triples (amplitude, probe, delta) where
+    ``probe(space)`` builds the state, and their rows D(delta) probe, in
+    input order.  One basis for them all, sized as the oracle sizes a
+    command's: ``recommend_dim`` for the largest amplitude and the largest
+    |delta|; then one ``displace`` of every probe by its delta."""
+    space = FockSpace(recommend_dim(max(amplitude for amplitude, _, _ in points),
+                                    max(abs(delta) for _, _, delta in points)))
+    probes = np.array([probe(space) for _, probe, _ in points])
+    return probes, displace(space, probes, [delta for _, _, delta in points])
 
 
 def _self_overlaps(points) -> list[complex]:
     """<probe|D(delta) probe> for each point of ``_displaced``, read off the
     displaced row as the oracle reads it."""
-    return [complex(np.vdot(probe, row)) for probe, row in _displaced(points)]
+    return [complex(np.vdot(probe, row)) for probe, row in zip(*_displaced(points))]
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +118,15 @@ def _self_overlaps(points) -> list[complex]:
 
 
 @_check("fock_orthogonality", 1e-8)
-def _fock_orthogonality(grid: str) -> float:
+def _fock_orthogonality() -> float:
     """|<n|D(sqrt(R_n))|n>| vanishes at the first Laguerre root."""
-    top = 4 if grid == "small" else 10
-    points = []
-    for n in range(1, top + 1):
-        delta = math.sqrt(analytic.laguerre_first_root(n))
-        points.append((_space_for(math.sqrt(n), delta), partial(fock_state, n=n), delta))
+    points = [(math.sqrt(n), partial(fock_state, n=n),
+               math.sqrt(analytic.laguerre_first_root(n))) for n in range(1, 11)]
     return max(abs(o) for o in _self_overlaps(points))
 
 
 @_check("fock1_operating_point_analytic", 1e-12)
-def _fock1_point_analytic(grid: str) -> float:
+def _fock1_point_analytic() -> float:
     """Closed-form rates at d'^2 = 1 equal (1-eta, (1-eta)/e)."""
     worst = 0.0
     for eta in (0.8, 0.9, 0.98):
@@ -153,7 +137,7 @@ def _fock1_point_analytic(grid: str) -> float:
 
 
 @_check("fock1_operating_point_numeric", 1e-8)
-def _fock1_point_numeric(grid: str) -> float:
+def _fock1_point_numeric() -> float:
     """The oracle's rates at the optimized phase, as ``sweep --oracle``
     prints them along eta, reproduce (1-eta, (1-eta)/e)."""
     fock = ProtocolParams(family=StateFamily.FOCK, photons=1e6, n=1)
@@ -164,7 +148,7 @@ def _fock1_point_numeric(grid: str) -> float:
 
 
 @_check("cat_overlap_zeros_analytic", 1e-12)
-def _cat_zeros_analytic(grid: str) -> float:
+def _cat_zeros_analytic() -> float:
     """The closed-form overlap vanishes at the first three closed-form zeros."""
     worst = 0.0
     for alpha in (1.0, 1.5, 2.0, 2.5, 3.0):
@@ -174,40 +158,34 @@ def _cat_zeros_analytic(grid: str) -> float:
 
 
 @_check("cat_overlap_zeros_numeric", 1e-8)
-def _cat_zeros_numeric(grid: str) -> float:
-    points = []
-    for alpha in (1.5, 2.0, 3.0):
-        for k in (0, 1):
-            delta = analytic.cat_overlap_zero(alpha, k)
-            points.append((_space_for(alpha, delta), partial(cat_state, alpha=alpha), delta))
+def _cat_zeros_numeric() -> float:
+    points = [(alpha, partial(cat_state, alpha=alpha), analytic.cat_overlap_zero(alpha, k))
+              for alpha in (1.5, 2.0, 3.0) for k in (0, 1)]
     return max(abs(o) for o in _self_overlaps(points))
 
 
 @_check("lossy_cat_statistics", 1e-8)
-def _lossy_cat_statistics(grid: str) -> float:
+def _lossy_cat_statistics() -> float:
     """Parity and per-n photon probabilities of the thinned distribution (the
     oracle's readout) of the displaced cat against their closed forms."""
-    alphas = (1.0, 3.0) if grid == "small" else (1.0, 2.0, 3.0)
-    deltas = (0.4,) if grid == "small" else (0.1, 0.4, 0.8)
-    etas = _etas(grid)
-    cases = [(alpha, delta) for alpha in alphas for delta in deltas]
-    displaced = _displaced([(_space_for(alpha, delta), partial(cat_state, alpha=alpha), delta)
-                            for alpha, delta in cases])
+    cases = [(alpha, delta) for alpha in (1.0, 2.0, 3.0) for delta in (0.1, 0.4, 0.8)]
+    _, shifted = _displaced([(alpha, partial(cat_state, alpha=alpha), delta)
+                             for alpha, delta in cases])
+    # q[j, i]: case i thinned at the j-th eta
+    q = thin([np.abs(shifted) ** 2] * len(_ETAS), _ETAS)
+    levels = shifted.shape[1]
+    signs = parity_signs(levels)
     worst = 0.0
-    for (alpha, delta), (_, shifted) in zip(cases, displaced):
-        p = np.abs(shifted) ** 2
-        # one row per eta, thinned and closed-form
-        q = thin([p] * len(etas), etas)
-        closed = np.array([analytic.cat_pn(alpha, delta, eta, len(p)) for eta in etas])
-        signs = parity_signs(len(p))
-        worst = max(worst, float(np.max(np.abs(q - closed))),
+    for i, (alpha, delta) in enumerate(cases):
+        closed = np.array([analytic.cat_pn(alpha, delta, eta, levels) for eta in _ETAS])
+        worst = max(worst, float(np.max(np.abs(q[:, i] - closed))),
                     *(abs(float(signs @ q_eta) - analytic.cat_parity(alpha, delta, eta))
-                      for eta, q_eta in zip(etas, q)))
+                      for eta, q_eta in zip(_ETAS, q[:, i])))
     return worst
 
 
 @_check("cat_fp_product_identity", 1e-12)
-def _fp_product_identity(grid: str) -> float:
+def _fp_product_identity() -> float:
     """(1 - P_0)/2 against its factored form on the (alpha, eta) grid."""
     worst = 0.0
     for alpha in (1.0, 2.0, 3.0):
@@ -222,7 +200,7 @@ def _fp_product_identity(grid: str) -> float:
 
 
 @_check("squeeze_displacement_sandwich", 1e-8)
-def _squeeze_sandwich(grid: str) -> float:
+def _squeeze_sandwich() -> float:
     """S(r)† D(delta) S(r) = D(delta e^r) on |0>..|3>: squeezing scales the signal by e^r."""
     deltas = (0.05, 0.5, 1.0)
     squeezes = (0.25, 0.5)
@@ -245,29 +223,27 @@ def _squeeze_sandwich(grid: str) -> float:
 
 
 @_check("fock_overlap_grid", 1e-8)
-def _fock_overlap_grid(grid: str) -> float:
+def _fock_overlap_grid() -> float:
     """<n|D(delta)|n> against L_n(delta^2) exp(-delta^2/2) for n <= 10."""
-    top = 4 if grid == "small" else 10
-    cases = [(n, delta) for delta in (0.1, 0.5, 1.0, 2.0) for n in range(top + 1)]
-    spaces = {delta: _space_for(math.sqrt(top), delta) for _, delta in cases}
-    numeric = _self_overlaps([(spaces[delta], partial(fock_state, n=n), delta)
+    cases = [(n, delta) for delta in (0.1, 0.5, 1.0, 2.0) for n in range(11)]
+    numeric = _self_overlaps([(math.sqrt(n), partial(fock_state, n=n), delta)
                               for n, delta in cases])
     return max(abs(o - analytic.fock_overlap(n, delta)) for o, (n, delta) in zip(numeric, cases))
 
 
 @_check("cat_overlap_formula", 1e-8)
-def _cat_overlap_formula(grid: str) -> float:
+def _cat_overlap_formula() -> float:
     cases = [(alpha, delta) for alpha in (1.0, 1.5, 3.0) for delta in (0.1, 0.3, 1.0, 2.0)]
-    numeric = _self_overlaps([(_space_for(alpha, delta), partial(cat_state, alpha=alpha), delta)
+    numeric = _self_overlaps([(alpha, partial(cat_state, alpha=alpha), delta)
                               for alpha, delta in cases])
     return max(abs(o - analytic.cat_overlap(alpha, delta))
                for o, (alpha, delta) in zip(numeric, cases))
 
 
 @_check("loss_composition", 1e-8)
-def _loss_composition(grid: str) -> float:
+def _loss_composition() -> float:
     """Thinning at eta1 after thinning at eta2 equals thinning at eta1 * eta2."""
-    space = _space_for(1.5, 0.5)
+    space = FockSpace(recommend_dim(1.5, 0.5))
     p = np.abs(displace(space, cat_state(space, 1.5), [0.5])[0]) ** 2
     pairs = ((0.9, 0.8), (0.95, 0.5))
     # p thinned at each eta2 and at each eta1 * eta2, then the first at eta1
@@ -278,7 +254,7 @@ def _loss_composition(grid: str) -> float:
 
 
 @_check("loss_thinning_vs_purification", 1e-9)
-def _thinning_purification(grid: str) -> float:
+def _thinning_purification() -> float:
     """Binomial thinning of |psi|^2 matches the diagonal of the lossy state
     built by the beamsplitter purification, which shares no code with it."""
     space = FockSpace(24)
@@ -295,7 +271,7 @@ def _thinning_purification(grid: str) -> float:
 
 
 @_check("fock1_fn_stationarity", 1e-8)
-def _fock1_stationarity(grid: str) -> float:
+def _fock1_stationarity() -> float:
     """d p_fn / d(d'^2) vanishes at d'^2 = 1 (central finite difference)."""
     worst = 0.0
     step = 1e-6
@@ -307,19 +283,19 @@ def _fock1_stationarity(grid: str) -> float:
 
 
 @_check("parity_bounds", 1e-12)
-def _parity_bounds(grid: str) -> float:
+def _parity_bounds() -> float:
     """|P_delta| never exceeds 1."""
     deltas = [float(delta) for delta in np.linspace(0.0, 2.0, 21)]
     worst = 0.0
     for alpha in (0.5, 1.0, 2.0, 3.0):
-        for eta in _etas(grid):
+        for eta in _ETAS:
             for delta in deltas:
                 worst = max(worst, abs(analytic.cat_parity(alpha, delta, eta)) - 1.0)
     return max(0.0, worst)
 
 
 @_check("sweep_dual_path", 1e-6)
-def _sweep_dual_path(grid: str) -> float:
+def _sweep_dual_path() -> float:
     """Analytic and numeric routes agree along optimizer-driven sweeps."""
     cat = ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=1.5, eta=0.9)
     worst = max(ev.max_discrepancy for ev in sweep(cat, "alpha", (1.0, 2.0), with_oracle=True))

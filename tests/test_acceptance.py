@@ -32,11 +32,11 @@ def _report(criterion: int, label: str, ok: bool, detail: str) -> None:
 
 def _accept(criterion: int, label: str, tolerances: dict[str, float],
             seconds: float | None = None) -> None:
-    """Run the named ``verify`` checks on the full grid.  Each must pass under
-    the criterion's own tolerance, which its registry entry must still carry,
-    and together they must finish within ``seconds``."""
+    """Run the named ``verify`` checks.  Each must pass under the criterion's
+    own tolerance, which its registry entry must still carry, and together
+    they must finish within ``seconds``."""
     start = time.perf_counter()
-    results = run_checks(grid="full", names=list(tolerances))
+    results = run_checks(names=list(tolerances))
     elapsed = time.perf_counter() - start
     ok = sorted(r.name for r in results) == sorted(tolerances) and all(
         r.passed and r.tolerance == tolerances[r.name] for r in results)
@@ -119,7 +119,7 @@ def test_criterion_8_figure_determinism(tmp_path):
 
 def test_criterion_9_verify_suite(capsys):
     start = time.perf_counter()
-    code = main(["verify", "--grid", "full"])
+    code = main(["verify"])
     elapsed = time.perf_counter() - start
     capsys.readouterr()  # the report itself is not part of this test's output
     _report(9, "full verification suite",

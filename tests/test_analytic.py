@@ -41,7 +41,6 @@ from ngphase.analytic import (
 from ngphase.fock import FockSpace, cat_state, displace, fock_state, parity_signs, recommend_dim
 from ngphase.limits import MAX_DIM
 from ngphase.loss import thin
-from ngphase.verification import run_checks
 from reference_cat_pn import scalar_cat_pn
 from reference_search import golden_section_minimize
 
@@ -508,7 +507,6 @@ API_GUARDS = [
     (cat_overlap_zero, (1.0, -1), r"^k must be >= 0, got -1$"),
     (fock1_error_rates, (0.5, 0.0), r"^eta must be in \(0, 1\], got 0.0$"),
     (baseline_phase_errors, (0.0,), r"^photon number must be > 0, got 0.0$"),
-    (run_checks, ("medium",), r"^grid must be 'small' or 'full', got 'medium'$"),
 ]
 
 

@@ -343,9 +343,9 @@ FIGURE_6_ETAS = (0.5, 0.8, 0.95, 1.0)
 @pytest.mark.parametrize("steps", [2, 3, 200, 1001])
 def test_cat_figures_match_a_per_cell_optimize_delta_reference(capsys, figure, steps):
     # the figures reuse the search's own minimum; the digits must not move
-    etas = ",".join(str(e) for e in FIGURE_6_ETAS)
-    code, out, err = run_cli(capsys, "figure", "--id", figure, "--steps", str(steps),
-                             "--etas", etas)
+    # figure 4 reads no --etas
+    etas = ("--etas", ",".join(str(e) for e in FIGURE_6_ETAS)) if figure == "6" else ()
+    code, out, err = run_cli(capsys, "figure", "--id", figure, "--steps", str(steps), *etas)
     assert (code, err) == (0, "")
     assert out == _cat_figure_reference(figure, steps, FIGURE_6_ETAS)
 
@@ -455,6 +455,23 @@ def test_figure_unknown_id(capsys):
     assert code == 1
 
 
+# A value for each figure flag, and the flags each figure reads.
+FIGURE_FLAG_VALUES = {"--alphas": "1,2", "--etas": "0.9", "--steps": "3", "--delta": "0.5",
+                      "--levels": "4", "--tail-tol": "1e-10"}
+FIGURE_READS = {2: {"--delta", "--levels", "--tail-tol"}, 3: {"--alphas", "--steps"},
+                4: {"--steps"}, 5: {"--etas", "--steps"}, 6: {"--etas", "--steps"}}
+
+
+@pytest.mark.parametrize("figure, flag", [
+    (figure, flag) for figure, reads in FIGURE_READS.items()
+    for flag in FIGURE_FLAG_VALUES if flag not in reads])
+def test_figure_refuses_a_flag_it_does_not_read(capsys, figure, flag):
+    # these 20 pairs were accepted and changed no byte of the output
+    code, out, err = run_cli(capsys, "figure", "--id", str(figure), flag, FIGURE_FLAG_VALUES[flag])
+    assert (code, out) == (1, "")
+    assert err == f"ngphase: invalid request: figure {figure} does not read {flag}\n"
+
+
 def test_figure_3_deterministic_bytes(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -470,11 +487,11 @@ def test_figure_3_deterministic_bytes(tmp_path, capsys):
 # verify and exit codes
 
 
-def test_verify_small_grid_passes(capsys):
+def test_verify_passes_every_check(capsys):
     import time
 
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "verify", "--grid", "small")
+    code, out, err = run_cli(capsys, "verify")
     elapsed = time.perf_counter() - start
     assert code == 0
     header, rows = parse_csv(out)
@@ -484,8 +501,32 @@ def test_verify_small_grid_passes(capsys):
     assert elapsed < 10.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("overlap", "--family", "fock", "--n", "1", "--steps", "3", "--tail-tol", "1e-300"),
+    ("evaluate", "--family", "cat", "--alpha", "7.33", "--delta", "0.1", "--oracle",
+     "--tail-tol", "5e-16"),
+])
+def test_tail_tol_below_the_sums_resolution_is_named(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "tail_tol" in err and "MAX_DIM" not in err
+
+
+def test_verify_grid_full_names_the_one_suite():
+    from test_corpus import run
+
+    # each text's first line names the command; the seconds are masked
+    assert run(["verify"]).split("\n", 1)[1] == run(["verify", "--grid", "full"]).split("\n", 1)[1]
+
+
+def test_verify_grid_small_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--grid", "small")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "invalid choice: 'small'" in err
+
+
 def test_verify_impossible_tolerance_fails_cleanly(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--grid", "small", "--tolerance", "1e-15")
+    code, out, _ = run_cli(capsys, "verify", "--tolerance", "1e-15")
     assert code == 3
     _, rows = parse_csv(out)
     assert any(r[0] == "FAIL" for r in rows)
@@ -495,7 +536,7 @@ def test_verify_impossible_tolerance_fails_cleanly(capsys):
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1", "0"])
 def test_verify_tolerance_must_be_finite_and_positive(capsys, tolerance):
     # inf passed every check and nan or -1 failed every one, whatever they measured
-    code, out, err = run_cli(capsys, "verify", "--grid", "small", f"--tolerance={tolerance}")
+    code, out, err = run_cli(capsys, "verify", f"--tolerance={tolerance}")
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "tolerance must be finite and > 0" in err
@@ -503,7 +544,7 @@ def test_verify_tolerance_must_be_finite_and_positive(capsys, tolerance):
 
 @pytest.mark.parametrize("argv", [
     ("figure", "--id", "5", "--steps", "3"),
-    ("verify", "--grid", "small"),
+    ("verify",),
 ])
 def test_unwritable_out_is_validation_error(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x.csv"))
@@ -514,7 +555,7 @@ def test_unwritable_out_is_validation_error(tmp_path, capsys, argv):
 
 
 def test_verify_out_dash_prints_report_once(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--grid", "small", "--out", "-")
+    code, out, _ = run_cli(capsys, "verify", "--out", "-")
     assert code == 0
     assert out.count("status,check,") == 1
 
@@ -535,8 +576,7 @@ def _recording_run_checks(monkeypatch):
 
 def test_verify_unwritable_out_fails_before_any_check(tmp_path, capsys, monkeypatch):
     calls = _recording_run_checks(monkeypatch)
-    code, out, err = run_cli(capsys, "verify", "--grid", "small",
-                             "--out", str(tmp_path / "missing" / "x.csv"))
+    code, out, err = run_cli(capsys, "verify", "--out", str(tmp_path / "missing" / "x.csv"))
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "cannot write --out" in err
@@ -546,7 +586,7 @@ def test_verify_unwritable_out_fails_before_any_check(tmp_path, capsys, monkeypa
 def test_verify_out_file_holds_the_stdout_report(tmp_path, capsys, monkeypatch):
     calls = _recording_run_checks(monkeypatch)
     target = tmp_path / "report.csv"
-    code, out, _ = run_cli(capsys, "verify", "--grid", "small", "--out", str(target))
+    code, out, _ = run_cli(capsys, "verify", "--out", str(target))
     assert code == 0
     assert len(calls) == 1
     assert out.count("status,check,") == 1
@@ -1008,7 +1048,7 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
                      SWEEP_GRID + ("3",),
                      ("figure", "--id", "5", "--steps", "3"),
                      ("figure", "--id", "3", "--steps", "3"),
-                     ("verify", "--grid", "small"),
+                     ("verify",),
                      ("overlap", "--family", "fock", "--steps", "5")]:
             assert main(list(argv)) == 0, argv
     finally:

@@ -129,9 +129,14 @@ COMMANDS = {
     # a sweep axis of the other probe family
     "sweep_fock_alpha_axis": "sweep --family fock --axis alpha --values 1,2",
     "sweep_cat_n_axis": "sweep --family cat --alpha 2 --axis n --values 1,2",
+    # a figure flag the chosen figure does not read, one per figure
+    "figure2_unread_flag": "figure --id 2 --steps 7",
+    "figure3_unread_flag": "figure --id 3 --steps 7 --tail-tol 1e-10",
+    "figure4_unread_flag": "figure --id 4 --steps 3 --alphas 1,2",
+    "figure5_unread_flag": "figure --id 5 --steps 3 --levels 4",
+    "figure6_unread_flag": "figure --id 6 --steps 3 --etas 0.9 --delta 1",
     # every check's status and discrepancy
     "verify_full": "verify --grid full",
-    "verify_small": "verify --grid small",
     # the rest of the README's CLI block (test_readme.py reads these files);
     # the README writes figure 3 to --out, whose bytes are this stdout
     "readme_overlap": "overlap --family fock --n 1 --delta-max 3 --steps 300",

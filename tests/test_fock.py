@@ -580,6 +580,53 @@ def test_recommend_dim_bounded_by_max_dim():
         recommend_dim(1e6, 0.0)
 
 
+def _forward_sum_size(lam: float, tail_tol: float) -> int | None:
+    """The size the forward Poisson sum gives when run on to MAX_DIM without
+    watching for a stall; None where it passes MAX_DIM."""
+    pmf = cdf = math.exp(-lam)
+    n = 0
+    while cdf < 1.0 - tail_tol:
+        n += 1
+        if n + 1 + DIM_MARGIN > MAX_DIM:
+            return None
+        pmf *= lam / n
+        cdf += pmf
+    return max(2, n + 1) + DIM_MARGIN
+
+
+def test_recommend_dim_refuses_only_a_sum_that_can_never_reach_its_target():
+    stalled = 0
+    for i in range(201):
+        alpha = math.sqrt(i * 0.7)
+        for tail_tol in (1e-12, 1e-14, 1e-15, 3e-15, 1e-16, 1e-300):
+            expected = _forward_sum_size(alpha * alpha, tail_tol)
+            try:
+                assert recommend_dim(alpha, 0.0, tail_tol) == expected, (alpha, tail_tol)
+            except ValueError as exc:
+                assert expected is None, (alpha, tail_tol, exc)
+                stalled += "resolves" in str(exc)
+    assert stalled
+
+
+@pytest.mark.parametrize("alpha, delta, tail_tol, mean", [
+    (1.0, 3.0, 1e-300, "10"),
+    (7.33, 0.1, 5e-16, "53.7389"),
+])
+def test_recommend_dim_names_a_stalled_sum(alpha, delta, tail_tol, mean):
+    # the sum stops growing short of 1 - tail_tol long before MAX_DIM
+    with pytest.raises(ValueError, match=rf"^tail_tol {tail_tol:g} is below what a float "
+                                         rf"Poisson sum resolves at mean photon number "
+                                         rf"{mean}: the sum stops .* short of 1$"):
+        recommend_dim(alpha, delta, tail_tol)
+
+
+def test_recommend_dim_underflowing_mean_keeps_the_max_dim_message():
+    # exp(-900) underflows, so the sum stays 0 and never passes its mean
+    with pytest.raises(ValueError, match="^mean photon number 900 needs a basis above "
+                                         "MAX_DIM=256 at tail_tol 1e-300$"):
+        recommend_dim(30.0, 0.0, 1e-300)
+
+
 @pytest.mark.parametrize("max_delta", [1.4e154, 1e300, 1.7976931348623157e308])
 def test_recommend_dim_overflowing_amplitude_names_max_dim(max_delta):
     # alpha^2 + delta^2 overflows to inf; the Poisson cutoff read it as 2 levels

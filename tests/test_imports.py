@@ -48,7 +48,7 @@ def _run_probe(argv):
     (("sweep", "--family", "cat", "--alpha", "2", "--eta", "0.9", "--axis", "eta",
       "--values", "0.8,0.9"), False),
     (("parity", "--alpha", "1.5", "--steps", "5"), True),
-    (("verify", "--grid", "small"), True),
+    (("verify",), True),
     (("figure", "--id", "4", "--steps", "3"), False),
     (("figure", "--id", "6", "--steps", "3"), False),
     (("sweep", "--family", "cat", "--alpha", "2", "--eta", "0.9", "--axis", "alpha",

@@ -28,7 +28,6 @@ CORPUS_ENTRIES = {
         "readme_sweep_alpha_oracle",
     "figure --id 3 --out fig3.csv": "readme_figure3",
     "verify": "verify_full",
-    "verify --grid small": "verify_small",
     "verify --tolerance 1e-15": "readme_verify_tolerance",
 }
 

@@ -5,8 +5,8 @@ the check is there to watch (mutation testing: DeMillo, Lipton & Sayward,
 IEEE Computer 11(4), 1978).  Under its fault the check must FAIL with a
 finite discrepancy, not ERROR: a fault that only makes the check raise (a
 wrapper left on an old signature, say) would kill it without testing what it
-measures.  Without the fault the check must PASS, on the full grid that
-``verify`` runs by default.
+measures.  Without the fault the check must PASS, on the one suite that
+``verify`` runs.
 """
 
 import dataclasses
@@ -103,10 +103,10 @@ def test_kill_table_covers_every_check():
 
 @pytest.mark.parametrize("name", check_names())
 def test_fault_kills_check(monkeypatch, name):
-    (clean,) = run_checks(grid="full", names=[name])
+    (clean,) = run_checks(names=[name])
     assert clean.status == "PASS"
     KILL_TABLE[name](monkeypatch)
-    (faulted,) = run_checks(grid="full", names=[name])
+    (faulted,) = run_checks(names=[name])
     assert faulted.status == "FAIL" and math.isfinite(faulted.discrepancy), (
         f"{name} is not failed by {KILL_TABLE[name].__name__}: {faulted.status}, "
         f"{faulted.discrepancy:.3e}, {faulted.error}")
@@ -135,7 +135,7 @@ PRINTED_FAULTS = {
 def test_fault_in_a_printed_number_fails_a_check(monkeypatch, number):
     fault, name = PRINTED_FAULTS[number]
     fault(monkeypatch)
-    (faulted,) = run_checks(grid="full", names=[name])
+    (faulted,) = run_checks(names=[name])
     assert faulted.status == "FAIL" and math.isfinite(faulted.discrepancy), (
         f"{name} is not failed by {fault.__name__}: {faulted.status}, "
         f"{faulted.discrepancy:.3e}, {faulted.error}")
@@ -165,16 +165,54 @@ def test_full_grid_batches_displacement_loss_and_the_closed_form(monkeypatch):
     _counted(monkeypatch, calls, verification, "apply_loss_via_purification", "purification")
     _counted(monkeypatch, calls, analytic, "cat_pn", "cat_pn",
              size=lambda alpha, delta, eta, levels: levels)
-    assert all(r.status == "PASS" for r in run_checks(grid="full"))
-    # one displacement per basis a check uses, one thinning per distribution
-    # over all its etas, one purification per state over all its etas
-    assert calls["displace"] <= 56
-    assert calls["thin"] <= 23
+    assert all(r.status == "PASS" for r in run_checks())
+    # one displacement per basis a check uses, one thinning per set of
+    # distributions over all its etas, one purification per state over all
+    # its etas (CALLS_PER_CHECK below, summed)
+    assert calls["displace"] == 12
+    assert calls["thin"] == 7
     assert calls["purification"] == 3
     # one closed-form distribution per (alpha, delta, eta) of the 3 x 3 x 6
     # lossy cat grid, each over a whole basis
     assert calls["cat_pn"] == 54
     assert min(calls["cat_pn_sizes"]) > 30
+
+
+# (displace calls, thin calls) of each check.  The checks that displace
+# probes size one basis for all of them, as the oracle sizes a command's, and
+# displace them in one call; squeeze_displacement_sandwich checks two bases
+# and sweep_dual_path runs two oracle commands, one call on each.
+CALLS_PER_CHECK = {
+    "fock_orthogonality": (1, 0),
+    "fock1_operating_point_analytic": (0, 0),
+    "fock1_operating_point_numeric": (1, 1),
+    "cat_overlap_zeros_analytic": (0, 0),
+    "cat_overlap_zeros_numeric": (1, 0),
+    "lossy_cat_statistics": (1, 1),
+    "cat_fp_product_identity": (0, 0),
+    "squeeze_displacement_sandwich": (2, 0),
+    "fock_overlap_grid": (1, 0),
+    "cat_overlap_formula": (1, 0),
+    "loss_composition": (1, 2),
+    "loss_thinning_vs_purification": (1, 1),
+    "fock1_fn_stationarity": (0, 0),
+    "parity_bounds": (0, 0),
+    "sweep_dual_path": (2, 2),
+}
+
+
+def test_each_check_displaces_once_per_basis(monkeypatch):
+    calls = dict.fromkeys(("displace", "thin"), 0)
+    for owner in (verification, fock):
+        _counted(monkeypatch, calls, owner, "displace", "displace")
+    for owner in (verification, loss):
+        _counted(monkeypatch, calls, owner, "thin", "thin")
+    assert set(CALLS_PER_CHECK) == set(check_names())
+    for name in check_names():
+        calls.update(displace=0, thin=0)
+        (result,) = run_checks(names=[name])
+        assert result.status == "PASS", name
+        assert (calls["displace"], calls["thin"]) == CALLS_PER_CHECK[name], name
 
 
 def test_no_complex_matrix_is_diagonalised(monkeypatch, capsys):
@@ -191,7 +229,7 @@ def test_no_complex_matrix_is_diagonalised(monkeypatch, capsys):
     for cached in (fock._quadrature_eigenbasis, fock._squeeze_eigenbasis,
                    loss._beamsplitter_eigenbasis):
         cached.cache_clear()
-    assert all(r.status == "PASS" for r in run_checks(grid="full"))
+    assert all(r.status == "PASS" for r in run_checks())
     for argv in (["evaluate", "--family", "cat", "--alpha", "2", "--eta", "0.9", "--delta", "1",
                   "--oracle"],
                  ["evaluate", "--family", "fock", "--n", "2", "--eta", "0.9", "--delta", "1.5",
@@ -203,7 +241,7 @@ def test_no_complex_matrix_is_diagonalised(monkeypatch, capsys):
 
 def test_raising_check_is_an_error_row(monkeypatch):
     thinning_table_doubled(monkeypatch)
-    (result,) = run_checks(grid="small", names=["loss_composition"])
+    (result,) = run_checks(names=["loss_composition"])
     assert result.status == "ERROR" and not result.passed
     assert result.discrepancy == float("inf")
     assert "sums to 1 only within" in result.error
@@ -215,11 +253,11 @@ def test_raising_check_is_an_error_row(monkeypatch):
 ])
 def test_run_checks_rejects_vacuous_tolerances_and_unknown_names(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        run_checks(grid="small", **kwargs)
+        run_checks(**kwargs)
 
 
 def _verify(capsys, *flags):
-    code = main(["verify", "--grid", "small", *flags])
+    code = main(["verify", *flags])
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     rows = [line.split(",") for line in lines[1:]]
