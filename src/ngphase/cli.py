@@ -4,10 +4,10 @@ Subcommands: ``overlap``, ``parity``, ``evaluate``, ``optimize``, ``sweep``,
 ``figure``, ``verify``.  Identical flags produce byte-identical output:
 numbers are printed with 17 significant digits, '.' decimal separator and
 '\\n' line endings.  Exit codes: 0 success, 1 validation error, 2 computation
-failure, 3 verification failure.  The oracle modules (``fock``, ``loss``,
-``verification``) are imported by the commands that use them, so the
-closed-form commands run without numpy.  ``main()`` builds its parser once
-per process, on its first call.
+failure, 3 verification failure.  The numeric route is ``protocols``'s:
+this module imports no ``fock``, ``loss`` or numpy, and ``verify`` imports
+``verification`` when it runs, so the closed-form commands run without
+numpy.  ``main()`` builds its parser once per process, on its first call.
 """
 
 from __future__ import annotations
@@ -25,8 +25,10 @@ from .protocols import (
     SWEEP_AXES,
     Evaluation,
     _cat_parity_minimum,
+    _displaced_probes,
     _oracle_space,
-    _probe_state,
+    _overlaps,
+    _probe,
     _readout,
     delta_to_phi,
     evaluate,
@@ -95,7 +97,7 @@ _SCENARIO_FLAGS = (
     ("--p0", dict(type=float, default=0.5,
                   help="prior probability of no signal (Helstrom reference only)")),
     ("--dim", dict(type=int, help="override the basis dimension")),
-    ("--tail-tol", dict(type=float, default=DEFAULT_TAIL_TOL, help="truncation leakage budget")),
+    ("--tail-tol", dict(type=float, help="truncation leakage budget")),
     ("--oracle", dict(action="store_true", help="also run the numeric route and report both")),
     ("--out", dict(help="output CSV path (default: stdout)")),
 )
@@ -116,12 +118,18 @@ _FIGURE_FLAGS = (
 
 def _add_scenario_flags(parser: argparse.ArgumentParser, skip: tuple[str, ...] = ()) -> None:
     """Every scenario flag but those in ``skip``, a command's unread flags:
-    passing one is a usage error, and ``_scenario`` reads its default."""
+    passing one is refused, and ``_scenario`` reads its default."""
     for flag, spec in _SCENARIO_FLAGS:
         if flag in skip:
             parser.set_defaults(**{flag[2:].replace("-", "_"): spec.get("default")})
         else:
             parser.add_argument(flag, **spec)
+
+
+def _unread(args, flag: str, unless: str = "") -> ValueError:
+    """The refusal of a given flag that would change nothing the command prints."""
+    command = f"figure {args.id}" if args.command == "figure" else args.command
+    return ValueError(f"{command} does not read {flag}{unless}")
 
 
 def _check_tail_tol(tail_tol: float) -> None:
@@ -139,7 +147,12 @@ def _check_steps(steps, flag: str, least: int) -> None:
 
 
 def _scenario(args) -> ProtocolParams:
-    """The scenario the flags describe; --dim and --tail-tol are checked too."""
+    """The scenario the flags describe; --dim and --tail-tol, which have no
+    parser default, are checked too, and refused where no oracle runs."""
+    for flag in ("--dim", "--tail-tol"):
+        if not args.oracle and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise _unread(args, flag, " without --oracle")
+    args.tail_tol = DEFAULT_TAIL_TOL if args.tail_tol is None else args.tail_tol
     family = StateFamily(args.family)
     if family is StateFamily.CAT and args.alpha is None:
         raise ValueError("--alpha is required for the cat family")
@@ -160,13 +173,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overlap", parents=[], help="probe/displaced-probe overlap vs delta")
     _add_scenario_flags(p, skip=("--eta", "--r", "--photons", "--p0", "--oracle"))
+    p.set_defaults(oracle=True)  # the command is the oracle
     p.add_argument("--delta-max", type=float, default=3.0)
     p.add_argument("--steps", type=int, default=300,
                    help="number of grid points on [0, delta-max)")
 
     p = sub.add_parser("parity", help="displaced-cat parity vs delta")
     _add_scenario_flags(p, skip=("--family", "--n", "--r", "--photons", "--p0", "--oracle"))
-    p.set_defaults(family="cat")
+    p.set_defaults(family="cat", oracle=True)
     p.add_argument("--delta-max", type=float, default=2.5)
     p.add_argument("--steps", type=int, default=250)
 
@@ -212,11 +226,14 @@ def _parser() -> argparse.ArgumentParser:
 # subcommands
 
 
-def _delta_grid(delta_max: float, steps: int) -> list[float]:
-    _check_steps(steps, "--steps", 1)
-    if not 0 <= delta_max < math.inf:
+def _delta_grid(args):
+    """The scenario of overlap or parity, its delta grid and its oracle basis."""
+    params = _scenario(args)
+    _check_steps(args.steps, "--steps", 1)
+    if not 0 <= args.delta_max < math.inf:
         raise ValueError("--delta-max must be finite and >= 0")
-    return [(i * delta_max) / steps for i in range(steps)]
+    space = _oracle_space([(_probe(params), args.delta_max)], args.dim, args.tail_tol)
+    return params, [(i * args.delta_max) / args.steps for i in range(args.steps)], space
 
 
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
@@ -234,27 +251,16 @@ def _delta_table(out: str | None, deltas: list[float], closed_form, numeric) -> 
 
 
 def _cmd_overlap(args) -> int:
-    import numpy as np
-
-    from .fock import displace
-
-    params = _scenario(args)
-    deltas = _delta_grid(args.delta_max, args.steps)
-    space = _oracle_space([(params, args.delta_max)], args.dim, args.tail_tol)
-    probe = _probe_state(params, space)
-    if params.family is StateFamily.FOCK:
-        closed_form = lambda d: analytic.fock_overlap(params.n, d)
-    else:
-        closed_form = lambda d: analytic.cat_overlap(params.alpha, d)
-    _delta_table(args.out, deltas, closed_form,
-                 (complex(np.vdot(probe, row)) for row in displace(space, probe, deltas)))
+    params, deltas, space = _delta_grid(args)
+    family, value = probe = _probe(params)
+    overlap = analytic.fock_overlap if family is StateFamily.FOCK else analytic.cat_overlap
+    _delta_table(args.out, deltas, lambda delta: overlap(value, delta),
+                 _overlaps([(probe, delta) for delta in deltas], space))
     return EXIT_OK
 
 
 def _cmd_parity(args) -> int:
-    params = _scenario(args)
-    deltas = _delta_grid(args.delta_max, args.steps)
-    space = _oracle_space([(params, args.delta_max)], args.dim, args.tail_tol)
+    params, deltas, space = _delta_grid(args)
     _, parities, _ = _readout([(params, delta) for delta in deltas], space)
     _delta_table(args.out, deltas, analytic.cat_parity_curve(params.alpha, params.eta), parities)
     return EXIT_OK
@@ -333,19 +339,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _figure_2(args) -> tuple[list[str], list[list[str]]]:
-    import numpy as np
-
-    from .fock import displace
-
     _check_tail_tol(args.tail_tol)
-    params = ProtocolParams(family=StateFamily.FOCK, photons=1.0, n=1)
-    space = _oracle_space([(params, args.delta)], None, args.tail_tol)
+    if not math.isfinite(args.delta):
+        raise ValueError(f"--delta must be finite, got {args.delta}")
+    points = [((StateFamily.FOCK, 1), args.delta)]
+    space = _oracle_space(points, None, args.tail_tol)
     if not 1 <= args.levels <= space.dim:
         raise ValueError(f"--levels must be in [1, {space.dim}] (the basis dimension), "
                          f"got {args.levels}")
-    probe = _probe_state(params, space)
-    p0 = np.abs(probe) ** 2
-    p1 = np.abs(displace(space, probe, [args.delta])[0]) ** 2
+    probes, _, displaced = _displaced_probes(points, space)
+    p0, p1 = abs(probes[0]) ** 2, abs(displaced[0]) ** 2
     rows = [[str(n), fmt(p0[n]), fmt(p1[n])] for n in range(args.levels)]
     return ["n", "p_initial", "p_displaced"], rows
 
@@ -428,7 +431,7 @@ def _cmd_figure(args) -> int:
         if getattr(args, name) is None:
             setattr(args, name, defaults.get(name))
         elif name not in defaults:
-            raise ValueError(f"figure {args.id} does not read {flag}")
+            raise _unread(args, flag)
     header, rows = build(args)
     _write_rows(args.out, header, rows)
     return EXIT_OK
@@ -470,11 +473,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args, unread = _parser().parse_known_args(argv)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
     try:
+        if unread:
+            raise _unread(args, unread[0].split("=")[0])
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"ngphase: invalid request: {exc}", file=sys.stderr)

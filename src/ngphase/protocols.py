@@ -20,8 +20,6 @@ from .analytic import ErrorRates, ProtocolParams, StateFamily
 from .limits import DEFAULT_TAIL_TOL
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .fock import FockSpace
 
 
@@ -75,52 +73,67 @@ def delta_to_phi(params: ProtocolParams, delta: float) -> float:
     return delta * math.exp(-params.r) / math.sqrt(params.photons)
 
 
-def _oracle_space(points, dim: int | None, tail_tol: float) -> FockSpace:
-    """The one basis of an oracle command over ``points``, pairs (params,
+def _probe(params: ProtocolParams) -> tuple[StateFamily, float]:
+    """The probe of a scenario: its family and its n (Fock) or alpha (cat)."""
+    return params.family, params.n if params.family is StateFamily.FOCK else params.alpha
+
+
+def _oracle_space(points, dim: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL) -> FockSpace:
+    """The one basis of an oracle command over ``points``, pairs (probe,
     delta): ``dim`` levels if given, else ``recommend_dim`` for the largest
     probe amplitude and the largest |delta| among them."""
     from .fock import FockSpace, recommend_dim
 
     if dim is None:
-        amplitude = max(math.sqrt(params.n) if params.family is StateFamily.FOCK
-                        else params.alpha for params, _ in points)
+        amplitude = max(math.sqrt(value) if family is StateFamily.FOCK else value
+                        for (family, value), _ in points)
         dim = recommend_dim(amplitude, max(abs(delta) for _, delta in points), tail_tol)
     return FockSpace(dim, tail_tol)
 
 
-def _probe_state(params: ProtocolParams, space: FockSpace) -> np.ndarray:
-    """The probe on ``space``: the Fock state |n> or the even cat of amplitude alpha."""
-    from .fock import cat_state, fock_state
+def _displaced_probes(points, space: FockSpace):
+    """The one batch of every oracle table over ``points``, pairs (probe,
+    delta): each distinct probe built once on ``space`` and one ``displace``
+    of each point's probe by its delta, a lone probe as one vector, else one
+    row per point.  Returns the probes, the index of each point's probe, the rows."""
+    import numpy as np
 
-    if params.family is StateFamily.FOCK:
-        return fock_state(space, params.n)
-    return cat_state(space, params.alpha)
+    from .fock import cat_state, displace, fock_state
+
+    index = {probe: i for i, probe in enumerate(dict.fromkeys(probe for probe, _ in points))}
+    which = [index[probe] for probe, _ in points]
+    probes = np.array([fock_state(space, value) if family is StateFamily.FOCK
+                       else cat_state(space, value) for family, value in index])
+    return probes, which, displace(space, probes[0] if len(probes) == 1 else probes[which],
+                                   [delta for _, delta in points])
+
+
+def _read_overlaps(probes, which, rows) -> list[complex]:
+    """<probe|D(delta) probe> of each point of a ``_displaced_probes`` batch."""
+    import numpy as np
+
+    return [complex(np.vdot(probes[i], row)) for i, row in zip(which, rows)]
+
+
+def _overlaps(points, space: FockSpace) -> list[complex]:
+    """The overlap of each point, pairs (probe, delta), as ``overlap`` prints it."""
+    return _read_overlaps(*_displaced_probes(points, space))
 
 
 def _readout(points, space: FockSpace):
     """The oracle's counting statistics for ``points``, pairs (params, delta)
-    of one probe family: each distinct probe built once on ``space``, one
-    ``displace`` of every point's probe by its delta, and one ``thin`` of the
-    displaced states and the quiet probes, each point's pair by its own eta.
-    Returns, per point, the quiet readout, the signal readout (the
-    probability of n photons for a Fock probe, the parity for a cat) and the
-    overlap <probe|D(delta) probe>."""
+    of one probe family: one ``_displaced_probes`` batch, one ``thin`` of the
+    displaced states and the quiet probes, each pair by its point's eta.  Per
+    point: the quiet and the signal readout (the probability of n photons for
+    a Fock probe, the parity for a cat) and the overlap <probe|D(delta) probe>."""
     import numpy as np
 
-    from .fock import displace, parity_signs
+    from .fock import parity_signs
     from .loss import thin
 
     fock = points[0][0].family is StateFamily.FOCK
-    index, probes, which = {}, [], []  # distinct probes, and the probe of each point
-    for params, _ in points:
-        key = params.n if fock else params.alpha
-        if key not in index:
-            index[key] = len(probes)
-            probes.append(_probe_state(params, space))
-        which.append(index[key])
-    probes = np.array(probes)
-    displaced = displace(space, probes[0] if len(probes) == 1 else probes[which],
-                         [delta for _, delta in points])
+    probes, which, displaced = _displaced_probes(
+        [(_probe(params), delta) for params, delta in points], space)
     signal, quiet = np.abs(displaced) ** 2, np.abs(probes) ** 2
     etas = [params.eta for params, _ in points]
     if len(set(etas)) == 1:
@@ -139,7 +152,7 @@ def _readout(points, space: FockSpace):
         counts = q @ parity_signs(space.dim)
         counts_signal, counts_quiet = counts[signal_rows], counts[quiet_rows]
     return (counts_quiet.tolist(), counts_signal.tolist(),
-            [complex(np.vdot(probes[i], row)) for i, row in zip(which, displaced)])
+            _read_overlaps(probes, which, displaced))
 
 
 # Rounding moves the oracle's rates past [0, 1] by at most about 2e-15; a rate
@@ -195,9 +208,9 @@ def _add_oracle(points, dim: int | None, tail_tol: float) -> list[Evaluation]:
     rates of the truncated-basis simulation: one ``_readout`` on one basis,
     read as the detector reads it."""
     pairs = [(params, ev.delta) for params, ev in points]
+    space = _oracle_space([(_probe(params), delta) for params, delta in pairs], dim, tail_tol)
     out = []
-    for (params, ev), quiet, signal, o in zip(
-            points, *_readout(pairs, _oracle_space(pairs, dim, tail_tol))):
+    for (params, ev), quiet, signal, o in zip(points, *_readout(pairs, space)):
         if params.family is StateFamily.FOCK:
             # a count of exactly n photons reads "no signal"
             p_fp, p_fn = 1.0 - quiet, signal

@@ -11,16 +11,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import analytic
 from .analytic import ProtocolParams, StateFamily
-from .fock import FockSpace, cat_state, displace, fock_state, parity_signs, recommend_dim, squeeze
+from .fock import FockSpace, cat_state, displace, fock_state, parity_signs, squeeze
 from .loss import apply_loss_via_purification, thin
-from .protocols import evaluate, optimize_delta, sweep
+from .protocols import _displaced_probes, _oracle_space, _overlaps, evaluate, optimize_delta, sweep
 
 
 @dataclass(frozen=True)
@@ -89,28 +88,11 @@ def run_checks(tolerance: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# grids and the oracle's basis
+# grids
 
 
+# A probe is a family and its n or alpha, as the oracle's sizing and batch take it.
 _ETAS = (0.5, 0.8, 0.9, 0.95, 0.98, 1.0)
-
-
-def _displaced(points) -> tuple[np.ndarray, np.ndarray]:
-    """The probes of ``points``, triples (amplitude, probe, delta) where
-    ``probe(space)`` builds the state, and their rows D(delta) probe, in
-    input order.  One basis for them all, sized as the oracle sizes a
-    command's: ``recommend_dim`` for the largest amplitude and the largest
-    |delta|; then one ``displace`` of every probe by its delta."""
-    space = FockSpace(recommend_dim(max(amplitude for amplitude, _, _ in points),
-                                    max(abs(delta) for _, _, delta in points)))
-    probes = np.array([probe(space) for _, probe, _ in points])
-    return probes, displace(space, probes, [delta for _, _, delta in points])
-
-
-def _self_overlaps(points) -> list[complex]:
-    """<probe|D(delta) probe> for each point of ``_displaced``, read off the
-    displaced row as the oracle reads it."""
-    return [complex(np.vdot(probe, row)) for probe, row in zip(*_displaced(points))]
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +102,9 @@ def _self_overlaps(points) -> list[complex]:
 @_check("fock_orthogonality", 1e-8)
 def _fock_orthogonality() -> float:
     """|<n|D(sqrt(R_n))|n>| vanishes at the first Laguerre root."""
-    points = [(math.sqrt(n), partial(fock_state, n=n),
-               math.sqrt(analytic.laguerre_first_root(n))) for n in range(1, 11)]
-    return max(abs(o) for o in _self_overlaps(points))
+    points = [((StateFamily.FOCK, n), math.sqrt(analytic.laguerre_first_root(n)))
+              for n in range(1, 11)]
+    return max(abs(o) for o in _overlaps(points, _oracle_space(points)))
 
 
 @_check("fock1_operating_point_analytic", 1e-12)
@@ -159,9 +141,9 @@ def _cat_zeros_analytic() -> float:
 
 @_check("cat_overlap_zeros_numeric", 1e-8)
 def _cat_zeros_numeric() -> float:
-    points = [(alpha, partial(cat_state, alpha=alpha), analytic.cat_overlap_zero(alpha, k))
+    points = [((StateFamily.CAT, alpha), analytic.cat_overlap_zero(alpha, k))
               for alpha in (1.5, 2.0, 3.0) for k in (0, 1)]
-    return max(abs(o) for o in _self_overlaps(points))
+    return max(abs(o) for o in _overlaps(points, _oracle_space(points)))
 
 
 @_check("lossy_cat_statistics", 1e-8)
@@ -169,8 +151,8 @@ def _lossy_cat_statistics() -> float:
     """Parity and per-n photon probabilities of the thinned distribution (the
     oracle's readout) of the displaced cat against their closed forms."""
     cases = [(alpha, delta) for alpha in (1.0, 2.0, 3.0) for delta in (0.1, 0.4, 0.8)]
-    _, shifted = _displaced([(alpha, partial(cat_state, alpha=alpha), delta)
-                             for alpha, delta in cases])
+    points = [((StateFamily.CAT, alpha), delta) for alpha, delta in cases]
+    _, _, shifted = _displaced_probes(points, _oracle_space(points))
     # q[j, i]: case i thinned at the j-th eta
     q = thin([np.abs(shifted) ** 2] * len(_ETAS), _ETAS)
     levels = shifted.shape[1]
@@ -225,26 +207,25 @@ def _squeeze_sandwich() -> float:
 @_check("fock_overlap_grid", 1e-8)
 def _fock_overlap_grid() -> float:
     """<n|D(delta)|n> against L_n(delta^2) exp(-delta^2/2) for n <= 10."""
-    cases = [(n, delta) for delta in (0.1, 0.5, 1.0, 2.0) for n in range(11)]
-    numeric = _self_overlaps([(math.sqrt(n), partial(fock_state, n=n), delta)
-                              for n, delta in cases])
-    return max(abs(o - analytic.fock_overlap(n, delta)) for o, (n, delta) in zip(numeric, cases))
+    points = [((StateFamily.FOCK, n), delta) for delta in (0.1, 0.5, 1.0, 2.0) for n in range(11)]
+    return max(abs(o - analytic.fock_overlap(n, delta))
+               for o, ((_, n), delta) in zip(_overlaps(points, _oracle_space(points)), points))
 
 
 @_check("cat_overlap_formula", 1e-8)
 def _cat_overlap_formula() -> float:
-    cases = [(alpha, delta) for alpha in (1.0, 1.5, 3.0) for delta in (0.1, 0.3, 1.0, 2.0)]
-    numeric = _self_overlaps([(alpha, partial(cat_state, alpha=alpha), delta)
-                              for alpha, delta in cases])
+    points = [((StateFamily.CAT, alpha), delta)
+              for alpha in (1.0, 1.5, 3.0) for delta in (0.1, 0.3, 1.0, 2.0)]
     return max(abs(o - analytic.cat_overlap(alpha, delta))
-               for o, (alpha, delta) in zip(numeric, cases))
+               for o, ((_, alpha), delta) in zip(_overlaps(points, _oracle_space(points)), points))
 
 
 @_check("loss_composition", 1e-8)
 def _loss_composition() -> float:
     """Thinning at eta1 after thinning at eta2 equals thinning at eta1 * eta2."""
-    space = FockSpace(recommend_dim(1.5, 0.5))
-    p = np.abs(displace(space, cat_state(space, 1.5), [0.5])[0]) ** 2
+    points = [((StateFamily.CAT, 1.5), 0.5)]
+    _, _, (shifted,) = _displaced_probes(points, _oracle_space(points))
+    p = np.abs(shifted) ** 2
     pairs = ((0.9, 0.8), (0.95, 0.5))
     # p thinned at each eta2 and at each eta1 * eta2, then the first at eta1
     once = thin([p] * 2 * len(pairs), [eta2 for _, eta2 in pairs]

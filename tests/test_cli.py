@@ -93,20 +93,28 @@ def test_overlap_and_parity_refuse_the_scenario_flags_they_do_not_read(capsys, c
     probe = ("--family", "cat") if command == "overlap" else ()
     code, out, err = run_cli(capsys, command, *probe, "--alpha", "1.5", "--steps", "3", flag)
     assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and f"unrecognized arguments: {flag}" in err
+    # the wording of figure's refusal, naming the command and the flag
+    assert err == f"ngphase: invalid request: {command} does not read {flag.split('=')[0]}\n"
 
 
-@pytest.mark.parametrize("argv", [
-    "overlap --family fock --steps 2 --o f.csv",
-    "sweep --fam cat --alp 2 --axis eta --values 0.8,0.9",
-])
+# Flag prefixes and the start of the stderr line each gets.
+PREFIX_REFUSALS = {
+    "overlap --family fock --steps 2 --o f.csv":
+        "ngphase: invalid request: overlap does not read --o\n",
+    # these prefixes leave required flags unset, which the parser reports first
+    "sweep --fam cat --alp 2 --axis eta --values 0.8,0.9":
+        "ngphase sweep: error: the following arguments are required: --family",
+}
+
+
+@pytest.mark.parametrize("argv", list(PREFIX_REFUSALS))
 def test_flag_prefixes_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
     # a prefix of a flag is no flag: it used to resolve to whichever flag it
     # was the unique prefix of, so the accepted surface moved with the table
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and err.startswith("ngphase")
+    assert err.count("\n") == 1 and err.startswith(PREFIX_REFUSALS[argv])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -249,6 +257,14 @@ def test_figure_2_displaced_photon_gap(capsys):
     assert row1[0] == "1"
     assert float(row1[1]) == 1.0
     assert abs(float(row1[2])) < 1e-12
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_figure_2_non_finite_delta_names_the_flag(capsys, delta):
+    # the basis sizing refused it first, naming no flag
+    code, out, err = run_cli(capsys, "figure", "--id", "2", "--delta", delta)
+    assert (code, out) == (1, "")
+    assert err == f"ngphase: invalid request: --delta must be finite, got {float(delta)}\n"
 
 
 @pytest.mark.parametrize("tail_tol", [1e-12, 1e-6])
@@ -697,8 +713,39 @@ def test_delta_axis_oracle_sweep_sizes_displaces_and_thins_once(capsys, monkeypa
     assert sorted(calls) == ["displace", "recommend_dim", "thin"]
 
 
+@pytest.mark.parametrize("argv, counted", [
+    (("overlap", "--family", "cat", "--alpha", "2"), ["displace", "recommend_dim"]),
+    (("overlap", "--family", "fock", "--n", "3", "--steps", "50"), ["displace", "recommend_dim"]),
+    (("parity", "--alpha", "2", "--eta", "0.9"), ["displace", "recommend_dim", "thin"]),
+    (("figure", "--id", "2", "--delta", "2.5"), ["displace", "recommend_dim"]),
+])
+def test_delta_tables_size_and_displace_once(capsys, monkeypatch, argv, counted):
+    # overlap, parity and figure 2 read one oracle batch on one basis
+    from ngphase import fock, loss
+
+    calls = []
+    for owner, name in ((fock, "recommend_dim"), (fock, "displace"), (loss, "thin")):
+        _counting(monkeypatch, owner, name, calls)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert sorted(calls) == counted
+
+
 CAT_SCENARIO = ("--family", "cat", "--alpha", "2", "--eta", "0.9")
 FOCK_SCENARIO = ("--family", "fock", "--n", "1", "--eta", "0.9")
+
+
+@pytest.mark.parametrize("command", [("evaluate", "--delta", "1"), ("optimize",),
+                                     ("sweep", "--axis", "eta", "--values", "0.8,0.9")])
+@pytest.mark.parametrize("flag, value", [("--dim", "40"), ("--tail-tol", "1e-10")])
+def test_basis_flags_are_read_only_with_the_oracle(capsys, command, flag, value):
+    # without --oracle they were accepted and changed no byte of the output
+    code, out, err = run_cli(capsys, command[0], *CAT_SCENARIO, *command[1:], flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"ngphase: invalid request: {command[0]} does not read {flag} without --oracle\n"
+    code, out, _ = run_cli(capsys, command[0], *CAT_SCENARIO, *command[1:], flag, value,
+                           "--oracle")
+    assert code == 0 and out
 
 
 @pytest.mark.parametrize("scenario, axis, values", [
@@ -787,8 +834,9 @@ def test_undersized_basis_is_computation_error(capsys):
     (("--phi", "nan"), "phi"),
     (("--phi", "1e307"), "phi"),
     (("--delta", "inf"), "delta"),
-    (("--tail-tol", "2"), "--tail-tol"),
-    (("--tail-tol", "0"), "--tail-tol"),
+    # --tail-tol is read, and range-checked, only with the oracle
+    (("--tail-tol", "2", "--oracle"), "--tail-tol"),
+    (("--tail-tol", "0", "--oracle"), "--tail-tol"),
     # finite, but e^r is not: "math range error" (exit 2) before
     (("--r", "1e300"), "squeeze factor r"),
     (("optimize", "--alpha", "2", "--r", "1e300"), "squeeze factor r"),

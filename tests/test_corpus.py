@@ -129,12 +129,17 @@ COMMANDS = {
     # a sweep axis of the other probe family
     "sweep_fock_alpha_axis": "sweep --family fock --axis alpha --values 1,2",
     "sweep_cat_n_axis": "sweep --family cat --alpha 2 --axis n --values 1,2",
+    # the oracle's basis flags without the oracle
+    "evaluate_dim_without_oracle": "evaluate --family cat --alpha 2 --delta 1 --dim 5",
+    "sweep_tail_tol_without_oracle": f"sweep {CAT} --axis eta --values 0.9 --tail-tol 0.5",
     # a figure flag the chosen figure does not read, one per figure
     "figure2_unread_flag": "figure --id 2 --steps 7",
     "figure3_unread_flag": "figure --id 3 --steps 7 --tail-tol 1e-10",
     "figure4_unread_flag": "figure --id 4 --steps 3 --alphas 1,2",
     "figure5_unread_flag": "figure --id 5 --steps 3 --levels 4",
     "figure6_unread_flag": "figure --id 6 --steps 3 --etas 0.9 --delta 1",
+    # figure 2's displacement must be finite before its basis is sized
+    "figure2_delta_nan": "figure --id 2 --delta nan",
     # every check's status and discrepancy
     "verify_full": "verify --grid full",
     # the rest of the README's CLI block (test_readme.py reads these files);

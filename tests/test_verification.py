@@ -66,8 +66,9 @@ def cat_overlap_zero_nudged(mp):
 
 
 def displacement_nudged(mp):
-    """The numeric displacement moves every state by delta (1 + 1e-6)."""
-    _wrap(mp, verification, "displace",
+    """The numeric displacement moves every state by delta (1 + 1e-6), in the
+    oracle's batch, which the overlap checks share with ``overlap``."""
+    _wrap(mp, fock, "displace",
           lambda displace: lambda space, states, deltas: displace(
               space, states, [d * (1.0 + NUDGE) for d in deltas]))
 
@@ -124,10 +125,19 @@ def fock_operating_phase_scaled(mp):
     _wrap(mp, protocols, "optimize_delta", make)
 
 
+def overlap_readout_scaled(mp):
+    """The oracle's overlap readout, the numeric column ``overlap`` prints, is
+    a factor 1 + 1e-6 too large."""
+    _wrap(mp, protocols, "_read_overlaps",
+          lambda read: lambda *batch: [o * (1.0 + NUDGE) for o in read(*batch)])
+
+
 # The converse of the kill table: a fault in a number the CLI prints, mapped
 # to the check that must FAIL under it.
 PRINTED_FAULTS = {
     "optimize_delta's Fock phi0": (fock_operating_phase_scaled, "fock1_operating_point_numeric"),
+    "overlap's cat numeric column": (overlap_readout_scaled, "cat_overlap_formula"),
+    "overlap's Fock numeric column": (overlap_readout_scaled, "fock_overlap_grid"),
 }
 
 
@@ -139,6 +149,17 @@ def test_fault_in_a_printed_number_fails_a_check(monkeypatch, number):
     assert faulted.status == "FAIL" and math.isfinite(faulted.discrepancy), (
         f"{name} is not failed by {fault.__name__}: {faulted.status}, "
         f"{faulted.discrepancy:.3e}, {faulted.error}")
+
+
+@pytest.mark.parametrize("probe", [("--family", "cat", "--alpha", "2"),
+                                   ("--family", "fock", "--n", "2")])
+def test_the_overlap_readout_fault_moves_what_overlap_prints(monkeypatch, capsys, probe):
+    argv = ["overlap", *probe, "--steps", "7"]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out
+    overlap_readout_scaled(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr().out != clean
 
 
 def _counted(monkeypatch, calls, owner, name, key, size=None):
@@ -155,8 +176,9 @@ def _counted(monkeypatch, calls, owner, name, key, size=None):
 
 
 def test_full_grid_batches_displacement_loss_and_the_closed_form(monkeypatch):
-    # the checks call displace and thin by their own names, the oracle route
-    # (fock1_operating_point_numeric, sweep_dual_path) through fock and loss
+    # two checks call displace and three thin by their own names; the
+    # oracle's batch and readout, which the rest share, call them through
+    # fock and loss
     calls = dict.fromkeys(("displace", "thin", "purification", "cat_pn"), 0)
     for owner in (verification, fock):
         _counted(monkeypatch, calls, owner, "displace", "displace")
@@ -179,8 +201,8 @@ def test_full_grid_batches_displacement_loss_and_the_closed_form(monkeypatch):
 
 
 # (displace calls, thin calls) of each check.  The checks that displace
-# probes size one basis for all of them, as the oracle sizes a command's, and
-# displace them in one call; squeeze_displacement_sandwich checks two bases
+# probes size one basis for all of them by the oracle's ``_oracle_space`` and
+# displace them in one oracle batch; squeeze_displacement_sandwich checks two bases
 # and sweep_dual_path runs two oracle commands, one call on each.
 CALLS_PER_CHECK = {
     "fock_orthogonality": (1, 0),
