@@ -478,6 +478,8 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
     try:
+        if unread and not unread[0].startswith("-"):
+            raise ValueError(f"{args.command} takes no positional argument {unread[0]!r}")
         if unread:
             raise _unread(args, unread[0].split("=")[0])
         return _COMMANDS[args.command](args)

@@ -6,8 +6,8 @@ read-only complex amplitude vector of that length, and ``displace`` returns
 one read-only row per displacement; overlaps (``np.vdot``) and photon-number
 distributions (``np.abs(rows) ** 2``) are read off those arrays directly.
 The truncation dimension holds the probability mass the untruncated state
-would carry above the cutoff ("leakage") near the space's tolerance, by a
-float Poisson sum; see ``recommend_dim``.  ``cat_state`` and ``displace``
+would carry above the cutoff ("leakage") near the space's tolerance, by
+the exact Poisson tail; see ``recommend_dim``.  ``cat_state`` and ``displace``
 raise LeakageError where a state's leakage exceeds that tolerance.  All
 values are immutable after construction and safe to share between threads.
 """
@@ -261,43 +261,34 @@ def recommend_dim(max_alpha: float, max_delta: float,
                   tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     """Basis size for states of coherent amplitude up to sqrt(alpha^2 + delta^2).
 
-    The size is ``DIM_MARGIN`` levels above n0 (at least 2), the first level
-    at which a forward float sum of the Poisson(alpha^2 + delta^2)
-    probabilities below it reaches 1 - tail_tol; the margin absorbs what
-    truncating the generator a + a† does to the top of the basis.  The sum
-    rounds, so n0 can sit one level off the exact tail's: above or below it
-    for 13 of the means 0, 0.01, ..., 140 at the default tail_tol.  The size
-    is nondecreasing in 1/tail_tol; below a tail_tol of about 1e-13 it can
-    drop as the amplitudes grow.  A size above ``MAX_DIM`` is a ValueError,
-    and so is a sum that stops growing, past the mean, short of 1 - tail_tol:
-    it would never reach it.  On the means 0, 0.01, ..., 236 it stops within
-    5.3e-15 of 1, so only a tail_tol below that can stall there.
+    The size is ``DIM_MARGIN`` levels above n0 (at least 2), the least level
+    with P(N >= n0) <= tail_tol for N ~ Poisson(alpha^2 + delta^2); the margin
+    absorbs what truncating the generator a + a† does to the top of the
+    basis.  The tail is summed from the top, smallest term first, starting
+    past the mean where a term falls below 2^-60 tail_tol, so n0 is the exact
+    cutoff (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, ch. 4).  A size above ``MAX_DIM`` is a ValueError.
     """
     if not (0 <= max_alpha < math.inf and 0 <= max_delta < math.inf):
         raise ValueError(f"amplitudes must be finite and >= 0, got {max_alpha}, {max_delta}")
     if not tail_tol > 0:
         raise ValueError("tail_tol must be > 0")
     lam = max_alpha * max_alpha + max_delta * max_delta
-    if not lam < math.inf:
-        raise ValueError(f"mean photon number {lam:g} needs a basis above MAX_DIM={MAX_DIM}")
-    pmf = math.exp(-lam)
-    cdf = pmf
-    n = 0
-    target = 1.0 - tail_tol
-    while cdf < target:
-        n += 1
-        if n + 1 + DIM_MARGIN > MAX_DIM:
-            raise ValueError(
-                f"mean photon number {lam:g} needs a basis above MAX_DIM={MAX_DIM} "
-                f"at tail_tol {tail_tol:g}"
-            )
-        pmf *= lam / n
-        if n > lam and cdf + pmf == cdf:
-            # past the mean every later term is smaller still, so the sum
-            # has stopped growing short of the target for good
-            raise ValueError(
-                f"tail_tol {tail_tol:g} is below what a float Poisson sum resolves at "
-                f"mean photon number {lam:g}: the sum stops {1.0 - cdf:.3g} short of 1"
-            )
-        cdf += pmf
-    return max(2, n + 1) + DIM_MARGIN
+    negligible = math.ldexp(tail_tol, -60)
+    term = math.exp(-lam)
+    terms = [term]
+    for n in range(1, 2 * MAX_DIM + 1):
+        if n > lam and term <= negligible:
+            # the terms fall from here on
+            break
+        term *= lam / n
+        terms.append(term)
+    n0, tail = len(terms), 0.0
+    while n0 and tail + terms[n0 - 1] <= tail_tol:
+        n0 -= 1
+        tail += terms[n0]
+    dim = max(2, n0) + DIM_MARGIN
+    if len(terms) > 2 * MAX_DIM or dim > MAX_DIM:
+        raise ValueError(f"mean photon number {lam:g} needs a basis above MAX_DIM={MAX_DIM} "
+                         f"at tail_tol {tail_tol:g}")
+    return dim

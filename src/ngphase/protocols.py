@@ -123,16 +123,17 @@ def _overlaps(points, space: FockSpace) -> list[complex]:
 def _readout(points, space: FockSpace):
     """The oracle's counting statistics for ``points``, pairs (params, delta)
     of one probe family: one ``_displaced_probes`` batch, one ``thin`` of the
-    displaced states and the quiet probes, each pair by its point's eta.  Per
-    point: the quiet and the signal readout (the probability of n photons for
-    a Fock probe, the parity for a cat) and the overlap <probe|D(delta) probe>."""
+    displaced states and the quiet probes, each pair by its point's eta.
+    Returns the quiet and the signal readout of each point (the probability
+    of n photons for a Fock probe, the parity for a cat) and the batch, for
+    ``_read_overlaps``."""
     import numpy as np
 
     from .fock import parity_signs
     from .loss import thin
 
     fock = points[0][0].family is StateFamily.FOCK
-    probes, which, displaced = _displaced_probes(
+    batch = probes, which, displaced = _displaced_probes(
         [(_probe(params), delta) for params, delta in points], space)
     signal, quiet = np.abs(displaced) ** 2, np.abs(probes) ** 2
     etas = [params.eta for params, _ in points]
@@ -151,8 +152,7 @@ def _readout(points, space: FockSpace):
     else:
         counts = q @ parity_signs(space.dim)
         counts_signal, counts_quiet = counts[signal_rows], counts[quiet_rows]
-    return (counts_quiet.tolist(), counts_signal.tolist(),
-            _read_overlaps(probes, which, displaced))
+    return counts_quiet.tolist(), counts_signal.tolist(), batch
 
 
 # Rounding moves the oracle's rates past [0, 1] by at most about 2e-15; a rate
@@ -209,8 +209,9 @@ def _add_oracle(points, dim: int | None, tail_tol: float) -> list[Evaluation]:
     read as the detector reads it."""
     pairs = [(params, ev.delta) for params, ev in points]
     space = _oracle_space([(_probe(params), delta) for params, delta in pairs], dim, tail_tol)
+    quiets, signals, batch = _readout(pairs, space)
     out = []
-    for (params, ev), quiet, signal, o in zip(points, *_readout(pairs, space)):
+    for (params, ev), quiet, signal, o in zip(points, quiets, signals, _read_overlaps(*batch)):
         if params.family is StateFamily.FOCK:
             # a count of exactly n photons reads "no signal"
             p_fp, p_fn = 1.0 - quiet, signal

@@ -118,6 +118,19 @@ def test_flag_prefixes_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, command", [
+    (("evaluate", "--family", "cat", "--alpha", "2", "--delta", "1", "stray"), "evaluate"),
+    (("overlap", "--family", "fock", "--n", "1", "stray", "--steps", "3"), "overlap"),
+    (("figure", "--id", "2", "stray"), "figure"),
+    (("verify", "stray", "--bogus"), "verify"),
+])
+def test_a_stray_positional_token_is_refused_as_one(capsys, argv, command):
+    # a token without a leading "-" is named as a positional argument, not as a flag
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"ngphase: invalid request: {command} takes no positional argument 'stray'\n"
+
+
 # ---------------------------------------------------------------------------
 # parity / evaluate / optimize / sweep
 
@@ -517,15 +530,25 @@ def test_verify_passes_every_check(capsys):
     assert elapsed < 10.0
 
 
-@pytest.mark.parametrize("argv", [
-    ("overlap", "--family", "fock", "--n", "1", "--steps", "3", "--tail-tol", "1e-300"),
+# A tail_tol far below the default, and the exit code and stderr line it gets.
+TAIL_TOL_REFUSALS = {
+    # the exact Poisson tail of mean 10 first falls below 1e-300 past MAX_DIM
+    ("overlap", "--family", "fock", "--n", "1", "--steps", "3", "--tail-tol", "1e-300"): (
+        1, "ngphase: invalid request: mean photon number 10 needs a basis above MAX_DIM=256 at "
+           "tail_tol 1e-300\n"),
+    # the basis fits, but cat_state's float capture check, 1 - captured/K,
+    # resolves no leakage below about 1e-15 at this alpha
     ("evaluate", "--family", "cat", "--alpha", "7.33", "--delta", "0.1", "--oracle",
-     "--tail-tol", "5e-16"),
-])
+     "--tail-tol", "5e-16"): (
+        2, "ngphase: computation failed: cat_state(alpha=7.33): leakage 1.110e-15 exceeds "
+           "tail_tol 5.000e-16 at dim 143\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(TAIL_TOL_REFUSALS))
 def test_tail_tol_below_the_sums_resolution_is_named(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and "tail_tol" in err and "MAX_DIM" not in err
+    code, message = TAIL_TOL_REFUSALS[argv]
+    assert run_cli(capsys, *argv) == (code, "", message)
 
 
 def test_verify_grid_full_names_the_one_suite():
@@ -714,17 +737,24 @@ def test_delta_axis_oracle_sweep_sizes_displaces_and_thins_once(capsys, monkeypa
 
 
 @pytest.mark.parametrize("argv, counted", [
-    (("overlap", "--family", "cat", "--alpha", "2"), ["displace", "recommend_dim"]),
-    (("overlap", "--family", "fock", "--n", "3", "--steps", "50"), ["displace", "recommend_dim"]),
+    (("overlap", "--family", "cat", "--alpha", "2"),
+     ["_read_overlaps", "displace", "recommend_dim"]),
+    (("overlap", "--family", "fock", "--n", "3", "--steps", "50"),
+     ["_read_overlaps", "displace", "recommend_dim"]),
+    # parity prints no overlap, so it reads none
     (("parity", "--alpha", "2", "--eta", "0.9"), ["displace", "recommend_dim", "thin"]),
     (("figure", "--id", "2", "--delta", "2.5"), ["displace", "recommend_dim"]),
+    (("evaluate", "--family", "cat", "--alpha", "2", "--eta", "0.9", "--delta", "1", "--oracle"),
+     ["_read_overlaps", "displace", "recommend_dim", "thin"]),
 ])
 def test_delta_tables_size_and_displace_once(capsys, monkeypatch, argv, counted):
-    # overlap, parity and figure 2 read one oracle batch on one basis
-    from ngphase import fock, loss
+    # overlap, parity and figure 2 read one oracle batch on one basis, and so
+    # does evaluate, whose Helstrom bound reads the overlaps once
+    from ngphase import fock, loss, protocols
 
     calls = []
-    for owner, name in ((fock, "recommend_dim"), (fock, "displace"), (loss, "thin")):
+    for owner, name in ((fock, "recommend_dim"), (fock, "displace"), (loss, "thin"),
+                        (protocols, "_read_overlaps")):
         _counting(monkeypatch, owner, name, calls)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -795,8 +825,9 @@ def test_numeric_rate_out_of_range_is_computation_error(capsys, monkeypatch):
     from ngphase import protocols
 
     # a quiet Fock readout of 1 + 1e-9 puts p_fp 1e-9 below 0: a fault, not rounding
+    real = protocols._readout
     monkeypatch.setattr(protocols, "_readout", lambda points, space: (
-        [1.0 + 1e-9] * len(points), [0.5] * len(points), [0.5] * len(points)))
+        [1.0 + 1e-9] * len(points), [0.5] * len(points), real(points, space)[2]))
     code, out, err = run_cli(capsys, "evaluate", *FOCK_SCENARIO, "--delta", "1", "--oracle")
     assert code == 2
     assert out == ""

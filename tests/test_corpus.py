@@ -140,6 +140,13 @@ COMMANDS = {
     "figure6_unread_flag": "figure --id 6 --steps 3 --etas 0.9 --delta 1",
     # figure 2's displacement must be finite before its basis is sized
     "figure2_delta_nan": "figure --id 2 --delta nan",
+    # a tail_tol far below the default: a basis past MAX_DIM, or the float
+    # floor of cat_state's capture check on a basis that fits
+    "overlap_tail_tol_past_max_dim": "overlap --family fock --n 1 --steps 3 --tail-tol 1e-300",
+    "evaluate_cat_tail_tol_floor": "evaluate --family cat --alpha 7.33 --delta 0.1 --oracle "
+                                   "--tail-tol 5e-16",
+    # a positional token, which no command takes
+    "evaluate_stray_token": "evaluate --family cat --alpha 2 --delta 1 stray",
     # every check's status and discrepancy
     "verify_full": "verify --grid full",
     # the rest of the README's CLI block (test_readme.py reads these files);

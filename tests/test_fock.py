@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import pdtrc
@@ -38,7 +38,6 @@ from ngphase.fock import (
     recommend_dim,
     squeeze,
 )
-from ngphase.limits import DEFAULT_TAIL_TOL
 
 E_MINUS_HALF = 0.60653065971263342  # exp(-1/2)
 E_MINUS_ONE = 0.36787944117144233  # exp(-1)
@@ -549,19 +548,46 @@ def test_recommend_dim_monotone_in_amplitude():
     assert dims_d == sorted(dims_d)
 
 
-def test_recommend_dim_stays_within_a_level_of_the_exact_tail():
-    # the float sum's rounding may put n0 one level off the exact n0 (the
-    # first level whose tail P(N >= n0), scipy's pdtrc(n0 - 1, lam), is at
-    # most tail_tol); at the default tail_tol n0 never drops as the mean grows
-    levels = np.arange(MAX_DIM)
-    sizes = []
-    for i in range(1401):
-        lam = i / 10
-        n0 = recommend_dim(math.sqrt(lam), 0.0) - DIM_MARGIN
-        exact = 1 + np.argmax(pdtrc(levels, lam) <= DEFAULT_TAIL_TOL)
-        assert abs(n0 - exact) <= 1, (lam, n0, exact)
-        sizes.append(n0)
-    assert sizes == sorted(sizes)
+# Every fourth mean of 0, 0.01, ..., 140, which keeps the test near a second.
+EXACT_MEANS = np.arange(0, 14001, 4) / 100
+
+
+def test_recommend_dim_is_the_exact_poisson_cutoff():
+    # n0 is the least level k whose tail P(N >= k), scipy's pdtrc(k - 1, lam),
+    # is at most tail_tol; where k + DIM_MARGIN exceeds MAX_DIM it is refused
+    levels = np.arange(1, MAX_DIM - DIM_MARGIN + 1)
+    tails = pdtrc(levels[:, None] - 1, EXACT_MEANS)
+    for tail_tol in (1e-3, 1e-12, 1e-14, 1e-16, 1e-30, 1e-300):
+        within = tails <= tail_tol
+        for lam, fits, k in zip(EXACT_MEANS, within.any(axis=0),
+                                levels[within.argmax(axis=0)]):
+            if fits:
+                assert recommend_dim(math.sqrt(lam), 0.0, tail_tol) == max(2, k) + DIM_MARGIN, \
+                    (lam, tail_tol)
+            else:
+                with pytest.raises(ValueError, match="MAX_DIM=256"):
+                    recommend_dim(math.sqrt(lam), 0.0, tail_tol)
+
+
+def _size(lam: float, tail_tol: float) -> float:
+    """recommend_dim at mean ``lam``; a refusal counts as an infinite size."""
+    try:
+        return recommend_dim(math.sqrt(lam), 0.0, tail_tol)
+    except ValueError:
+        return math.inf
+
+
+@given(lam=st.floats(0.0, 140.0), step=st.floats(0.0, 0.05),
+       log_tol=st.floats(math.log(1e-16), math.log(1e-3)), shrink=st.floats(1.0, 10.0))
+@example(lam=6.27, step=0.01, log_tol=math.log(1e-14), shrink=1.0)
+@settings(max_examples=300, deadline=None)
+def test_recommend_dim_never_drops_as_the_mean_or_the_precision_grows(lam, step, log_tol,
+                                                                      shrink):
+    # a forward float sum of the Poisson terms broke this below a tail_tol of
+    # about 1e-13: at 1e-14 the mean 6.27 got 55 levels and 6.28 got 54
+    tail_tol = math.exp(log_tol)
+    assert _size(lam, tail_tol) <= _size(lam + step, tail_tol)
+    assert _size(lam, tail_tol) <= _size(lam, tail_tol / shrink)
 
 
 def test_recommend_dim_rejects_bad_args():
@@ -580,48 +606,8 @@ def test_recommend_dim_bounded_by_max_dim():
         recommend_dim(1e6, 0.0)
 
 
-def _forward_sum_size(lam: float, tail_tol: float) -> int | None:
-    """The size the forward Poisson sum gives when run on to MAX_DIM without
-    watching for a stall; None where it passes MAX_DIM."""
-    pmf = cdf = math.exp(-lam)
-    n = 0
-    while cdf < 1.0 - tail_tol:
-        n += 1
-        if n + 1 + DIM_MARGIN > MAX_DIM:
-            return None
-        pmf *= lam / n
-        cdf += pmf
-    return max(2, n + 1) + DIM_MARGIN
-
-
-def test_recommend_dim_refuses_only_a_sum_that_can_never_reach_its_target():
-    stalled = 0
-    for i in range(201):
-        alpha = math.sqrt(i * 0.7)
-        for tail_tol in (1e-12, 1e-14, 1e-15, 3e-15, 1e-16, 1e-300):
-            expected = _forward_sum_size(alpha * alpha, tail_tol)
-            try:
-                assert recommend_dim(alpha, 0.0, tail_tol) == expected, (alpha, tail_tol)
-            except ValueError as exc:
-                assert expected is None, (alpha, tail_tol, exc)
-                stalled += "resolves" in str(exc)
-    assert stalled
-
-
-@pytest.mark.parametrize("alpha, delta, tail_tol, mean", [
-    (1.0, 3.0, 1e-300, "10"),
-    (7.33, 0.1, 5e-16, "53.7389"),
-])
-def test_recommend_dim_names_a_stalled_sum(alpha, delta, tail_tol, mean):
-    # the sum stops growing short of 1 - tail_tol long before MAX_DIM
-    with pytest.raises(ValueError, match=rf"^tail_tol {tail_tol:g} is below what a float "
-                                         rf"Poisson sum resolves at mean photon number "
-                                         rf"{mean}: the sum stops .* short of 1$"):
-        recommend_dim(alpha, delta, tail_tol)
-
-
 def test_recommend_dim_underflowing_mean_keeps_the_max_dim_message():
-    # exp(-900) underflows, so the sum stays 0 and never passes its mean
+    # exp(-900) underflows, so every term is 0, and the mean lies past 2 MAX_DIM levels
     with pytest.raises(ValueError, match="^mean photon number 900 needs a basis above "
                                          "MAX_DIM=256 at tail_tol 1e-300$"):
         recommend_dim(30.0, 0.0, 1e-300)

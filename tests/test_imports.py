@@ -58,6 +58,21 @@ def test_numpy_is_loaded_by_the_oracle_only(argv, loads_numpy):
     assert _run_probe(argv) == (0, loads_numpy)
 
 
+# Lists the modules a fresh interpreter's ``import ngphase`` adds.
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import ngphase
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_import_ngphase_loads_only_itself():
+    # perfbench's setup_s times exactly this import; a submodule or a
+    # standard-library module loaded here would be paid by every command
+    assert _python(IMPORT_PROBE).stdout.split() == ["ngphase"]
+
+
 def test_public_names_resolve_lazily():
     for name in ngphase.__all__:
         assert callable(getattr(ngphase, name)), name

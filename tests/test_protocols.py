@@ -404,14 +404,18 @@ def test_oracle_sweep_matches_per_point_evaluate_on_every_axis(kwargs, axis, val
         assert abs(point.numeric.helstrom - alone.numeric.helstrom) <= HELSTROM_BOUND
 
 
+_READOUT = protocols._readout
+
+
 def _readout_at(params, rate, value):
-    """A readout that puts ``rate`` at ``value`` and the other rate at 1/2."""
+    """A readout that puts ``rate`` at ``value`` and the other rate at 1/2,
+    with the real batch."""
     if params.family is StateFamily.FOCK:  # p_fp = 1 - quiet, p_fn = signal
         quiet, signal = (1.0 - value, 0.5) if rate == "p_fp" else (0.5, value)
     else:  # p_fp = (1 - quiet) / 2, p_fn = (1 + signal) / 2
         quiet, signal = (1.0 - 2.0 * value, 0.0) if rate == "p_fp" else (0.0, 2.0 * value - 1.0)
     return lambda points, space: ([quiet] * len(points), [signal] * len(points),
-                                  [0.5] * len(points))
+                                  _READOUT(points, space)[2])
 
 
 @pytest.mark.parametrize("kwargs", [dict(**FOCK1, eta=0.9), dict(**CAT2, eta=0.9)])
