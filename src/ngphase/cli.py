@@ -20,7 +20,7 @@ import sys
 
 from . import analytic
 from .analytic import ProtocolParams, StateFamily
-from .limits import DEFAULT_TAIL_TOL, MAX_DIM, MAX_STEPS
+from .limits import DEFAULT_TAIL_TOL, MAX_STEPS
 from .protocols import (
     SWEEP_AXES,
     Evaluation,
@@ -96,7 +96,6 @@ _SCENARIO_FLAGS = (
                        help="mean photon number N at the phase object")),
     ("--p0", dict(type=float, default=0.5,
                   help="prior probability of no signal (Helstrom reference only)")),
-    ("--dim", dict(type=int, help="override the basis dimension")),
     ("--tail-tol", dict(type=float, help="truncation leakage budget")),
     ("--oracle", dict(action="store_true", help="also run the numeric route and report both")),
     ("--out", dict(help="output CSV path (default: stdout)")),
@@ -147,11 +146,9 @@ def _check_steps(steps, flag: str, least: int) -> None:
 
 
 def _scenario(args) -> ProtocolParams:
-    """The scenario the flags describe; --dim and --tail-tol, which have no
-    parser default, are checked too, and refused where no oracle runs."""
-    for flag in ("--dim", "--tail-tol"):
-        if not args.oracle and getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise _unread(args, flag, " without --oracle")
+    """The scenario the flags describe; --tail-tol is checked, and refused without --oracle."""
+    if not args.oracle and args.tail_tol is not None:
+        raise _unread(args, "--tail-tol", " without --oracle")
     args.tail_tol = DEFAULT_TAIL_TOL if args.tail_tol is None else args.tail_tol
     family = StateFamily(args.family)
     if family is StateFamily.CAT and args.alpha is None:
@@ -160,8 +157,6 @@ def _scenario(args) -> ProtocolParams:
     # ProtocolParams refuses a flag of the other family
     params = ProtocolParams(family=family, photons=args.photons, n=n, alpha=args.alpha,
                             eta=args.eta, r=args.r, p0=args.p0)
-    if args.dim is not None and not 2 <= args.dim <= MAX_DIM:
-        raise ValueError(f"--dim must be in [2, {MAX_DIM}]")
     _check_tail_tol(args.tail_tol)
     return params
 
@@ -232,7 +227,7 @@ def _delta_grid(args):
     _check_steps(args.steps, "--steps", 1)
     if not 0 <= args.delta_max < math.inf:
         raise ValueError("--delta-max must be finite and >= 0")
-    space = _oracle_space([(_probe(params), args.delta_max)], args.dim, args.tail_tol)
+    space = _oracle_space([(_probe(params), args.delta_max)], args.tail_tol)
     return params, [(i * args.delta_max) / args.steps for i in range(args.steps)], space
 
 
@@ -290,7 +285,7 @@ def _rate_table(args, lead: list[str], rows: list[tuple[list[str], Evaluation]])
 def _cmd_evaluate(args) -> int:
     params = _scenario(args)
     phi = args.phi if args.phi is not None else delta_to_phi(params, args.delta)
-    ev = evaluate(params, phi, with_oracle=args.oracle, dim=args.dim, tail_tol=args.tail_tol)
+    ev = evaluate(params, phi, with_oracle=args.oracle, tail_tol=args.tail_tol)
     _rate_table(args, ["phi", "delta", "delta_detected"],
                 [([fmt(ev.phi), fmt(ev.delta), fmt(ev.delta_detected)], ev)])
     return EXIT_OK
@@ -299,7 +294,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_optimize(args) -> int:
     params = _scenario(args)
     op = optimize_delta(params)
-    ev = evaluate(params, op.phi0, with_oracle=args.oracle, dim=args.dim, tail_tol=args.tail_tol)
+    ev = evaluate(params, op.phi0, with_oracle=args.oracle, tail_tol=args.tail_tol)
     source = "analytic-threshold" if params.family is StateFamily.FOCK else "parity-minimized"
     _rate_table(args, ["source", "phi0", "delta_detected"],
                 [([source, fmt(op.phi0), fmt(op.delta)], ev)])
@@ -328,8 +323,7 @@ def _cmd_sweep(args) -> int:
         lo, hi, steps = args.grid
         _check_steps(steps, "--grid STEPS", 2)
         values = _grid(lo, hi, int(steps))
-    evaluations = sweep(params, args.axis, values, with_oracle=args.oracle, dim=args.dim,
-                        tail_tol=args.tail_tol)
+    evaluations = sweep(params, args.axis, values, with_oracle=args.oracle, tail_tol=args.tail_tol)
     # the delta axis is named apart from the evaluated delta column beside it
     axis = "delta_axis" if args.axis == "delta" else args.axis
     _rate_table(args, [axis, "phi", "delta", "delta_detected"],
@@ -343,11 +337,10 @@ def _figure_2(args) -> tuple[list[str], list[list[str]]]:
     if not math.isfinite(args.delta):
         raise ValueError(f"--delta must be finite, got {args.delta}")
     points = [((StateFamily.FOCK, 1), args.delta)]
-    space = _oracle_space(points, None, args.tail_tol)
-    if not 1 <= args.levels <= space.dim:
-        raise ValueError(f"--levels must be in [1, {space.dim}] (the basis dimension), "
+    probes, _, displaced = _displaced_probes(points, _oracle_space(points, args.tail_tol))
+    if not 1 <= args.levels <= len(probes[0]):
+        raise ValueError(f"--levels must be in [1, {len(probes[0])}] (the basis dimension), "
                          f"got {args.levels}")
-    probes, _, displaced = _displaced_probes(points, space)
     p0, p1 = abs(probes[0]) ** 2, abs(displaced[0]) ** 2
     rows = [[str(n), fmt(p0[n]), fmt(p1[n])] for n in range(args.levels)]
     return ["n", "p_initial", "p_displaced"], rows
@@ -478,7 +471,8 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        if unread and not unread[0].startswith("-"):
+        # argparse's own reading: "-", "-5" and "stray" are positional, "--x" a flag
+        if unread and _parser()._parse_optional(unread[0]) is None:
             raise ValueError(f"{args.command} takes no positional argument {unread[0]!r}")
         if unread:
             raise _unread(args, unread[0].split("=")[0])

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from . import analytic
 from .analytic import ErrorRates, ProtocolParams, StateFamily
-from .limits import DEFAULT_TAIL_TOL
+from .limits import DEFAULT_TAIL_TOL, MAX_DIM
 
 if TYPE_CHECKING:
     from .fock import FockSpace
@@ -78,16 +78,15 @@ def _probe(params: ProtocolParams) -> tuple[StateFamily, float]:
     return params.family, params.n if params.family is StateFamily.FOCK else params.alpha
 
 
-def _oracle_space(points, dim: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL) -> FockSpace:
+def _oracle_space(points, tail_tol: float = DEFAULT_TAIL_TOL) -> FockSpace:
     """The one basis of an oracle command over ``points``, pairs (probe,
-    delta): ``dim`` levels if given, else ``recommend_dim`` for the largest
-    probe amplitude and the largest |delta| among them."""
+    delta): ``recommend_dim`` for the largest probe amplitude and the largest
+    |delta| among them."""
     from .fock import FockSpace, recommend_dim
 
-    if dim is None:
-        amplitude = max(math.sqrt(value) if family is StateFamily.FOCK else value
-                        for (family, value), _ in points)
-        dim = recommend_dim(amplitude, max(abs(delta) for _, delta in points), tail_tol)
+    amplitude = max(math.sqrt(value) if family is StateFamily.FOCK else value
+                    for (family, value), _ in points)
+    dim = recommend_dim(amplitude, max(abs(delta) for _, delta in points), tail_tol)
     return FockSpace(dim, tail_tol)
 
 
@@ -95,17 +94,25 @@ def _displaced_probes(points, space: FockSpace):
     """The one batch of every oracle table over ``points``, pairs (probe,
     delta): each distinct probe built once on ``space`` and one ``displace``
     of each point's probe by its delta, a lone probe as one vector, else one
-    row per point.  Returns the probes, the index of each point's probe, the rows."""
+    row per point; all of it once more on ``MAX_DIM`` levels where ``displace``
+    refuses ``space`` (a displaced number state outgrows its Poisson sizing).
+    Returns the probes, the index of each point's probe, the rows."""
     import numpy as np
 
-    from .fock import cat_state, displace, fock_state
+    from .fock import FockSpace, LeakageError, cat_state, displace, fock_state
 
     index = {probe: i for i, probe in enumerate(dict.fromkeys(probe for probe, _ in points))}
     which = [index[probe] for probe, _ in points]
     probes = np.array([fock_state(space, value) if family is StateFamily.FOCK
                        else cat_state(space, value) for family, value in index])
-    return probes, which, displace(space, probes[0] if len(probes) == 1 else probes[which],
-                                   [delta for _, delta in points])
+    try:
+        rows = displace(space, probes[0] if len(probes) == 1 else probes[which],
+                        [delta for _, delta in points])
+    except LeakageError:
+        if space.dim < MAX_DIM:
+            return _displaced_probes(points, FockSpace(MAX_DIM, space.tail_tol))
+        raise
+    return probes, which, rows
 
 
 def _read_overlaps(probes, which, rows) -> list[complex]:
@@ -144,13 +151,13 @@ def _readout(points, space: FockSpace):
         signal_rows, quiet_rows = np.arange(len(points)), len(points) + np.array(which)
     else:
         q = thin(np.stack((signal, quiet[which]), axis=1), etas)
-        q = q.reshape(-1, space.dim)  # point i: signal row 2i, quiet row 2i + 1
+        q = q.reshape(-1, displaced.shape[-1])  # point i: signal row 2i, quiet row 2i + 1
         signal_rows, quiet_rows = np.arange(0, len(q), 2), np.arange(1, len(q), 2)
     if fock:
         ns = [params.n for params, _ in points]
         counts_signal, counts_quiet = q[signal_rows, ns], q[quiet_rows, ns]
     else:
-        counts = q @ parity_signs(space.dim)
+        counts = q @ parity_signs(displaced.shape[-1])
         counts_signal, counts_quiet = counts[signal_rows], counts[quiet_rows]
     return counts_quiet.tolist(), counts_signal.tolist(), batch
 
@@ -203,12 +210,12 @@ def _closed_form_evaluation(params: ProtocolParams, phi: float, with_oracle: boo
                       analytic=rates, numeric=None)
 
 
-def _add_oracle(points, dim: int | None, tail_tol: float) -> list[Evaluation]:
+def _add_oracle(points, tail_tol: float) -> list[Evaluation]:
     """The evaluations of ``points``, pairs (params, evaluation), with the
     rates of the truncated-basis simulation: one ``_readout`` on one basis,
     read as the detector reads it."""
     pairs = [(params, ev.delta) for params, ev in points]
-    space = _oracle_space([(_probe(params), delta) for params, delta in pairs], dim, tail_tol)
+    space = _oracle_space([(_probe(params), delta) for params, delta in pairs], tail_tol)
     quiets, signals, batch = _readout(pairs, space)
     out = []
     for (params, ev), quiet, signal, o in zip(points, quiets, signals, _read_overlaps(*batch)):
@@ -225,15 +232,14 @@ def _add_oracle(points, dim: int | None, tail_tol: float) -> list[Evaluation]:
 
 
 def evaluate(params: ProtocolParams, phi: float, *, with_oracle: bool = False,
-             dim: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL) -> Evaluation:
+             tail_tol: float = DEFAULT_TAIL_TOL) -> Evaluation:
     """Error rates for detecting phase ``phi`` under ``params``.
 
-    ``with_oracle`` additionally runs the independent numeric route, on a
-    basis of ``dim`` levels if given, and reports both.  Lossy Fock probes
-    with n >= 2 have no closed form; they require the oracle.
+    ``with_oracle`` additionally runs the independent numeric route and reports
+    both.  Lossy Fock probes with n >= 2 have no closed form; they require the oracle.
     """
     ev = _closed_form_evaluation(params, phi, with_oracle)
-    return _add_oracle([(params, ev)], dim, tail_tol)[0] if with_oracle else ev
+    return _add_oracle([(params, ev)], tail_tol)[0] if with_oracle else ev
 
 
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
@@ -403,16 +409,15 @@ def _params_at(params: ProtocolParams, axis: str, value: float) -> ProtocolParam
 
 
 def sweep(params: ProtocolParams, axis: str, values, *, with_oracle: bool = False,
-          dim: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL) -> tuple[Evaluation, ...]:
+          tail_tol: float = DEFAULT_TAIL_TOL) -> tuple[Evaluation, ...]:
     """The evaluations of a scenario along one axis, one per value, in input order.
 
     For the ``delta`` axis each value is taken as the displacement itself;
     along every other axis the operating point is re-optimized per point.
     Every point is checked first (its parameters, its operating point and its
     closed form); then the oracle runs once over all of them on one basis, as
-    ``evaluate`` runs it for one point.  ``dim`` sets that basis.  An axis
-    of the other probe family (``alpha`` for Fock, ``n`` for cat) is a
-    ValueError before any point is read.
+    ``evaluate`` runs it for one point.  An axis of the other probe family
+    (``alpha`` for Fock, ``n`` for cat) is a ValueError before any point is read.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -433,5 +438,5 @@ def sweep(params: ProtocolParams, axis: str, values, *, with_oracle: bool = Fals
             error = InvalidSweepPointError if isinstance(exc, ValueError) else SweepPointError
             raise error(index, float(value), exc) from exc
     if with_oracle and points:
-        return tuple(_add_oracle(points, dim, tail_tol))
+        return tuple(_add_oracle(points, tail_tol))
     return tuple(ev for _, ev in points)

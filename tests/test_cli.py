@@ -20,7 +20,7 @@ from ngphase.analytic import ProtocolParams, StateFamily, cat_overlap_zero, cat_
 from ngphase.cli import main
 from ngphase.limits import MAX_DIM, MAX_STEPS
 from ngphase.protocols import SWEEP_AXES, optimize_delta
-from test_corpus import FLOOR_ULPS, RATE_TRIPLES, _rate_triples
+from test_corpus import FLOOR_ULPS, _rate_triples
 
 
 def run_cli(capsys, *argv):
@@ -118,17 +118,27 @@ def test_flag_prefixes_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+# Tokens argparse reads as positional arguments: a bare "-" and a negative
+# number are, although they start with "-".
+STRAY_TOKENS = ("stray", "-", "-5", "-0.5")
+
+
 @pytest.mark.parametrize("argv, command", [
     (("evaluate", "--family", "cat", "--alpha", "2", "--delta", "1", "stray"), "evaluate"),
     (("overlap", "--family", "fock", "--n", "1", "stray", "--steps", "3"), "overlap"),
     (("figure", "--id", "2", "stray"), "figure"),
     (("verify", "stray", "--bogus"), "verify"),
+    (("evaluate", "--family", "cat", "--alpha", "2", "--delta", "1", "-"), "evaluate"),
+    (("evaluate", "--family", "cat", "--alpha", "2", "--delta", "1", "-5"), "evaluate"),
+    (("sweep", "--family", "cat", "--alpha", "2", "--axis", "eta", "--values", "0.9", "-0.5"),
+     "sweep"),
 ])
 def test_a_stray_positional_token_is_refused_as_one(capsys, argv, command):
-    # a token without a leading "-" is named as a positional argument, not as a flag
+    # a positional token is named as one, not as a flag it does not read
+    token = next(token for token in argv if token in STRAY_TOKENS)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == f"ngphase: invalid request: {command} takes no positional argument 'stray'\n"
+    assert err == f"ngphase: invalid request: {command} takes no positional argument {token!r}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +650,9 @@ def test_validation_error_exit_code(capsys):
 
 
 def test_computation_failure_exit_code(capsys):
-    # forcing a dim far too small for the requested cat triggers a leakage error
-    code, _, err = run_cli(capsys, "overlap", "--family", "cat", "--alpha", "3",
-                           "--dim", "8")
+    # the displaced |60> reaches the top of even the largest basis
+    code, _, err = run_cli(capsys, "evaluate", "--family", "fock", "--n", "60", "--delta", "8",
+                           "--oracle")
     assert code == 2
     assert "computation failed" in err
 
@@ -669,9 +679,8 @@ def test_sweep_invalid_point_is_validation_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # --dim beyond MAX_DIM is rejected before any basis is built
-    ("overlap", "--family", "fock", "--n", "1", "--dim", "100000"),
-    # a probe whose recommended basis would exceed MAX_DIM
+    # a displacement, or a probe, whose recommended basis would exceed MAX_DIM
+    ("overlap", "--family", "fock", "--n", "1", "--delta-max", "12"),
     ("overlap", "--family", "cat", "--alpha", "30"),
 ])
 def test_basis_above_max_dim_is_validation_error(capsys, argv):
@@ -700,18 +709,24 @@ def test_tiny_cat_amplitude_still_evaluates(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("optimize", "--family", "cat", "--alpha", "2", "--eta", "0.9"),
-    ("sweep", "--family", "cat", "--alpha", "2", "--eta", "0.9", "--axis", "eta",
-     "--values", "0.9"),
-    ("sweep", "--family", "cat", "--alpha", "2", "--eta", "0.9", "--axis", "delta",
-     "--values", "0,0.3"),
+    ("overlap", "--family", "cat", "--alpha", "2"),
+    ("parity", "--alpha", "2"),
+    ("evaluate", "--family", "fock", "--n", "3", "--delta", "3.1469750714372338", "--oracle",
+     "--tail-tol", "1e-4"),
+    ("evaluate", "--family", "cat", "--alpha", "2", "--delta", "1"),
+    ("optimize", "--family", "cat", "--alpha", "2", "--eta", "0.9", "--oracle"),
+    ("sweep", "--family", "cat", "--alpha", "2", "--axis", "delta", "--values", "0,0.3",
+     "--oracle"),
+    ("figure", "--id", "2"),
+    ("verify",),
 ])
-def test_oracle_commands_use_the_dim_flag(capsys, argv):
-    # optimize and sweep ignored --dim and printed numbers from a 46-level basis
-    code, out, err = run_cli(capsys, *argv, "--oracle", "--dim", "5")
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and "at dim 5" in err
+def test_every_command_refuses_the_dim_flag(capsys, argv):
+    # the basis is the oracle's choice alone: a user-set --dim of 5 levels
+    # once printed p_fn_numeric 0.672 against the analytic 0.0945, with exit 0
+    code, out, err = run_cli(capsys, *argv, "--dim", "5")
+    assert (code, out) == (1, "")
+    command = "figure 2" if argv[0] == "figure" else argv[0]
+    assert err == f"ngphase: invalid request: {command} does not read --dim\n"
 
 
 def _counting(monkeypatch, owner, name, calls):
@@ -767,7 +782,7 @@ FOCK_SCENARIO = ("--family", "fock", "--n", "1", "--eta", "0.9")
 
 @pytest.mark.parametrize("command", [("evaluate", "--delta", "1"), ("optimize",),
                                      ("sweep", "--axis", "eta", "--values", "0.8,0.9")])
-@pytest.mark.parametrize("flag, value", [("--dim", "40"), ("--tail-tol", "1e-10")])
+@pytest.mark.parametrize("flag, value", [("--tail-tol", "1e-10")])
 def test_basis_flags_are_read_only_with_the_oracle(capsys, command, flag, value):
     # without --oracle they were accepted and changed no byte of the output
     code, out, err = run_cli(capsys, command[0], *CAT_SCENARIO, *command[1:], flag, value)
@@ -802,11 +817,12 @@ def test_oracle_sweep_sizes_displaces_and_thins_once_on_every_axis(capsys, monke
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    # the probe leaks out of a 5-level basis
-    (("sweep", *CAT_SCENARIO, "--axis", "alpha", "--values", "1,2", "--dim", "5"), 2,
+    # a cat capture check below float resolution, which no larger basis mends
+    (("sweep", *CAT_SCENARIO, "--axis", "alpha", "--values", "1,2", "--tail-tol", "1e-17"), 2,
      "cat_state(alpha=1.0): leakage"),
-    (("sweep", *FOCK_SCENARIO, "--axis", "eta", "--values", "0.8,0.9", "--dim", "5"), 2,
-     "top 1 levels"),
+    # the displaced |60> at delta = 8 outgrows MAX_DIM levels too
+    (("sweep", "--family", "fock", "--n", "60", "--axis", "delta", "--values", "1,8"), 2,
+     "the state needs a basis above MAX_DIM=256"),
     # the largest amplitude needs a basis above MAX_DIM
     (("sweep", *CAT_SCENARIO, "--axis", "alpha", "--values", "1,30"), 1, "MAX_DIM=256"),
     # alpha^2 + delta^2 overflows
@@ -819,6 +835,29 @@ def test_oracle_failure_is_one_command_level_line(capsys, argv, code, message):
     assert got == code
     assert out == ""
     assert err.count("\n") == 1 and message in err and "sweep point" not in err
+
+
+# Points of the Fock grid n <= 100, delta <= 8 whose displaced probe outgrows
+# its recommended basis: each exited 2 with "... increase dim" there.  The
+# first five fit on MAX_DIM levels; the last does not.
+WIDE_FOCK_POINTS = ((20, 4.5), (40, 4.0), (60, 5.0), (10, 6.0), (5, 8.0))
+TOO_WIDE_FOCK_POINT = (100, 5.0)
+
+
+def test_a_displaced_number_state_wider_than_its_basis_is_read_on_max_dim_levels(capsys):
+    # a displaced |n> has photon-number variance delta^2 (2n + 1), wider than
+    # the Poisson tail of n + delta^2 that sizes the basis
+    for n, delta in WIDE_FOCK_POINTS + (TOO_WIDE_FOCK_POINT,):
+        code, out, err = run_cli(capsys, "evaluate", "--family", "fock", "--n", str(n),
+                                 "--delta", repr(delta), "--oracle")
+        assert "increase dim" not in err
+        if (n, delta) == TOO_WIDE_FOCK_POINT:
+            assert (code, out) == (2, "")
+            assert err.endswith("the state needs a basis above MAX_DIM=256\n")
+        else:
+            assert (code, err) == (0, "")
+            row = dict(zip(*(line.split(",") for line in out.splitlines())))
+            assert abs(float(row["p_fn_numeric"]) - analytic.fock_overlap(n, delta) ** 2) <= 1e-12
 
 
 def test_numeric_rate_out_of_range_is_computation_error(capsys, monkeypatch):
@@ -843,15 +882,6 @@ def test_sweep_values_beyond_max_steps_is_validation_error(capsys):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and f"--values takes at most {MAX_STEPS} values" in err
-
-
-def test_undersized_basis_is_computation_error(capsys):
-    # at 6 levels D(3)|1> is wrong: p_fn_numeric would read 0.2027 against 0.0140
-    code, out, err = run_cli(capsys, "evaluate", "--family", "fock", "--n", "1", "--eta", "0.9",
-                             "--delta", "3", "--oracle", "--dim", "6")
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and "top 1 levels" in err
 
 
 @pytest.mark.parametrize("flags, field", [
@@ -969,13 +999,12 @@ def _flag(name, values):
 FLOATS = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -1.0, 1e300, -1e300]),
                    st.floats(min_value=-4.0, max_value=4.0),
                    st.floats(min_value=0.05, max_value=1.0))
-# Valid grid and basis sizes stay small so an example takes milliseconds: a
+# Valid grid sizes stay small so an example takes milliseconds: a
 # figure or sweep grid runs the optimizer (and, for sweep, the oracle) per
 # point.  overlap and parity may take their default grids (300 and 250
 # points), one displacement product and one thinning product each.  The
 # values just past each cap check that it is enforced before any work.
 STEPS = st.one_of(st.integers(-2, 12), st.just(MAX_STEPS + 1))
-DIMS = st.one_of(st.integers(-2, 24), st.just(MAX_DIM + 1))
 LEVELS = st.integers(-2, MAX_DIM + 1)
 
 
@@ -999,8 +1028,8 @@ def _axis_values(draw, axis):
 
 # overlap and parity take only the scenario flags they read; every other
 # command takes all of them
-SCENARIO_FLAGS_TAKEN = {"overlap": ("--n", "--alpha", "--dim", "--tail-tol"),
-                        "parity": ("--alpha", "--eta", "--dim", "--tail-tol")}
+SCENARIO_FLAGS_TAKEN = {"overlap": ("--n", "--alpha", "--tail-tol"),
+                        "parity": ("--alpha", "--eta", "--tail-tol")}
 
 
 @st.composite
@@ -1028,7 +1057,7 @@ def _argv(draw):
     scenario = {"--n": _flag("--n", st.integers(-1, 4)), "--alpha": _flag("--alpha", FLOATS),
                 "--eta": _flag("--eta", FLOATS), "--r": _flag("--r", FLOATS),
                 "--photons": _flag("--photons", FLOATS), "--p0": _flag("--p0", FLOATS),
-                "--dim": _flag("--dim", DIMS), "--tail-tol": _flag("--tail-tol", FLOATS),
+                "--tail-tol": _flag("--tail-tol", FLOATS),
                 "--oracle": st.sampled_from([(), ("--oracle",)])}
     for name, flags in scenario.items():
         if name in SCENARIO_FLAGS_TAKEN.get(command, scenario):
@@ -1040,9 +1069,8 @@ def _run_contract(argv):
     """Run ``argv`` and hold main() to its contract: a documented exit code
     with at most one line on stderr (an exception escaping main() would end
     the CLI in a traceback), and, on exit 0, the Helstrom floor of
-    tests/test_corpus.py on every printed triple; the numeric triple only on
-    the recommended basis, as a user-set --dim may be too small.  Returns the
-    exit code and the triples."""
+    tests/test_corpus.py on every printed triple.  Returns the exit code and
+    the triples."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -1052,9 +1080,8 @@ def _run_contract(argv):
     if code != 0:
         return code, []
     p0 = next((float(flag[len("--p0="):]) for flag in argv if flag.startswith("--p0=")), 0.5)
-    dim_set = any(flag.startswith("--dim=") for flag in argv)
     slack = 1.0 - FLOOR_ULPS * sys.float_info.epsilon
-    triples = _rate_triples(out.getvalue(), RATE_TRIPLES[:1] if dim_set else RATE_TRIPLES)
+    triples = _rate_triples(out.getvalue())
     for p_fp, p_fn, helstrom in triples:
         assert p0 * p_fp + (1.0 - p0) * p_fn >= helstrom * slack, (p_fp, p_fn, helstrom)
     return code, triples

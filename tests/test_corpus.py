@@ -81,11 +81,14 @@ COMMANDS = {
                              "--oracle",
     "sweep_fock_delta_oracle": "sweep --family fock --n 1 --eta 0.9 --axis delta "
                                "--grid 0 2 5 --oracle",
-    "evaluate_fock_leakage": "evaluate --family fock --n 1 --eta 0.9 --delta 3 --oracle "
-                             "--dim 6",
-    # a probe that leaks out of the largest basis the --dim flag allows
-    "evaluate_fock_leakage_max_dim": "evaluate --family fock --n 60 --delta 8 --oracle "
-                                     "--dim 256",
+    # a user-set basis, refused: at 5 levels this once printed p_fn_numeric
+    # 0.672 against the analytic 0.0945, with exit 0
+    "evaluate_fock_leakage": "evaluate --family fock --n 3 --eta 1 --delta 3.1469750714372338 "
+                             "--dim 5 --tail-tol 1e-4 --oracle",
+    # a displaced number state wider than its recommended basis (178 levels)
+    # holds on MAX_DIM levels; at delta = 8 it leaks out of those too
+    "evaluate_fock_wide": "evaluate --family fock --n 60 --delta 5 --oracle",
+    "evaluate_fock_leakage_max_dim": "evaluate --family fock --n 60 --delta 8 --oracle",
     # the closed_form benchmark workload at seed 1, grids cut to 50
     "closed_form_figure4": "figure --id 4 --steps 50",
     "closed_form_figure5": "figure --id 5 --steps 50 --etas 0.7859,0.9104,0.9442,0.9776",
@@ -129,7 +132,7 @@ COMMANDS = {
     # a sweep axis of the other probe family
     "sweep_fock_alpha_axis": "sweep --family fock --axis alpha --values 1,2",
     "sweep_cat_n_axis": "sweep --family cat --alpha 2 --axis n --values 1,2",
-    # the oracle's basis flags without the oracle
+    # --dim, which no command reads, and the oracle's --tail-tol without the oracle
     "evaluate_dim_without_oracle": "evaluate --family cat --alpha 2 --delta 1 --dim 5",
     "sweep_tail_tol_without_oracle": f"sweep {CAT} --axis eta --values 0.9 --tail-tol 0.5",
     # a figure flag the chosen figure does not read, one per figure
@@ -145,8 +148,11 @@ COMMANDS = {
     "overlap_tail_tol_past_max_dim": "overlap --family fock --n 1 --steps 3 --tail-tol 1e-300",
     "evaluate_cat_tail_tol_floor": "evaluate --family cat --alpha 7.33 --delta 0.1 --oracle "
                                    "--tail-tol 5e-16",
-    # a positional token, which no command takes
+    # a positional token, which no command takes; argparse reads a bare "-"
+    # and a negative number as positional too
     "evaluate_stray_token": "evaluate --family cat --alpha 2 --delta 1 stray",
+    "evaluate_stray_dash": "evaluate --family cat --alpha 2 --delta 1 -",
+    "evaluate_stray_negative_number": "evaluate --family cat --alpha 2 --delta 1 -5",
     # every check's status and discrepancy
     "verify_full": "verify --grid full",
     # the rest of the README's CLI block (test_readme.py reads these files);

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from ngphase import analytic, protocols
 from ngphase.analytic import ProtocolParams, StateFamily, cat_overlap_zero, cat_parity
-from ngphase.fock import recommend_dim
 from ngphase.protocols import (
     OracleRangeError,
     SweepPointError,
@@ -355,22 +354,20 @@ RATE_BOUND = 1e-14
 HELSTROM_BOUND = 0.5 * math.sqrt(RATE_BOUND)
 
 
-@pytest.mark.parametrize("kwargs, dim", [
-    (dict(**CAT2, eta=0.9), None),
-    (dict(family=StateFamily.CAT, photons=1e6, alpha=0.5, r=0.4), None),
-    (dict(**FOCK1, eta=0.9), None),
-    (dict(family=StateFamily.FOCK, photons=1e6, n=2, eta=0.8), None),
-    (dict(**CAT2, eta=0.9), 70),
-    (dict(**FOCK1, eta=0.5), 40),
+@pytest.mark.parametrize("kwargs", [
+    dict(**CAT2, eta=0.9),
+    dict(family=StateFamily.CAT, photons=1e6, alpha=0.5, r=0.4),
+    dict(**FOCK1, eta=0.9),
+    dict(family=StateFamily.FOCK, photons=1e6, n=2, eta=0.8),
 ])
-def test_delta_axis_oracle_sweep_matches_per_point_evaluate(kwargs, dim):
-    # one basis for the largest |delta| against one basis per point (or the
-    # same --dim basis), one batch against one delta at a time
+def test_delta_axis_oracle_sweep_matches_per_point_evaluate(kwargs):
+    # one basis for the largest |delta| against one basis per point, one
+    # batch against one delta at a time
     params = ProtocolParams(**kwargs)
     values = (0.0, -0.7, 0.3, 1e-9, 2.0, -2.5)
-    evaluations = sweep(params, "delta", values, with_oracle=True, dim=dim)
+    evaluations = sweep(params, "delta", values, with_oracle=True)
     for value, point in zip(values, evaluations):
-        alone = evaluate(params, delta_to_phi(params, value), with_oracle=True, dim=dim)
+        alone = evaluate(params, delta_to_phi(params, value), with_oracle=True)
         assert (point.phi, point.delta, point.analytic) == (alone.phi, alone.delta, alone.analytic)
         assert abs(point.numeric.p_fp - alone.numeric.p_fp) <= RATE_BOUND
         assert abs(point.numeric.p_fn - alone.numeric.p_fn) <= RATE_BOUND
@@ -386,17 +383,19 @@ def test_delta_axis_oracle_sweep_matches_per_point_evaluate(kwargs, dim):
     # lossless, so n = 2 and 3 have closed forms beside n = 1
     (dict(**FOCK1), "n", (1, 2, 1, 3)),
 ])
-def test_oracle_sweep_matches_per_point_evaluate_on_every_axis(kwargs, axis, values):
+def test_oracle_sweep_matches_per_point_evaluate_on_every_axis(monkeypatch, kwargs, axis,
+                                                                values):
     # one basis for the largest amplitude and |delta|, one batch of probes,
-    # displacements and thinning tables, against one point at a time on it
+    # displacements and thinning tables, against one point at a time on it:
+    # each point's evaluate reads its _readout on the sweep's _oracle_space
     params = ProtocolParams(**kwargs)
     evaluations = sweep(params, axis, values, with_oracle=True)
     at = [_params_at(params, axis, value) for value in values]
-    amplitude = max(math.sqrt(p.n) if p.family is StateFamily.FOCK else p.alpha for p in at)
-    dim = recommend_dim(amplitude, max(abs(point.delta) for point in evaluations))
+    space = protocols._oracle_space([(protocols._probe(point_params), point.delta)
+                                     for point_params, point in zip(at, evaluations)])
+    monkeypatch.setattr(protocols, "_oracle_space", lambda points, tail_tol: space)
     for point_params, point in zip(at, evaluations):
-        alone = evaluate(point_params, optimize_delta(point_params).phi0, with_oracle=True,
-                         dim=dim)
+        alone = evaluate(point_params, optimize_delta(point_params).phi0, with_oracle=True)
         assert ((point.phi, point.delta, point.delta_detected, point.analytic)
                 == (alone.phi, alone.delta, alone.delta_detected, alone.analytic))
         assert abs(point.numeric.p_fp - alone.numeric.p_fp) <= RATE_BOUND

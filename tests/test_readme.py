@@ -5,14 +5,18 @@ Every ``ngphase ...`` line of the README's CLI code block goes through
 Its exit code, stderr line and stdout must equal those of its entry in the
 characterization corpus (``test_corpus.py``); a command that writes ``--out``
 is held to that file instead of its (empty) stdout, and ``verify``'s seconds
-column is masked as the corpus masks it.
+column is masked as the corpus masks it.  The README's lists of each
+command's scenario flags must name exactly the flags its parser takes.
 """
 
+import argparse
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from ngphase.cli import build_parser
 from test_corpus import CORPUS, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -58,3 +62,34 @@ def test_readme_command_exit_code(monkeypatch, tmp_path, argv):
         got += (tmp_path / argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
     expected = (CORPUS / f"{CORPUS_ENTRIES[' '.join(argv)]}.txt").read_text(encoding="utf-8")
     assert got == expected.split("\n", 1)[1]
+
+
+# The README sentence that lists each command's scenario flags, as the text
+# just before the list and the text that ends it.
+FLAG_LISTS = {
+    "evaluate": ("Scenario flags of `evaluate`, `optimize` and `sweep`:", " (and"),
+    "optimize": ("Scenario flags of `evaluate`, `optimize` and `sweep`:", " (and"),
+    "sweep": ("Scenario flags of `evaluate`, `optimize` and `sweep`:", " (and"),
+    "overlap": ("`overlap` takes", ";"),
+    "parity": ("`parity`, always a cat, takes", "."),
+}
+# Each command's own flags, which the README names apart from those lists.
+OWN_FLAGS = {
+    "evaluate": {"--phi", "--delta"},
+    "optimize": set(),
+    "sweep": {"--axis", "--values", "--grid"},
+    "overlap": {"--delta-max", "--steps"},
+    "parity": {"--delta-max", "--steps"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_LISTS))
+def test_readme_flag_lists_match_the_parser(command):
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    start, end = FLAG_LISTS[command]
+    listed = re.findall(r"`(--[a-z0-9-]+)`", text.split(start, 1)[1].split(end, 1)[0])
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    taken = {flag for action in subparsers.choices[command]._actions
+             for flag in action.option_strings}
+    assert sorted(listed) == sorted(taken - {"-h", "--help"} - OWN_FLAGS[command])
