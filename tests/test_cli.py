@@ -821,8 +821,9 @@ def test_oracle_sweep_sizes_displaces_and_thins_once_on_every_axis(capsys, monke
     (("sweep", *CAT_SCENARIO, "--axis", "alpha", "--values", "1,2", "--tail-tol", "1e-17"), 2,
      "cat_state(alpha=1.0): leakage"),
     # the displaced |60> at delta = 8 outgrows MAX_DIM levels too
-    (("sweep", "--family", "fock", "--n", "60", "--axis", "delta", "--values", "1,8"), 2,
-     "the state needs a basis above MAX_DIM=256"),
+    pytest.param(("sweep", "--family", "fock", "--n", "60", "--axis", "delta", "--values", "1,8"),
+                 2, "the state needs a basis above MAX_DIM=256",
+                 id="argv1-2-displace refuses MAX_DIM=256"),
     # the largest amplitude needs a basis above MAX_DIM
     (("sweep", *CAT_SCENARIO, "--axis", "alpha", "--values", "1,30"), 1, "MAX_DIM=256"),
     # alpha^2 + delta^2 overflows
