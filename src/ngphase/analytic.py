@@ -24,7 +24,7 @@ from typing import Callable
 PRIOR_ATOL = 1e-12
 
 # Largest Fock photon number.  The closed forms run the Laguerre recurrence,
-# O(n) per evaluation, and the first-root search about 40 of them: 0.09 s at
+# O(n) per evaluation, and the first-root search about 45 of them: 0.09 s at
 # n = 10 000.  A number state in the oracle's basis needs n < MAX_DIM anyway.
 MAX_N = 10_000
 
@@ -113,17 +113,25 @@ def laguerre(n: int, x: float) -> float:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return 1.0
+    return _laguerre_pair(n, x)[1]
+
+
+def _laguerre_pair(n: int, x: float) -> tuple[float, float]:
+    """(L_{n-1}(x), L_n(x)) by the three-term recurrence, for n >= 1."""
     prev, cur = 1.0, 1.0 - x
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-    return cur
+    return prev, cur
 
 
 def laguerre_first_root(n: int) -> float:
     """Smallest positive root R_n of L_n; strictly decreasing in n.
 
-    A scan in steps of 1/n brackets the root by the first sign change, then
-    bisection narrows the bracket below a width of 1e-12 (at most 200 halvings).
+    A scan in steps of 1/n brackets the root by the first sign change,
+    bisection narrows the bracket below a width of 1e-12 (at most 200
+    halvings), and up to four Newton steps, with L_n' = n (L_n - L_{n-1}) / x,
+    polish the midpoint inside that bracket: the bisection alone leaves the
+    root about 1e-12 off, 1,945 ulps at n = 2.
     """
     if n < 1:
         raise ValueError("L_0 has no roots")
@@ -139,15 +147,25 @@ def laguerre_first_root(n: int) -> float:
         lo, flo = hi, f
         hi += step
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = laguerre(n, mid)
-        if fmid == 0.0 or (hi - lo) < 1e-12:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
+        x = 0.5 * (lo + hi)
+        fx = laguerre(n, x)
+        if fx == 0.0:
+            return x
+        if hi - lo < 1e-12:
+            break
+        if flo * fx < 0.0:
+            hi = x
         else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+            lo, flo = x, fx
+    for _ in range(4):
+        prev, cur = _laguerre_pair(n, x)
+        if cur == 0.0 or cur == prev:
+            break
+        step = x * cur / (n * (cur - prev))
+        if not lo <= x - step <= hi:
+            break
+        x -= step
+    return x
 
 
 # ---------------------------------------------------------------------------
