@@ -339,10 +339,12 @@ def cat_parity(alpha: float, delta: float, eta: float = 1.0) -> float:
 
 def cat_false_positive_product_form(alpha: float, eta: float) -> float:
     """(1/K)(1 - exp(-2 (1-eta) alpha^2))(1 - exp(-2 eta alpha^2)); algebraically
-    identical to (1 - P_0)/2 with P_0 the undisplaced lossy parity."""
+    identical to (1 - P_0)/2 with P_0 the undisplaced lossy parity.  Each
+    factor 1 - exp(-x) is formed as -expm1(-x): the difference cancels as
+    eta -> 1, to a relative error of 2.6e-7 at alpha = 0.31, eta = 1 - 1.05e-9."""
     a2 = alpha * alpha
-    return (1.0 - math.exp(-2.0 * (1.0 - eta) * a2)) * (
-        1.0 - math.exp(-2.0 * eta * a2)
+    return (-math.expm1(-2.0 * (1.0 - eta) * a2)) * (
+        -math.expm1(-2.0 * eta * a2)
     ) / cat_norm(alpha)
 
 

@@ -10,7 +10,7 @@ import math
 import mpmath
 import pytest
 
-from ngphase.analytic import laguerre_first_root
+from ngphase.analytic import cat_false_positive_product_form, laguerre_first_root
 
 mpmath.mp.dps = 50
 
@@ -40,3 +40,18 @@ def test_laguerre_first_root_within_its_ulp_bound(n):
     root = laguerre_first_root(n)
     reference = mpmath.findroot(lambda x: _laguerre_sum(n, x), mpmath.mpf(root))
     assert _ulps(root, reference) <= 6 + 0.15 * n * n
+
+
+@pytest.mark.parametrize("alpha", [10.0 ** (k / 4) for k in range(-8, 5)])
+def test_cat_false_positive_product_form_within_its_ulp_bound(alpha):
+    # 1 - eta log-uniform down to 1e-9, where 1 - exp(-x) would cancel (a
+    # relative error of 2.6e-7 at alpha = 0.31, eta = 1 - 1.05e-9); with
+    # -expm1(-x) the worst seen over 39,000 random points was 4.5 ulps
+    a = mpmath.mpf(alpha)
+    for k in range(37):
+        eta = 1.0 - 10.0 ** (-9 + k * math.log10(0.5 / 1e-9) / 36)
+        e = mpmath.mpf(eta)
+        reference = ((1 - mpmath.exp(-2 * (1 - e) * a * a)) * (1 - mpmath.exp(-2 * e * a * a))
+                     / (2 * (1 + mpmath.exp(-2 * a * a))))
+        assert _ulps(cat_false_positive_product_form(alpha, eta), reference) <= 6, eta
+    assert cat_false_positive_product_form(alpha, 1.0) == 0.0
