@@ -242,8 +242,6 @@ def evaluate(params: ProtocolParams, phi: float, *, with_oracle: bool = False,
     return _add_oracle([(params, ev)], tail_tol)[0] if with_oracle else ev
 
 
-_GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
-
 # The scan's cells: cell i ends at d' = i hi / 64, where the parity's cosine
 # argument 4 alpha' d' is i pi / 32 for every (alpha, eta).
 _N_CELLS = 64
@@ -257,6 +255,13 @@ _SCAN_BLOCKS = sorted(
     key=lambda block: block[2])
 # Rounding moves a parity value and its bound by about 1e-15 each.
 _SCAN_MARGIN = 1e-12
+# The refinement stops on a Newton step below _NEWTON_TOL d' (the next step
+# would be about its square) or on a bracket of at most _BRACKET_TOL hi, 4 to 8
+# ulps; _REFINE_STEPS bounds the loop above the 52 halvings that shrink a
+# 2-cell bracket to that width.
+_NEWTON_TOL = 1e-13
+_BRACKET_TOL = 4.0 * sys.float_info.epsilon
+_REFINE_STEPS = 100
 
 
 def _cat_parity_minimum(alpha: float, eta: float) -> tuple[float, float]:
@@ -264,36 +269,51 @@ def _cat_parity_minimum(alpha: float, eta: float) -> tuple[float, float]:
     (0, pi / (2 alpha')), and the parity there.
 
     A 64-cell scan finds the lowest cell (the parity develops a secondary
-    ripple inside the bracket), then a golden-section search narrows it.  Both
-    read the factors K, D and F of one ``analytic.cat_parity_curve`` and
-    evaluate the curve's own expression, operands in its order, at delta =
-    d' / sqrt(eta), with no call per value; tests hold the result to a search
+    ripple inside the bracket), then a bracketed Newton iteration finds the
+    stationary point on the cell's neighbours.  The scan reads the factors K,
+    D and F of one ``analytic.cat_parity_curve`` and evaluates the curve's own
+    expression, operands in its order, at delta = d' / sqrt(eta), with no call
+    per value; tests hold the cell, the result and any error to a full scan
     that calls the curve.  The parity returned is the curve's value at the
     returned d'.
 
     The scan takes the cells in blocks of 4, deepest cosine first, and skips a
     block whose lower bound is at least the lowest parity read so far plus
     ``_SCAN_MARGIN``.
-    The parity is (2/K) e^{-2 d'^2} g with g = D cos(4 alpha' d') + F, where
-    K, D and F are the curve's own factors.  On cells a..b, g is at least
-    g_min = D c_min + F, with c_min the least tabled cosine there, and
-    e^{-2 d'^2} falls with d'; so the parity is at least (2/K) e^{-2 x^2} g_min,
-    with x the d' of cell b if g_min >= 0 and of cell a if not.  Each computed
+    The parity is (2/K) e^{-2 d'^2} h with h = D cos(4 alpha' d') + F, where
+    K, D and F are the curve's own factors.  On cells a..b, h is at least
+    h_min = D c_min + F, with c_min the least tabled cosine there, and
+    e^{-2 d'^2} falls with d'; so the parity is at least (2/K) e^{-2 x^2} h_min,
+    with x the d' of cell b if h_min >= 0 and of cell a if not.  Each computed
     value and each computed bound is off by about 1e-15 (at most 8.3e-16
     apart over 30,000 random and figure-grid (alpha, eta)), far inside the
     1e-12 margin, so every skipped cell lies strictly above a value already
     read: it can neither be the lowest cell nor tie it.  Blocks come in order
-    of c_min and D >= 0, so after the first block with g_min >= 0 every block
+    of c_min and D >= 0, so after the first block with h_min >= 0 every block
     has one, and a bound >= 0; once the lowest value plus the margin is <= 0,
     the scan stops there, skipping exactly the blocks the bound would.  The
     lowest cell, the first of equal ones, is the one a full scan finds, and
-    the search, which only it feeds, returns the same bits.  Where every
+    the refinement, which only it feeds, returns the same bits.  Where every
     parity underflows to zero (tiny alpha), every bound is zero too and all 64
     cells are read.
+
+    The parity's derivative is -(8/K) e^{-2 d'^2} g with
+    g = d' (D cos 4 alpha' d' + F) + alpha' D sin 4 alpha' d', so g > 0 below
+    the minimum and g < 0 above it, and g carries no exponential that could
+    underflow.  Its derivative is g' = D cos + F - 4 alpha' d' D sin
+    + 4 alpha'^2 D cos.  The refinement evaluates g at the lowest cell, which
+    gives the side of the root, and at that side's bracket end: where g keeps
+    its sign up to the end, the parity falls (or rises) to it, and the end is
+    returned.  Otherwise each step is a Newton step where g' < 0 and the step
+    lands inside the bracket, and a halving of the bracket where not (Press et
+    al., Numerical Recipes, 3rd ed., section 9.4).  It stops on a Newton step
+    below ``_NEWTON_TOL`` d' or a bracket narrower than ``_BRACKET_TOL`` hi,
+    never on a halving: about 4-5 evaluations of g on the figure grids, and d'
+    within 4 ulps of the 50-digit root.
     """
-    # The search runs in d' and the curve takes delta, which it scales by
-    # sqrt(eta) again; the d' -> delta -> d' round trip is kept because
-    # printed optima depend on its rounding.
+    # The scan runs in d' and the curve takes delta, which it scales by
+    # sqrt(eta) again; the scan's d' -> delta -> d' round trip keeps each value
+    # it reads the curve's bits.
     root_eta = math.sqrt(eta)
     amplitude = root_eta * alpha
     hi = 0.5 * math.pi / amplitude if amplitude > 0.0 else math.inf
@@ -304,46 +324,65 @@ def _cat_parity_minimum(alpha: float, eta: float) -> tuple[float, float]:
     curve = analytic.cat_parity_curve(alpha, eta)
     k, damping, floor = curve.norm, curve.damping, curve.floor
     scale, four_alpha_p = 2.0 / k, 4.0 * amplitude
-    exp, cos, golden = math.exp, math.cos, _GOLDEN_RATIO
+    exp, cos, sin = math.exp, math.cos, math.sin
 
     best, best_parity = 0, math.inf
     for first, last, c_min in _SCAN_BLOCKS:
-        g_min = damping * c_min + floor
-        if g_min >= 0.0 and best_parity + _SCAN_MARGIN <= 0.0:
-            break  # this and every later block has g_min >= 0: a bound >= 0, skipped
-        x = (last if g_min >= 0.0 else first) * hi / _N_CELLS
-        if scale * exp(-2.0 * x * x) * g_min >= best_parity + _SCAN_MARGIN:
+        h_min = damping * c_min + floor
+        if h_min >= 0.0 and best_parity + _SCAN_MARGIN <= 0.0:
+            break  # this and every later block has h_min >= 0: a bound >= 0, skipped
+        x = (last if h_min >= 0.0 else first) * hi / _N_CELLS
+        if scale * exp(-2.0 * x * x) * h_min >= best_parity + _SCAN_MARGIN:
             continue
         for i in range(first, last + 1):
             d = root_eta * (i * hi / _N_CELLS / root_eta)
             parity = (2.0 * exp(-2.0 * d * d) / k) * (damping * cos(four_alpha_p * d) + floor)
             if parity < best_parity or (parity == best_parity and i < best):
                 best, best_parity = i, parity
+    d = best * hi / _N_CELLS
     lo = (best - 1) * hi / _N_CELLS if best > 1 else (hi / _N_CELLS) / 2.0
     hi = (best + 1) * hi / _N_CELLS if best < _N_CELLS else hi
 
-    # Golden-section search on [lo, hi] down to a width of 1e-10.
-    x1 = hi - golden * (hi - lo)
-    x2 = lo + golden * (hi - lo)
-    d = root_eta * (x1 / root_eta)
-    f1 = (2.0 * exp(-2.0 * d * d) / k) * (damping * cos(four_alpha_p * d) + floor)
-    d = root_eta * (x2 / root_eta)
-    f2 = (2.0 * exp(-2.0 * d * d) / k) * (damping * cos(four_alpha_p * d) + floor)
-    for _ in range(500):
-        if hi - lo < 1e-10:
-            break
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - golden * (hi - lo)
-            d = root_eta * (x1 / root_eta)
-            f1 = (2.0 * exp(-2.0 * d * d) / k) * (damping * cos(four_alpha_p * d) + floor)
+    # Bracketed Newton on g from the lowest cell.
+    a_damping = amplitude * damping  # alpha' D
+    theta = four_alpha_p * d
+    c, s = cos(theta), sin(theta)
+    g = d * (damping * c + floor) + a_damping * s
+    if g != 0.0:
+        # the root lies on the side of the lowest cell where g changes sign;
+        # where g keeps its sign up to that side's end, the end is the minimum
+        end = hi if g > 0.0 else lo
+        theta = four_alpha_p * end
+        g_end = end * (damping * cos(theta) + floor) + a_damping * sin(theta)
+        if (g_end >= 0.0) if g > 0.0 else (g_end <= 0.0):
+            return end, curve(end / root_eta)
+        if g > 0.0:
+            lo = d
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + golden * (hi - lo)
-            d = root_eta * (x2 / root_eta)
-            f2 = (2.0 * exp(-2.0 * d * d) / k) * (damping * cos(four_alpha_p * d) + floor)
-    delta_detected = 0.5 * (lo + hi)
-    return delta_detected, curve(delta_detected / root_eta)
+            hi = d
+    for _ in range(_REFINE_STEPS):
+        if g == 0.0 or hi - lo <= _BRACKET_TOL * hi:
+            break
+        dg = damping * c + floor - four_alpha_p * d * damping * s + four_alpha_p * a_damping * c
+        # g falls through its root, so a Newton step needs g' < 0 and must land
+        # inside the bracket (or round back onto d); otherwise the bracket is
+        # halved, and the size of a halving never ends the search
+        step = g / dg if dg < 0.0 else math.inf
+        x = d - step
+        if lo < x < hi or x == d:
+            d = x
+            if abs(step) <= _NEWTON_TOL * d:
+                break
+        else:
+            d = 0.5 * (lo + hi)
+        theta = four_alpha_p * d
+        c, s = cos(theta), sin(theta)
+        g = d * (damping * c + floor) + a_damping * s
+        if g > 0.0:
+            lo = d
+        elif g < 0.0:
+            hi = d
+    return d, curve(d / root_eta)
 
 
 def optimize_delta(params: ProtocolParams) -> OperatingPoint:
@@ -352,8 +391,9 @@ def optimize_delta(params: ProtocolParams) -> OperatingPoint:
     Fock: the detector-side displacement sits at the first overlap zero,
     d' = sqrt(R_n) (for n = 1 this is d'^2 = 1, which also minimizes the lossy
     false-negative rate).  Cat: the d' that minimizes the lossy parity, found
-    by ``_cat_parity_minimum`` (a coarse scan, then a golden-section search,
-    both evaluating one ``analytic.cat_parity_curve``'s expression inline).
+    by ``_cat_parity_minimum`` (a coarse scan, which evaluates one
+    ``analytic.cat_parity_curve``'s expression inline, then a bracketed Newton
+    iteration on the parity's stationarity condition).
 
     The phase is phi0 = d' / (sqrt(eta N) e^r).  An eta N below the least
     normal float, or a phi0 that is not a finite normal float, is a

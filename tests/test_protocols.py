@@ -2,9 +2,11 @@
 
 import functools
 import math
+import re
 import sys
 import types
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,14 @@ from ngphase.protocols import (
     sweep,
 )
 
-from reference_search import full_scan_cat_parity_minimum, golden_section_minimize
+from reference_search import (
+    bracketed_newton_root,
+    cat_stationarity,
+    cell_bracket,
+    full_scan_cat_parity_minimum,
+    full_scan_cell,
+    golden_section_minimize,
+)
 
 FOCK1 = dict(family=StateFamily.FOCK, photons=1e6, n=1)
 CAT2 = dict(family=StateFamily.CAT, photons=1e6, alpha=2.0)
@@ -148,7 +157,8 @@ def test_optimize_cat_beats_overlap_zero_point():
 def _reference_cat_optimum(alpha, eta):
     """The cat operating point recomputed independently: the parity formula
     evaluated term by term per delta, a 64-cell scan kept as (d', parity)
-    pairs and ranked by ``min``, then the golden-section search."""
+    pairs and ranked by ``min``, then the test's copy of the bracketed Newton
+    rule on the stationarity condition."""
     def parity_at(delta_p):
         delta = delta_p / math.sqrt(eta)
         a_p, d_p = math.sqrt(eta) * alpha, math.sqrt(eta) * delta
@@ -161,14 +171,14 @@ def _reference_cat_optimum(alpha, eta):
     n_cells = 64
     probes = [(i * hi / n_cells, parity_at(i * hi / n_cells)) for i in range(1, n_cells + 1)]
     best = min(range(len(probes)), key=lambda i: probes[i][1])
-    lo_cell = probes[best - 1][0] if best > 0 else probes[0][0] / 2.0
-    hi_cell = probes[best + 1][0] if best + 1 < len(probes) else hi
-    return golden_section_minimize(parity_at, lo_cell, hi_cell, tol=1e-10)[0]
+    lo, d, top = cell_bracket(best + 1, hi)
+    return bracketed_newton_root(cat_stationarity(alpha, eta), d, lo, top)
 
 
 @pytest.mark.parametrize("eta", [0.8, 0.9, 0.95, 0.98, 1.0])
 def test_optimize_cat_is_bit_identical_to_reference_search(eta):
-    # figures 4 and 6 and every cat sweep print these digits
+    # figures 4 and 6 and every cat sweep print these digits;
+    # test_reference_digits.py holds them to the 50-digit root
     for alpha in [0.5 + 0.125 * k for k in range(29)]:
         params = ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=alpha, eta=eta)
         op = optimize_delta(params)
@@ -236,27 +246,38 @@ def test_pruned_scan_matches_the_full_scan_where_damping_meets_floor(eta):
 def test_every_parity_the_search_reads_has_the_curve_bits(monkeypatch, eta):
     # the scan's values only choose a cell, so a value one rounding away from
     # the curve's rarely moves an optimum: read each value where it is made
-    # and match it, by its cosine argument, with the full scan's curve value
-    read = []  # the cosine argument, then the parity, of each value read
+    # and match it, by its cosine argument, with the full scan's curve value.
+    # The refinement reads no parity: it starts with the first sine, and what
+    # its cosines make from there on is not a parity value.
+    read = []  # (cosine argument, parity) of each value read
+    refinement_starts = []  # len(read) at each sine
+
+    def tagged(cls, value, argument):
+        value = cls(value)
+        value.argument = argument
+        return value
 
     class Cosine(float):
         # Python tries a float subclass's reflected method first, so the
         # search's D * cos and prefactor * (D cos + F) reach these methods
         def __rmul__(self, damping):
-            return Sum(damping * float(self))
+            return tagged(Sum, damping * float(self), self.argument)
 
     class Sum(float):
         def __add__(self, floor):
-            return Product(float(self) + floor)
+            return tagged(Product, float(self) + floor, self.argument)
 
     class Product(float):
         def __rmul__(self, prefactor):
-            read.append(prefactor * float(self))
-            return read[-1]
+            read.append((self.argument, prefactor * float(self)))
+            return read[-1][1]
 
     def cosine(x):
-        read.append(x)
-        return Cosine(math.cos(x))
+        return tagged(Cosine, math.cos(x), x)
+
+    def sine(x):
+        refinement_starts.append(len(read))
+        return math.sin(x)
 
     deltas, build = [], analytic.cat_parity_curve
 
@@ -269,25 +290,92 @@ def test_every_parity_the_search_reads_has_the_curve_bits(monkeypatch, eta):
             return curve(delta)
         return recorded
 
-    monkeypatch.setattr(protocols, "math", types.SimpleNamespace(**dict(vars(math), cos=cosine)))
+    monkeypatch.setattr(protocols, "math", types.SimpleNamespace(
+        **dict(vars(math), cos=cosine, sin=sine)))
     monkeypatch.setattr(analytic, "cat_parity_curve", recording_build)
     for alpha in FIGURE_4_ALPHAS[::10]:
         read.clear()
+        refinement_starts.clear()
         deltas.clear()
         _cat_parity_minimum(alpha, eta)
         full_scan_cat_parity_minimum(alpha, eta)
         curve, root_eta = build(alpha, eta), math.sqrt(eta)
         reference = {4.0 * (root_eta * alpha) * (root_eta * d): curve(d) for d in deltas}
-        assert len(read) > 80
-        assert [reference[x] for x in read[0::2]] == read[1::2], alpha
+        scan = read[:refinement_starts[0]]
+        assert scan and len(scan) % 4 == 0  # whole blocks of 4 cells
+        assert [reference[x] for x, _ in scan] == [value for _, value in scan], alpha
 
 
-@pytest.mark.parametrize("eta", [0.78, 0.7905, 0.83, 0.88, 0.8995, 0.92, 0.93, 0.9568, 0.96,
-                                 0.97, 0.9778, 0.99])
+# the closed_form benchmark draws figure 6's --etas from four cells, these
+# values among them
+BENCHMARK_FIGURE_6_ETAS = [0.78, 0.7905, 0.83, 0.88, 0.8995, 0.92, 0.93, 0.9568, 0.96, 0.97,
+                           0.9778, 0.99]
+
+
+@pytest.mark.parametrize("eta", BENCHMARK_FIGURE_6_ETAS)
 def test_pruned_scan_matches_the_full_scan_on_the_benchmark_figure_6_etas(eta):
-    # the closed_form benchmark draws figure 6's --etas from these four cells
     for alpha in FIGURE_4_ALPHAS:
         assert _cat_parity_minimum(alpha, eta) == full_scan_cat_parity_minimum(alpha, eta)
+
+
+def _counting_sines(monkeypatch):
+    """Patch the search's sine to count its calls, one per evaluation of g."""
+    calls = []
+    monkeypatch.setattr(protocols, "math", types.SimpleNamespace(
+        **dict(vars(math), sin=lambda x: calls.append(x) or math.sin(x))))
+    return calls
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.8, 0.9, 0.95, 0.98] + BENCHMARK_FIGURE_6_ETAS)
+def test_the_refinement_evaluates_g_at_most_6_times_on_the_figure_grids(monkeypatch, eta):
+    # figure 4 (eta = 1), figure 6's default --etas and the benchmark's: the
+    # lowest cell, one bracket end, then 2 or 3 Newton steps
+    calls = _counting_sines(monkeypatch)
+    counts = []
+    for alpha in FIGURE_4_ALPHAS:
+        calls.clear()
+        _cat_parity_minimum(alpha, eta)
+        counts.append(len(calls))
+    assert 2 <= min(counts) and max(counts) <= 6
+
+
+def _exact_parity(alpha, eta, delta_p):
+    """The lossy cat parity at d' to 50 digits, from the float inputs."""
+    with mpmath.workdps(50):
+        a, e, d = mpmath.mpf(alpha), mpmath.mpf(eta), mpmath.mpf(delta_p)
+        a_p = mpmath.sqrt(e) * a
+        return (2 * mpmath.exp(-2 * d * d) / (2 * (1 + mpmath.exp(-2 * a * a)))
+                * (mpmath.exp(-2 * (1 - e) * a * a) * mpmath.cos(4 * a_p * d)
+                   + mpmath.exp(-2 * a_p * a_p)))
+
+
+@given(alpha=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e)
+       | st.sampled_from([1e-200, 9e153]),
+       eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_the_refinement_ends_in_its_bracket_no_higher_than_golden_section(alpha, eta):
+    # either the scan's ValueError, or a finite d' in the scan's bracket after
+    # a bounded number of evaluations of g, and no ZeroDivisionError where
+    # g' = 0.  Its parity is compared with golden section's (the previous
+    # search) exactly: the curve's float value rounds with about 1e-16 of its
+    # terms (2/K) e^{-2 d'^2} (D |cos| + F), hundreds of its own ulps where
+    # D cos + F cancels (small alpha, eta > 1/2), and golden section, which
+    # reads those values, can stop on a favourable rounding
+    try:
+        lo, _, hi = full_scan_cell(alpha, eta)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            _cat_parity_minimum(alpha, eta)
+        return
+    curve, root_eta = analytic.cat_parity_curve(alpha, eta), math.sqrt(eta)
+    golden, golden_parity = golden_section_minimize(lambda x: curve(x / root_eta), lo, hi)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _counting_sines(patch)
+        delta_p, _ = _cat_parity_minimum(alpha, eta)
+    assert math.isfinite(delta_p) and lo <= delta_p <= hi
+    assert len(calls) <= 12
+    assert (_exact_parity(alpha, eta, delta_p)
+            <= _exact_parity(alpha, eta, golden) + 2 * math.ulp(golden_parity))
 
 
 def test_optimize_lossy_multiphoton_refused():

@@ -11,8 +11,15 @@ import mpmath
 import pytest
 
 from ngphase.analytic import cat_false_positive_product_form, laguerre_first_root
+from ngphase.protocols import _cat_parity_minimum
 
-mpmath.mp.dps = 50
+from reference_search import full_scan_cell
+
+
+@pytest.fixture(autouse=True)
+def fifty_digits():
+    with mpmath.workdps(50):
+        yield
 
 
 def _ulps(value: float, reference) -> float:
@@ -55,3 +62,25 @@ def test_cat_false_positive_product_form_within_its_ulp_bound(alpha):
                      / (2 * (1 + mpmath.exp(-2 * a * a))))
         assert _ulps(cat_false_positive_product_form(alpha, eta), reference) <= 6, eta
     assert cat_false_positive_product_form(alpha, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.8, 0.9, 0.95, 0.98, 1.0])
+def test_cat_operating_point_within_its_ulp_bound(eta):
+    # the root of the parity's stationarity condition
+    # g = d' (D cos 4a'd' + F) + a' D sin 4a'd' in the full scan's bracket;
+    # the worst seen was 2.6 ulps, at eta = 1/2 (where D cos + F is
+    # D (1 + cos) and cancels at the root), and 2.4 over 300 random
+    # alpha in [0.3, 4], eta in [0.5, 1]
+    for alpha in [0.5 + 0.125 * k for k in range(29)]:
+        a, e = mpmath.mpf(alpha), mpmath.mpf(eta)
+        a_p = mpmath.sqrt(e) * a
+        damping, floor = mpmath.exp(-2 * (1 - e) * a * a), mpmath.exp(-2 * a_p * a_p)
+
+        def g(d):
+            return d * (damping * mpmath.cos(4 * a_p * d) + floor) + a_p * damping * mpmath.sin(
+                4 * a_p * d)
+
+        lo, _, hi = full_scan_cell(alpha, eta)
+        assert g(lo) > 0 > g(hi), alpha  # the root lies inside, not at an end
+        root = mpmath.findroot(g, (mpmath.mpf(lo), mpmath.mpf(hi)), solver="anderson")
+        assert _ulps(_cat_parity_minimum(alpha, eta)[0], root) <= 4, alpha
