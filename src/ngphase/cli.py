@@ -53,8 +53,15 @@ class _Parser(argparse.ArgumentParser):
     # Flags are matched by their full names only (subparsers are built with
     # this class too), so adding or dropping a flag never changes what a
     # prefix someone typed resolves to.
+    # A token that float() reads as a negative number, exponent form and
+    # -inf / -nan included, is a value, not an option: argparse's own matcher
+    # knows only -5 and -0.5, so "--delta -1e-5" would find no argument.
     def __init__(self, **kwargs):
+        import re  # loaded by argparse already
+
         super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         usage = " ".join(self.format_usage().split())
@@ -471,8 +478,13 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        # argparse's own reading: "-", "-5" and "stray" are positional, "--x" a flag
-        if unread and _parser()._parse_optional(unread[0]) is None:
+        # argparse leaves its end-of-options marker "--" among the leftovers;
+        # it is dropped, and every token after it is positional
+        marker = unread.index("--") if "--" in unread else len(unread)
+        unread = unread[:marker] + unread[marker + 1:]
+        # argparse's own reading: "-", "-5", "-1e-5" and "stray" are positional,
+        # "--x" a flag
+        if unread and (marker == 0 or _parser()._parse_optional(unread[0]) is None):
             raise ValueError(f"{args.command} takes no positional argument {unread[0]!r}")
         if unread:
             raise _unread(args, unread[0].split("=")[0])

@@ -119,8 +119,9 @@ def test_flag_prefixes_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
 
 
 # Tokens argparse reads as positional arguments: a bare "-" and a negative
-# number are, although they start with "-".
-STRAY_TOKENS = ("stray", "-", "-5", "-0.5")
+# number (exponent form included) are, although they start with "-", and so is
+# any token after the end-of-options marker "--".
+STRAY_TOKENS = ("stray", "-", "-5", "-0.5", "-1e-5")
 
 
 @pytest.mark.parametrize("argv, command", [
@@ -132,13 +133,32 @@ STRAY_TOKENS = ("stray", "-", "-5", "-0.5")
     (("evaluate", "--family", "cat", "--alpha", "2", "--delta", "1", "-5"), "evaluate"),
     (("sweep", "--family", "cat", "--alpha", "2", "--axis", "eta", "--values", "0.9", "-0.5"),
      "sweep"),
+    (("evaluate", "--family", "cat", "--alpha", "2", "--delta", "1", "-1e-5"), "evaluate"),
+    (("evaluate", "--family", "cat", "--alpha", "2", "--delta", "1", "--", "stray"), "evaluate"),
+    (("optimize", "--family", "cat", "--alpha", "2", "--", "--eta", "0.9"), "optimize"),
 ])
 def test_a_stray_positional_token_is_refused_as_one(capsys, argv, command):
     # a positional token is named as one, not as a flag it does not read
-    token = next(token for token in argv if token in STRAY_TOKENS)
+    after_marker = argv[argv.index("--") + 1:] if "--" in argv else ()
+    token = next(token for token in argv if token in STRAY_TOKENS + after_marker)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"ngphase: invalid request: {command} takes no positional argument {token!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("evaluate", "--family", "cat", "--alpha", "2", "--delta", "1"),
+    ("figure", "--id", "4", "--steps", "3"),
+])
+def test_a_bare_end_of_options_marker_changes_nothing(capsys, argv):
+    assert run_cli(capsys, *argv, "--") == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("value", ["-1e-5", "-2.5E+3", "-inf", "-nan", "-.5e1"])
+def test_a_negative_value_reads_alike_as_a_separate_token(capsys, value):
+    # the separate-token form prints the bytes of the "=" form
+    argv = ("evaluate", "--family", "cat", "--alpha", "2")
+    assert run_cli(capsys, *argv, "--delta", value) == run_cli(capsys, *argv, f"--delta={value}")
 
 
 # ---------------------------------------------------------------------------

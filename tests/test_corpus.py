@@ -153,6 +153,12 @@ COMMANDS = {
     "evaluate_stray_token": "evaluate --family cat --alpha 2 --delta 1 stray",
     "evaluate_stray_dash": "evaluate --family cat --alpha 2 --delta 1 -",
     "evaluate_stray_negative_number": "evaluate --family cat --alpha 2 --delta 1 -5",
+    # the end-of-options marker "--" is no flag: bare it changes nothing, and
+    # the token after it is positional
+    "evaluate_end_of_options": "evaluate --family cat --alpha 2 --delta 1 --",
+    "evaluate_end_of_options_stray": "evaluate --family cat --alpha 2 --delta 1 -- stray",
+    # a negative value in exponent form follows its flag as a separate token
+    "evaluate_negative_exponent": "evaluate --family cat --alpha 2 --delta -1e-5",
     # every check's status and discrepancy
     "verify_full": "verify --grid full",
     # the rest of the README's CLI block (test_readme.py reads these files);
