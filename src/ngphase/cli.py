@@ -8,6 +8,8 @@ failure, 3 verification failure.  The numeric route is ``protocols``'s:
 this module imports no ``fock``, ``loss`` or numpy, and ``verify`` imports
 ``verification`` when it runs, so the closed-form commands run without
 numpy.  ``main()`` builds its parser once per process, on its first call.
+``entrypoint()``, the ``ngphase`` command, runs BLAS on one thread unless
+the environment sets a thread count.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import contextlib
 import functools
 import math
+import os
 import sys
 
 from . import analytic
@@ -54,14 +57,17 @@ class _Parser(argparse.ArgumentParser):
     # this class too), so adding or dropping a flag never changes what a
     # prefix someone typed resolves to.
     # A token that float() reads as a negative number, exponent form and
-    # -inf / -nan included, is a value, not an option: argparse's own matcher
-    # knows only -5 and -0.5, so "--delta -1e-5" would find no argument.
+    # -inf / -nan included, is a value, not an option, and so is a comma list
+    # of numbers led by one: argparse's own matcher knows only -5 and -0.5,
+    # so "--delta -1e-5" and "--values -1,0,1" would find no argument.
+    # tests/test_cli.py holds the two private argparse hooks this relies on.
     def __init__(self, **kwargs):
         import re  # loaded by argparse already
 
         super().__init__(allow_abbrev=False, **kwargs)
+        number = r"(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|infinity|nan)"
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+            rf"^-{number}(?:,(?:[-+]?{number})?)*$", re.IGNORECASE)
 
     def error(self, message):
         usage = " ".join(self.format_usage().split())
@@ -498,5 +504,20 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_COMPUTATION
 
 
+# The thread counts ``entrypoint`` sets when the user has set none.  The
+# oracle's matrices have at most MAX_DIM levels, mostly 40-60, where a
+# second BLAS thread only spin-waits through a short command; it pays only
+# on a long product such as 10 000 parity rows.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                     "VECLIB_MAXIMUM_THREADS")
+
+
 def entrypoint() -> None:
+    """The ``ngphase`` command and ``python -m ngphase``: ``main()`` on one
+    BLAS thread, unless the environment sets any thread count, which then
+    stands as it is.  It runs before numpy is loaded, which reads the
+    variables once; ``main()`` and the library leave the environment alone."""
+    if not any(name.endswith("_NUM_THREADS") or name == "VECLIB_MAXIMUM_THREADS"
+               for name in os.environ):
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     raise SystemExit(main())

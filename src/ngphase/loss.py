@@ -54,19 +54,30 @@ def _log_binomials(dim: int) -> np.ndarray:
     return log_binom
 
 
+# One dim x dim bool matrix, beside ``_log_binomials``: at most 64 KiB.
+@functools.lru_cache(maxsize=1)
+def _upper_triangle(dim: int) -> np.ndarray:
+    """True at m <= n, where ``_log_binomials(dim)`` is finite.  Read-only."""
+    k = np.arange(dim)
+    upper = k[:, None] <= k
+    upper.flags.writeable = False
+    return upper
+
+
 def _thinning_table(dim: int, eta: float) -> np.ndarray:
     """B[m, n] = C(n, m) eta^m (1-eta)^(n-m): the probability that n photons
     leave m after loss.  Upper triangular, columns sum to 1, and the identity
     at eta = 1.  Built from log-factorials, so no factorial overflows and no
     0 log 0 is formed.  The eta-free half, log C(n, m), is cached for the
     last basis size (``_log_binomials``); the eta half and the exp are built
-    per call."""
+    per call.  The exp skips the -inf entries below the diagonal, which
+    numpy reads on a slow special-value path, and leaves them zero."""
     if eta == 1.0:
         return np.eye(dim)
     k = np.arange(dim)
     log_b = _log_binomials(dim) + k[:, None] * math.log(eta)
     log_b += (k - k[:, None]) * math.log1p(-eta)
-    return np.exp(log_b, out=log_b)
+    return np.exp(log_b, out=np.zeros_like(log_b), where=_upper_triangle(dim))
 
 
 def thin(probs, eta) -> np.ndarray:

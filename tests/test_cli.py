@@ -1,9 +1,11 @@
 """CLI tests: schemas, anchor rows, exit codes, deterministic output."""
 
+import argparse
 import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -159,6 +161,44 @@ def test_a_negative_value_reads_alike_as_a_separate_token(capsys, value):
     # the separate-token form prints the bytes of the "=" form
     argv = ("evaluate", "--family", "cat", "--alpha", "2")
     assert run_cli(capsys, *argv, "--delta", value) == run_cli(capsys, *argv, f"--delta={value}")
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (("sweep", "--family", "cat", "--alpha", "2", "--axis", "delta"), "--values", "-1,0,1"),
+    (("sweep", "--family", "cat", "--alpha", "2", "--axis", "delta"), "--values", "-1e-3,+2,-inf"),
+    (("sweep", "--family", "cat", "--alpha", "2", "--axis", "delta"), "--values", "-1,"),
+    (("sweep", "--family", "cat", "--alpha", "2", "--axis", "r"), "--values", "-.5,-nan"),
+    (("figure", "--id", "3", "--steps", "3"), "--alphas", "-1,2"),
+    (("figure", "--id", "5", "--steps", "3"), "--etas", "-0.5,0.9"),
+])
+def test_a_negative_list_reads_alike_as_a_separate_token(capsys, argv, flag, value):
+    # a comma list led by a negative number is a value, as after "="
+    separate = run_cli(capsys, *argv, flag, value)
+    assert separate == run_cli(capsys, *argv, f"{flag}={value}")
+    assert "expected one argument" not in separate[2]
+
+
+def test_argparse_keeps_the_private_hooks_the_parser_relies_on():
+    # cli._Parser replaces argparse's _negative_number_matcher, and main asks
+    # _parse_optional whether a leftover token is a flag; neither is public
+    # API, so a Python release may drop or reshape them
+    plain = argparse.ArgumentParser(prog="p")
+    matcher = getattr(plain, "_negative_number_matcher", None)
+    assert isinstance(matcher, re.Pattern), (
+        "argparse.ArgumentParser has no _negative_number_matcher pattern: cli._Parser "
+        "no longer decides which '-'-led tokens are values")
+    assert callable(getattr(plain, "_parse_optional", None)), (
+        "argparse.ArgumentParser has no _parse_optional: cli.main cannot tell a stray "
+        "positional token from an unread flag")
+    plain.add_argument("--x")
+    assert plain._parse_optional("-5") is None and plain._parse_optional("stray") is None, (
+        "argparse's _parse_optional no longer returns None for a positional token")
+    assert plain._parse_optional("--x") is not None and plain._parse_optional("--y") is not None, (
+        "argparse's _parse_optional no longer returns a match for a flag")
+    ours = cli._Parser(prog="p")
+    assert plain._parse_optional("-1,0,1") is not None and ours._parse_optional("-1,0,1") is None, (
+        "argparse's _parse_optional no longer consults the parser's "
+        "_negative_number_matcher")
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,10 @@ COMMANDS = {
     "evaluate_end_of_options_stray": "evaluate --family cat --alpha 2 --delta 1 -- stray",
     # a negative value in exponent form follows its flag as a separate token
     "evaluate_negative_exponent": "evaluate --family cat --alpha 2 --delta -1e-5",
+    # and so does a comma list led by a negative number
+    "sweep_cat_delta_negative_list": "sweep --family cat --alpha 2 --axis delta "
+                                     "--values -1,0,1",
+    "figure3_negative_list": "figure --id 3 --alphas -1,2",
     # every check's status and discrepancy
     "verify_full": "verify --grid full",
     # the rest of the README's CLI block (test_readme.py reads these files);
@@ -182,14 +186,18 @@ def _masked_seconds(stdout: str) -> str:
     return header + "".join(row.rsplit(",", 1)[0] + f",{MASK}\n" for row in rows)
 
 
-def run(argv: list[str]) -> str:
+def corpus_text(argv: list[str], code: int, stdout: str, stderr: str) -> str:
     """The corpus text of one invocation: exit code, stderr, then stdout."""
+    stdout = _masked_seconds(stdout) if argv[0] == "verify" else stdout
+    return f"# ngphase {shlex.join(argv)}\n# exit {code}\n# stderr {stderr!r}\n" + stdout
+
+
+def run(argv: list[str]) -> str:
+    """The corpus text of one invocation through ``cli.main``, in this process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    stdout = _masked_seconds(out.getvalue()) if argv[0] == "verify" else out.getvalue()
-    return f"# ngphase {shlex.join(argv)}\n# exit {code}\n# stderr {err.getvalue()!r}\n" \
-           + stdout
+    return corpus_text(argv, code, out.getvalue(), err.getvalue())
 
 
 @functools.cache

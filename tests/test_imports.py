@@ -28,11 +28,11 @@ print(code, "numpy" in sys.modules, file=sys.stderr)
 """
 
 
-def _python(source, *argv):
+def _python(source, *argv, environ=os.environ):
     src = str(Path(ngphase.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    path = os.pathsep.join(p for p in (src, environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", source, *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+                          text=True, env=dict(environ, PYTHONPATH=path), check=True,
                           timeout=120)
 
 
@@ -108,3 +108,29 @@ def test_importing_cli_builds_no_parser():
 
 def test_importing_cli_loads_no_numpy():
     assert _import_cli()[2] is False
+
+
+# Runs argv through cli.entrypoint, as ``python -m ngphase`` does, with
+# cli.main wrapped to report, when entrypoint calls it, whether numpy was
+# loaded and the OpenBLAS thread variable; and, after it, whether numpy was.
+ENTRYPOINT_PROBE = """
+import os, sys
+from ngphase import cli
+real = cli.main
+def main():
+    before = "numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS")
+    code = real()
+    print(*before, "numpy" in sys.modules, file=sys.stderr)
+    return code
+cli.main = main
+cli.entrypoint()
+"""
+
+
+def test_entrypoint_sets_the_thread_count_before_numpy_loads():
+    # numpy reads the thread variables once, when it is first imported
+    environ = {k: v for k, v in os.environ.items()
+               if not (k.endswith("_NUM_THREADS") or k == "VECLIB_MAXIMUM_THREADS")}
+    done = _python(ENTRYPOINT_PROBE, "parity", "--alpha", "1.5", "--steps", "3",
+                   environ=environ)
+    assert done.stderr.splitlines()[-1].split() == ["False", "1", "True"]

@@ -24,6 +24,7 @@ from ngphase.loss import (
     _beamsplitter_eigenbasis,
     _log_binomials,
     _thinning_table,
+    _upper_triangle,
     apply_loss_via_purification,
     thin,
 )
@@ -119,6 +120,8 @@ def test_cached_log_binomials_are_read_only():
     for dim in (8, MAX_DIM):
         with pytest.raises(ValueError, match="read-only"):
             _log_binomials(dim)[0, 1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            _upper_triangle(dim)[1, 0] = True
     table = _thinning_table(8, 0.9)
     table[0, 1] = 0.0  # each call still returns its own table
 
