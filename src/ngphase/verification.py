@@ -91,7 +91,7 @@ def run_checks(tolerance: float | None = None,
 # grids
 
 
-# A probe is a family and its n or alpha, as the oracle's sizing and batch take it.
+# The detector efficiencies of the lossy cat checks.
 _ETAS = (0.5, 0.8, 0.9, 0.95, 0.98, 1.0)
 
 

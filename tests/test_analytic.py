@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.special import eval_laguerre
+from scipy.special import eval_laguerre, jn_zeros
 
 from ngphase.analytic import (
+    MAX_N,
     ErrorRates,
     ProtocolParams,
     StateFamily,
@@ -122,9 +123,15 @@ def test_first_root_values():
 
 
 def test_first_roots_strictly_decreasing():
-    roots = [laguerre_first_root(n) for n in range(1, 11)]
+    # at every n <= MAX_N; j_{0,1}^2 / (4n + 2), the start, lies below R_n
+    # (NIST DLMF 18.16), and 3 / (2n + 1) bounds it above, with equality
+    # only at n = 1
+    j01_squared = float(jn_zeros(0, 1)[0]) ** 2
+    roots = [laguerre_first_root(n) for n in range(1, MAX_N + 1)]
     assert all(b < a for a, b in zip(roots, roots[1:]))
     for n, root in enumerate(roots, start=1):
+        assert j01_squared / (4 * n + 2) < root <= 3 / (2 * n + 1), n
+    for n, root in enumerate(roots[:10], start=1):
         assert abs(laguerre(n, root)) < 1e-10
 
 

@@ -97,11 +97,15 @@ COMMANDS = {
                          "--grid 0.639167 3.853266 50",
     "closed_form_optimize": "optimize --family cat --alpha 2.411157 --eta 0.957402",
     "closed_form_evaluate": "evaluate --family fock --n 1 --eta 0.957402 --phi 1.120731e-03",
-    # Fock operating points: the analytic-threshold label and a Laguerre root
-    # past the first scan step
+    # Fock operating points: the analytic-threshold label and the first
+    # Laguerre root of a cubic, at n = 3
     "optimize_fock1": "optimize --family fock --n 1 --eta 0.9",
     "optimize_fock1_oracle": "optimize --family fock --n 1 --eta 0.9 --oracle",
     "optimize_fock3": "optimize --family fock --n 3",
+    # Fock thresholds at large n; their lossless p_fn and helstrom read
+    # fock_overlap's rounding near its zero, not the root's error
+    "optimize_fock1000": "optimize --family fock --n 1000",
+    "sweep_fock_n_large": "sweep --family fock --n 1 --axis n --values 4,10,100,1000,10000",
     # a prior other than 1/2 through every Helstrom branch
     "evaluate_cat_p0": f"evaluate {CAT} --delta 1 --p0 0.3",
     "evaluate_cat_p0_oracle": f"evaluate {CAT} --delta 1 --p0 0.3 --oracle",

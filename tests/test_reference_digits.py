@@ -10,7 +10,12 @@ import math
 import mpmath
 import pytest
 
-from ngphase.analytic import cat_false_positive_product_form, laguerre_first_root
+from ngphase.analytic import (
+    MAX_N,
+    cat_false_positive_product_form,
+    cat_overlap_zero,
+    laguerre_first_root,
+)
 from ngphase.protocols import _cat_parity_minimum
 
 from reference_search import full_scan_cell
@@ -39,14 +44,32 @@ def _laguerre_sum(n: int, x):
     return total
 
 
-@pytest.mark.parametrize("n", list(range(1, 101)) + [200, 500, 1000, 2000, 3000])
+@pytest.mark.parametrize("n", list(range(1, 101)) + [200, 500, 1000, 2000, 3000, 5000, MAX_N])
 def test_laguerre_first_root_within_its_ulp_bound(n):
-    # the float recurrence's own rounding, about 1e-15 absolute near the root,
-    # limits the polished root: at most 5.5 ulps for n <= 10 and 0.13 n^2 ulps
-    # above (n = 11) over n = 1 .. 300 and every 37th n up to 3000
-    root = laguerre_first_root(n)
-    reference = mpmath.findroot(lambda x: _laguerre_sum(n, x), mpmath.mpf(root))
-    assert _ulps(root, reference) <= 6 + 0.15 * n * n
+    # Newton from Tricomi's j_{0,1}^2 / (4n + 2), below the first root, where
+    # L_n is decreasing and convex, so the iterates climb to that root and
+    # not to another (a secant from there reached a later root at n = 24);
+    # the worst seen was 2.05 ulps over n = 1 .. 3000 and every 7th n up to
+    # 10,000, and 1.47 at the n listed here
+    start = mpmath.besseljzero(0, 1) ** 2 / (4 * n + 2)
+    assert _laguerre_sum(n, start) > 0
+    reference = mpmath.findroot(lambda x: _laguerre_sum(n, x), start, solver="newton")
+    assert _ulps(laguerre_first_root(n), reference) <= 2
+
+
+@pytest.mark.parametrize("k, bound", [(0, 8), (1, 4), (2, 3)])
+def test_cat_overlap_zero_within_its_ulp_bound(k, bound):
+    # the root of cos(2 alpha delta) + exp(-2 alpha^2) between (pi/2 + 2 pi k)
+    # and (pi + 2 pi k) over 2 alpha; the worst seen over 30,000 random alpha
+    # in [0.01, 10] was 7.3, 3.4 and 2.0 ulps for k = 0, 1, 2, all near
+    # alpha = 0.01, where acos is steep near -1
+    for alpha in [10.0 ** (-2 + j / 20) for j in range(61)]:
+        a = mpmath.mpf(alpha)
+        lo, hi = ((mpmath.pi / 2 + 2 * mpmath.pi * k) / (2 * a),
+                  (mpmath.pi + 2 * mpmath.pi * k) / (2 * a))
+        root = mpmath.findroot(lambda d: mpmath.cos(2 * a * d) + mpmath.exp(-2 * a * a),
+                               (lo, hi), solver="anderson")
+        assert _ulps(cat_overlap_zero(alpha, k), root) <= bound, alpha
 
 
 @pytest.mark.parametrize("alpha", [10.0 ** (k / 4) for k in range(-8, 5)])
