@@ -266,50 +266,67 @@ _REFINE_STEPS = 100
 
 def _cat_parity_minimum(alpha: float, eta: float) -> tuple[float, float]:
     """Detector-side displacement d' that minimizes the lossy cat parity over
-    (0, pi / (2 alpha')), and the parity there.
+    (0, pi / (2 alpha')], and the parity there.
 
-    A 64-cell scan finds the lowest cell (the parity develops a secondary
-    ripple inside the bracket), then a bracketed Newton iteration finds the
-    stationary point on the cell's neighbours.  The scan reads the factors K,
-    D and F of one ``analytic.cat_parity_curve`` and evaluates the curve's own
-    expression, operands in its order, at delta = d' / sqrt(eta), with no call
-    per value; tests hold the cell, the result and any error to a full scan
-    that calls the curve.  The parity returned is the curve's value at the
-    returned d'.
+    The parity is (2/K) e^{-2 d'^2} h with h = D cos(theta) + F and
+    theta = 4 alpha' d', where K, D and F are the factors of one
+    ``analytic.cat_parity_curve``.  Its derivative is -(8/K) e^{-2 d'^2} g with
+    g = d' (D cos theta + F) + alpha' D sin theta, so g > 0 below a minimum and
+    g < 0 above it, and g carries no exponential that could underflow; its
+    derivative is g' = D cos + F - 4 alpha' d' D sin + 4 alpha'^2 D cos.  The
+    parity returned is the curve's value at the returned d'.
 
-    The scan takes the cells in blocks of 4, deepest cosine first, and skips a
+    Where eta > 1/2, D > F and the parity goes negative, and its minimum is
+    the one root of g on theta in [theta_0, pi], theta_0 = acos(-F / D):
+    below theta_0 the parity is >= 0; on (pi, 2 pi) each point lies above its
+    mirror 2 pi - theta, which has the same cosine, a larger envelope and
+    h < 0; and on (theta_0, pi], g' < 0, with g(theta_0) = alpha' D
+    sin theta_0 > 0 and g(pi) = d' (F - D) < 0.  The search starts at
+    theta = pi / (1 + (D - F) / (4 alpha'^2 D)), the root of g with cos and
+    sin expanded to first order about pi, or at the bracket's midpoint where
+    that falls outside it; no parity is read before the refinement.  The
+    branch tests eta itself: D > F in floats would admit eta = 1/2, where
+    sqrt(0.5)^2 rounds so that D > F for some alpha although the parity
+    D (1 + cos theta) e^{-2 d'^2} (2/K) never goes negative.  Where D and F
+    round to one float all the same (eta within a few ulps of 1/2, or alpha so
+    small that both are 1), the root lies within rounding of theta = pi, and
+    the bracket closes there; D < F was not seen in 10^6 random (alpha, eta)
+    with eta within 2^-33 above 1/2.  Where D underflows to 0 the scan runs.
+
+    Where eta <= 1/2 the parity stays >= 0, and the minimum can be an
+    interior point or the end pi / (2 alpha').  A 64-cell scan finds the
+    lowest cell; it evaluates the curve's own expression, operands in its
+    order, at delta = d' / sqrt(eta), with no call per value, and tests hold
+    the cell, the result and any error to a full scan that calls the curve.
+    It takes the cells in blocks of 4, deepest cosine first, and skips a
     block whose lower bound is at least the lowest parity read so far plus
-    ``_SCAN_MARGIN``.
-    The parity is (2/K) e^{-2 d'^2} h with h = D cos(4 alpha' d') + F, where
-    K, D and F are the curve's own factors.  On cells a..b, h is at least
-    h_min = D c_min + F, with c_min the least tabled cosine there, and
-    e^{-2 d'^2} falls with d'; so the parity is at least (2/K) e^{-2 x^2} h_min,
-    with x the d' of cell b if h_min >= 0 and of cell a if not.  Each computed
-    value and each computed bound is off by about 1e-15 (at most 8.3e-16
-    apart over 30,000 random and figure-grid (alpha, eta)), far inside the
-    1e-12 margin, so every skipped cell lies strictly above a value already
-    read: it can neither be the lowest cell nor tie it.  Blocks come in order
-    of c_min and D >= 0, so after the first block with h_min >= 0 every block
-    has one, and a bound >= 0; once the lowest value plus the margin is <= 0,
-    the scan stops there, skipping exactly the blocks the bound would.  The
-    lowest cell, the first of equal ones, is the one a full scan finds, and
-    the refinement, which only it feeds, returns the same bits.  Where every
-    parity underflows to zero (tiny alpha), every bound is zero too and all 64
-    cells are read.
-
-    The parity's derivative is -(8/K) e^{-2 d'^2} g with
-    g = d' (D cos 4 alpha' d' + F) + alpha' D sin 4 alpha' d', so g > 0 below
-    the minimum and g < 0 above it, and g carries no exponential that could
-    underflow.  Its derivative is g' = D cos + F - 4 alpha' d' D sin
-    + 4 alpha'^2 D cos.  The refinement evaluates g at the lowest cell, which
-    gives the side of the root, and at that side's bracket end: where g keeps
+    ``_SCAN_MARGIN``.  On cells a..b, h is at least h_min = D c_min + F, with
+    c_min the least tabled cosine there, and e^{-2 d'^2} falls with d'; so the
+    parity is at least (2/K) e^{-2 x^2} h_min, with x the d' of cell b if
+    h_min >= 0 and of cell a if not.  Each computed value and each computed
+    bound is off by about 1e-15 (at most 8.3e-16 apart over 30,000 random and
+    figure-grid (alpha, eta)), far inside the 1e-12 margin, so every skipped
+    cell lies strictly above a value already read: it can neither be the
+    lowest cell nor tie it.  Blocks come in order of c_min and D >= 0, so
+    after the first block with h_min >= 0 every block has one, and a bound
+    >= 0; once the lowest value plus the margin is <= 0, the scan stops there,
+    skipping exactly the blocks the bound would.  The lowest cell, the first
+    of equal ones, is the one a full scan finds.  Where every parity
+    underflows to zero (tiny alpha), every bound is zero too and all 64 cells
+    are read.  The bracket is the lowest cell's neighbours; g at the lowest
+    cell gives the side of the root, and g at that side's end: where g keeps
     its sign up to the end, the parity falls (or rises) to it, and the end is
-    returned.  Otherwise each step is a Newton step where g' < 0 and the step
-    lands inside the bracket, and a halving of the bracket where not (Press et
-    al., Numerical Recipes, 3rd ed., section 9.4).  It stops on a Newton step
-    below ``_NEWTON_TOL`` d' or a bracket narrower than ``_BRACKET_TOL`` hi,
-    never on a halving: about 4-5 evaluations of g on the figure grids, and d'
-    within 4 ulps of the 50-digit root.
+    returned.
+
+    Both paths then refine in one bracketed Newton loop: each step is a Newton
+    step where g' < 0 and the step lands inside the bracket, and a halving of
+    the bracket where not (Press et al., Numerical Recipes, 3rd ed., section
+    9.4).  It stops on a Newton step below ``_NEWTON_TOL`` d' or a bracket
+    narrower than ``_BRACKET_TOL`` hi, never on a halving.  On the figure
+    grids g is evaluated 3-5 times per call where eta > 1/2.  d' lies within
+    4 ulps of the 50-digit root for alpha in [0.3, 5]; for alpha in
+    [0.05, 0.3] up to about 35 as eta nears 1/2, where D cos + F cancels at
+    the root.
     """
     # The scan runs in d' and the curve takes delta, which it scales by
     # sqrt(eta) again; the scan's d' -> delta -> d' round trip keeps each value
@@ -326,29 +343,38 @@ def _cat_parity_minimum(alpha: float, eta: float) -> tuple[float, float]:
     scale, four_alpha_p = 2.0 / k, 4.0 * amplitude
     exp, cos, sin = math.exp, math.cos, math.sin
 
-    best, best_parity = 0, math.inf
-    for first, last, c_min in _SCAN_BLOCKS:
-        h_min = damping * c_min + floor
-        if h_min >= 0.0 and best_parity + _SCAN_MARGIN <= 0.0:
-            break  # this and every later block has h_min >= 0: a bound >= 0, skipped
-        x = (last if h_min >= 0.0 else first) * hi / _N_CELLS
-        if scale * exp(-2.0 * x * x) * h_min >= best_parity + _SCAN_MARGIN:
-            continue
-        for i in range(first, last + 1):
-            d = root_eta * (i * hi / _N_CELLS / root_eta)
-            parity = (2.0 * exp(-2.0 * d * d) / k) * (damping * cos(four_alpha_p * d) + floor)
-            if parity < best_parity or (parity == best_parity and i < best):
-                best, best_parity = i, parity
-    d = best * hi / _N_CELLS
-    lo = (best - 1) * hi / _N_CELLS if best > 1 else (hi / _N_CELLS) / 2.0
-    hi = (best + 1) * hi / _N_CELLS if best < _N_CELLS else hi
+    bracketed = eta > 0.5 and damping > 0.0  # the bracket [theta_0, pi], else the scan
+    if bracketed:
+        lo = math.acos(-floor / damping) / four_alpha_p
+        hi = math.pi / four_alpha_p
+        d = (hi / (1.0 + (damping - floor) / (four_alpha_p * amplitude * damping))
+             if damping > floor else hi)
+        if not lo < d < hi:
+            d = 0.5 * (lo + hi)
+    else:
+        best, best_parity = 0, math.inf
+        for first, last, c_min in _SCAN_BLOCKS:
+            h_min = damping * c_min + floor
+            if h_min >= 0.0 and best_parity + _SCAN_MARGIN <= 0.0:
+                break  # this and every later block has h_min >= 0: a bound >= 0, skipped
+            x = (last if h_min >= 0.0 else first) * hi / _N_CELLS
+            if scale * exp(-2.0 * x * x) * h_min >= best_parity + _SCAN_MARGIN:
+                continue
+            for i in range(first, last + 1):
+                d = root_eta * (i * hi / _N_CELLS / root_eta)
+                parity = (2.0 * exp(-2.0 * d * d) / k) * (damping * cos(four_alpha_p * d) + floor)
+                if parity < best_parity or (parity == best_parity and i < best):
+                    best, best_parity = i, parity
+        d = best * hi / _N_CELLS
+        lo = (best - 1) * hi / _N_CELLS if best > 1 else (hi / _N_CELLS) / 2.0
+        hi = (best + 1) * hi / _N_CELLS if best < _N_CELLS else hi
 
-    # Bracketed Newton on g from the lowest cell.
+    # Bracketed Newton on g from the start or the lowest cell.
     a_damping = amplitude * damping  # alpha' D
     theta = four_alpha_p * d
     c, s = cos(theta), sin(theta)
     g = d * (damping * c + floor) + a_damping * s
-    if g != 0.0:
+    if not bracketed and g != 0.0:
         # the root lies on the side of the lowest cell where g changes sign;
         # where g keeps its sign up to that side's end, the end is the minimum
         end = hi if g > 0.0 else lo
@@ -356,10 +382,10 @@ def _cat_parity_minimum(alpha: float, eta: float) -> tuple[float, float]:
         g_end = end * (damping * cos(theta) + floor) + a_damping * sin(theta)
         if (g_end >= 0.0) if g > 0.0 else (g_end <= 0.0):
             return end, curve(end / root_eta)
-        if g > 0.0:
-            lo = d
-        else:
-            hi = d
+    if g > 0.0:
+        lo = d
+    elif g < 0.0:
+        hi = d
     for _ in range(_REFINE_STEPS):
         if g == 0.0 or hi - lo <= _BRACKET_TOL * hi:
             break
@@ -391,9 +417,10 @@ def optimize_delta(params: ProtocolParams) -> OperatingPoint:
     Fock: the detector-side displacement sits at the first overlap zero,
     d' = sqrt(R_n) (for n = 1 this is d'^2 = 1, which also minimizes the lossy
     false-negative rate).  Cat: the d' that minimizes the lossy parity, found
-    by ``_cat_parity_minimum`` (a coarse scan, which evaluates one
-    ``analytic.cat_parity_curve``'s expression inline, then a bracketed Newton
-    iteration on the parity's stationarity condition).
+    by ``_cat_parity_minimum``: a bracketed Newton iteration on the parity's
+    stationarity condition, in the analytic bracket that holds the minimum
+    where eta > 1/2, and after a coarse scan of one
+    ``analytic.cat_parity_curve``'s expression where eta <= 1/2.
 
     The phase is phi0 = d' / (sqrt(eta N) e^r).  An eta N below the least
     normal float, or a phi0 that is not a finite normal float, is a

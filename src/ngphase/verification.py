@@ -263,6 +263,23 @@ def _fock1_stationarity() -> float:
     return worst
 
 
+@_check("cat_fn_stationarity", 1e-8)
+def _cat_stationarity() -> float:
+    """d p_fn / d d' vanishes at the optimized cat d', p_fn = (1 + P) / 2
+    (central finite difference of the closed-form parity P at d' (1 +- 1e-6))."""
+    worst = 0.0
+    step = 1e-6
+    for alpha in (0.5, 1.0, 2.0, 3.0):
+        for eta in (0.8, 0.9, 0.95, 0.98, 1.0):
+            params = ProtocolParams(family=StateFamily.CAT, photons=1e6, alpha=alpha, eta=eta)
+            delta = optimize_delta(params).delta / math.sqrt(eta)
+            parity = analytic.cat_parity_curve(alpha, eta)
+            slope = ((parity(delta * (1.0 + step)) - parity(delta * (1.0 - step)))
+                     / (4.0 * step * math.sqrt(eta) * delta))
+            worst = max(worst, abs(slope))
+    return worst
+
+
 @_check("parity_bounds", 1e-12)
 def _parity_bounds() -> float:
     """|P_delta| never exceeds 1."""

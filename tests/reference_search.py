@@ -4,11 +4,12 @@
 minimum uses.  ``full_scan_cat_parity_minimum`` is the cat operating point by a
 full scan: all 64 cells read in order through the curve, then a copy of the
 program's bracketed Newton rule (``bracketed_newton_root``) on the parity's
-stationarity condition.  The program's scan skips the cells its bound rules
-out and evaluates the curve's expression inline, and must agree with it bit
-for bit.  The tests that check the program's optimum, and the Fock-1 minimum,
-use these copies, so a reference never shares its search with the code it
-checks.
+stationarity condition.  The program scans only where eta <= 1/2 (elsewhere it
+refines in an analytic bracket, and its d' is held to 50-digit roots instead);
+there its scan skips the cells its bound rules out and evaluates the curve's
+expression inline, and must agree with the full scan bit for bit.  The tests
+that check the program's optimum, and the Fock-1 minimum, use these copies,
+so a reference never shares its search with the code it checks.
 """
 
 import math
@@ -94,20 +95,12 @@ def cat_stationarity(alpha, eta):
     return g
 
 
-def cell_bracket(best, hi):
-    """(lo, d', hi) of the refinement from scan cell ``best`` of 64 on
-    (0, hi]: the cell's d' and its neighbours', half the first cell below
-    cell 1 and hi itself above cell 64."""
-    lo = (best - 1) * hi / N_CELLS if best > 1 else (hi / N_CELLS) / 2.0
-    top = (best + 1) * hi / N_CELLS if best < N_CELLS else hi
-    return lo, best * hi / N_CELLS, top
-
-
 def full_scan_cell(alpha, eta):
     """The refinement's (lo, d', hi) from a full scan: every one of the 64
     cells i hi / 64 read through the curve in d' with the d' -> delta -> d'
-    round trip, the first lowest taken.  Where a cell's delta is not a finite
-    float, it raises the program's ValueError."""
+    round trip, the first lowest taken; lo and hi are its neighbours' d', half
+    the first cell below cell 1 and hi itself above cell 64.  Where a cell's
+    delta is not a finite float, it raises the program's ValueError."""
     root_eta = math.sqrt(eta)
     if not root_eta * alpha > 0.0 or not math.isfinite(
             N_CELLS * (0.5 * math.pi / (root_eta * alpha)) / root_eta):
@@ -120,7 +113,9 @@ def full_scan_cell(alpha, eta):
         parity = curve(i * hi / N_CELLS / root_eta)
         if best == 0 or parity < best_parity:
             best, best_parity = i, parity
-    return cell_bracket(best, hi)
+    lo = (best - 1) * hi / N_CELLS if best > 1 else (hi / N_CELLS) / 2.0
+    top = (best + 1) * hi / N_CELLS if best < N_CELLS else hi
+    return lo, best * hi / N_CELLS, top
 
 
 def full_scan_cat_parity_minimum(alpha, eta):

@@ -41,6 +41,9 @@ COMMANDS = {
     "optimize_cat_lossless": "optimize --family cat --alpha 3.7",
     "optimize_cat_tiny_alpha": "optimize --family cat --alpha 1e-200",
     "optimize_cat_tiny_alpha_lossy": "optimize --family cat --alpha 1e-200 --eta 0.9",
+    # every parity underflows at the optimum, which is still the root of g
+    "optimize_cat_parity_underflow": "optimize --family cat --alpha 0.01",
+    "optimize_cat_parity_underflow_lossy": "optimize --family cat --alpha 0.03 --eta 0.9",
     "optimize_cat_oracle": f"optimize {CAT} --oracle",
     "optimize_cat_out_of_range": "optimize --family cat --alpha 1e-310",
     # operating phases that are no normal float

@@ -9,6 +9,8 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ngphase.analytic import (
     MAX_N,
@@ -87,23 +89,67 @@ def test_cat_false_positive_product_form_within_its_ulp_bound(alpha):
     assert cat_false_positive_product_form(alpha, 1.0) == 0.0
 
 
+def _cat_stationarity_root(alpha, eta):
+    """The root of the cat parity's stationarity condition
+    g = d' (D cos 4a'd' + F) + a' D sin 4a'd' at 50 digits: in
+    [acos(-F / D), pi] / (4a') where eta > 1/2, the one root there, and in
+    the full scan's bracket where not."""
+    a, e = mpmath.mpf(alpha), mpmath.mpf(eta)
+    a_p = mpmath.sqrt(e) * a
+    damping, floor = mpmath.exp(-2 * (1 - e) * a * a), mpmath.exp(-2 * a_p * a_p)
+
+    def g(d):
+        return d * (damping * mpmath.cos(4 * a_p * d) + floor) + a_p * damping * mpmath.sin(
+            4 * a_p * d)
+
+    if eta > 0.5:
+        lo, hi = mpmath.acos(-floor / damping) / (4 * a_p), mpmath.pi / (4 * a_p)
+    else:
+        lo, _, hi = map(mpmath.mpf, full_scan_cell(alpha, eta))
+    assert g(lo) > 0 > g(hi), alpha  # the root lies inside, not at an end
+    return mpmath.findroot(g, (lo, hi), solver="anderson")
+
+
+# log-spaced in [0.05, 0.3], where D cos + F cancels more and more at the
+# root as alpha falls
+SMALL_ALPHAS = [0.05 * 6 ** (j / 24) for j in range(25)]
+
+
 @pytest.mark.parametrize("eta", [0.5, 0.8, 0.9, 0.95, 0.98, 1.0])
 def test_cat_operating_point_within_its_ulp_bound(eta):
-    # the root of the parity's stationarity condition
-    # g = d' (D cos 4a'd' + F) + a' D sin 4a'd' in the full scan's bracket;
-    # the worst seen was 2.6 ulps, at eta = 1/2 (where D cos + F is
-    # D (1 + cos) and cancels at the root), and 2.4 over 300 random
-    # alpha in [0.3, 4], eta in [0.5, 1]
-    for alpha in [0.5 + 0.125 * k for k in range(29)]:
-        a, e = mpmath.mpf(alpha), mpmath.mpf(eta)
-        a_p = mpmath.sqrt(e) * a
-        damping, floor = mpmath.exp(-2 * (1 - e) * a * a), mpmath.exp(-2 * a_p * a_p)
+    # alpha in [0.3, 5]: the worst seen here was 2.9 ulps, at eta = 1/2
+    # (where D cos + F is D (1 + cos) and cancels at the root), and 3.3 over
+    # 1,500 random alpha in [0.3, 5], eta in (1/2, 1).  SMALL_ALPHAS, eta > 1/2
+    # only (at eta = 1/2 every cell's parity underflows there): 2.4 here, but
+    # up to 34 over 1,500 random alpha in [0.05, 0.3], eta in (1/2, 1), at
+    # eta = 0.501, where D cos + F cancels at the root (the scan-then-Newton
+    # search gave the same d' there)
+    alphas = [0.3, 0.4] + [0.5 + 0.125 * k for k in range(37)]
+    for alpha in alphas + (SMALL_ALPHAS if eta > 0.5 else []):
+        assert _ulps(_cat_parity_minimum(alpha, eta)[0],
+                     _cat_stationarity_root(alpha, eta)) <= 4, alpha
 
-        def g(d):
-            return d * (damping * mpmath.cos(4 * a_p * d) + floor) + a_p * damping * mpmath.sin(
-                4 * a_p * d)
 
-        lo, _, hi = full_scan_cell(alpha, eta)
-        assert g(lo) > 0 > g(hi), alpha  # the root lies inside, not at an end
-        root = mpmath.findroot(g, (mpmath.mpf(lo), mpmath.mpf(hi)), solver="anderson")
-        assert _ulps(_cat_parity_minimum(alpha, eta)[0], root) <= 4, alpha
+@given(alpha=st.floats(min_value=-2.0, max_value=1.3).map(lambda e: 10.0 ** e),
+       eta=st.floats(min_value=0.5, max_value=1.0, exclude_min=True))
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cat_operating_point_is_the_global_minimum(alpha, eta):
+    # where eta > 1/2 the search reads no parity before its refinement and
+    # never leaves [acos(-F / D), pi] / (4a'): the 50-digit parity at the d'
+    # it returns is no higher than at each of 256 evenly spaced d' over the
+    # whole range (0, pi / (2a')), the midpoints of 256 equal cells.  (A
+    # point at exactly pi / (4a') would be the minimum itself as eta -> 1/2,
+    # closer to it than any float d'.)
+    delta_p, _ = _cat_parity_minimum(alpha, eta)
+    a, e = mpmath.mpf(alpha), mpmath.mpf(eta)
+    a_p = mpmath.sqrt(e) * a
+    damping, floor = mpmath.exp(-2 * (1 - e) * a * a), mpmath.exp(-2 * a_p * a_p)
+
+    def parity(d):
+        # (2/K) e^{-2 d^2} (D cos 4a'd + F); the positive 2/K is left out
+        return mpmath.exp(-2 * d * d) * (damping * mpmath.cos(4 * a_p * d) + floor)
+
+    found = parity(mpmath.mpf(delta_p))
+    hi = mpmath.pi / (2 * a_p)
+    assert all(found <= parity(hi * (i - 0.5) / 256) for i in range(1, 257)), delta_p

@@ -73,6 +73,14 @@ def displacement_nudged(mp):
               space, states, [d * (1.0 + NUDGE) for d in deltas]))
 
 
+def cat_operating_point_nudged(mp):
+    """The cat operating point d' sits a factor 1 + 1e-6 too far out, in
+    ``optimize``, figures 4 and 6 and every cat sweep."""
+    _wrap(mp, protocols, "_cat_parity_minimum",
+          lambda minimum: lambda alpha, eta: (lambda d, parity: (d * (1.0 + NUDGE), parity))(
+              *minimum(alpha, eta)))
+
+
 def squeeze_nudged(mp):
     """Every squeeze acts at r (1 + 1e-6)."""
     _wrap(mp, verification, "squeeze",
@@ -93,6 +101,7 @@ KILL_TABLE = {
     "loss_composition": thinning_table_at_nudged_eta,
     "loss_thinning_vs_purification": purification_theta_nudged,
     "fock1_fn_stationarity": fock1_false_negative_shifted,
+    "cat_fn_stationarity": cat_operating_point_nudged,
     "parity_bounds": cat_parity_scaled,
     "sweep_dual_path": cat_parity_scaled,
 }
@@ -138,6 +147,7 @@ PRINTED_FAULTS = {
     "optimize_delta's Fock phi0": (fock_operating_phase_scaled, "fock1_operating_point_numeric"),
     "overlap's cat numeric column": (overlap_readout_scaled, "cat_overlap_formula"),
     "overlap's Fock numeric column": (overlap_readout_scaled, "fock_overlap_grid"),
+    "optimize's cat delta_detected": (cat_operating_point_nudged, "cat_fn_stationarity"),
 }
 
 
@@ -218,6 +228,7 @@ CALLS_PER_CHECK = {
     "loss_composition": (1, 2),
     "loss_thinning_vs_purification": (1, 1),
     "fock1_fn_stationarity": (0, 0),
+    "cat_fn_stationarity": (0, 0),
     "parity_bounds": (0, 0),
     "sweep_dual_path": (2, 2),
 }
