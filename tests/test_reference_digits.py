@@ -93,14 +93,14 @@ def _cat_stationarity_root(alpha, eta):
     """The root of the cat parity's stationarity condition
     g = d' (D cos 4a'd' + F) + a' D sin 4a'd' at 50 digits: in
     [acos(-F / D), pi] / (4a') where eta > 1/2, the one root there, and in
-    the full scan's bracket where not."""
+    the full scan's bracket where not.  g is divided by D, so that findroot's
+    test of |g| does not pass on a tiny D alone."""
     a, e = mpmath.mpf(alpha), mpmath.mpf(eta)
     a_p = mpmath.sqrt(e) * a
     damping, floor = mpmath.exp(-2 * (1 - e) * a * a), mpmath.exp(-2 * a_p * a_p)
 
     def g(d):
-        return d * (damping * mpmath.cos(4 * a_p * d) + floor) + a_p * damping * mpmath.sin(
-            4 * a_p * d)
+        return d * (mpmath.cos(4 * a_p * d) + floor / damping) + a_p * mpmath.sin(4 * a_p * d)
 
     if eta > 0.5:
         lo, hi = mpmath.acos(-floor / damping) / (4 * a_p), mpmath.pi / (4 * a_p)
