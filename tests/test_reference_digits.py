@@ -89,15 +89,21 @@ def test_cat_false_positive_product_form_within_its_ulp_bound(alpha):
     assert cat_false_positive_product_form(alpha, 1.0) == 0.0
 
 
+def _cat_factors(alpha, eta):
+    """a' = sqrt(eta) alpha, D = exp(-2 (1 - eta) alpha^2) and F = exp(-2 a'^2)
+    of the lossy cat parity, at 50 digits from the float inputs."""
+    a, e = mpmath.mpf(alpha), mpmath.mpf(eta)
+    a_p = mpmath.sqrt(e) * a
+    return a_p, mpmath.exp(-2 * (1 - e) * a * a), mpmath.exp(-2 * a_p * a_p)
+
+
 def _cat_stationarity_root(alpha, eta):
     """The root of the cat parity's stationarity condition
     g = d' (D cos 4a'd' + F) + a' D sin 4a'd' at 50 digits: in
     [acos(-F / D), pi] / (4a') where eta > 1/2, the one root there, and in
     the full scan's bracket where not.  g is divided by D, so that findroot's
     test of |g| does not pass on a tiny D alone."""
-    a, e = mpmath.mpf(alpha), mpmath.mpf(eta)
-    a_p = mpmath.sqrt(e) * a
-    damping, floor = mpmath.exp(-2 * (1 - e) * a * a), mpmath.exp(-2 * a_p * a_p)
+    a_p, damping, floor = _cat_factors(alpha, eta)
 
     def g(d):
         return d * (mpmath.cos(4 * a_p * d) + floor / damping) + a_p * mpmath.sin(4 * a_p * d)
@@ -142,9 +148,7 @@ def test_cat_operating_point_is_the_global_minimum(alpha, eta):
     # point at exactly pi / (4a') would be the minimum itself as eta -> 1/2,
     # closer to it than any float d'.)
     delta_p, _ = _cat_parity_minimum(alpha, eta)
-    a, e = mpmath.mpf(alpha), mpmath.mpf(eta)
-    a_p = mpmath.sqrt(e) * a
-    damping, floor = mpmath.exp(-2 * (1 - e) * a * a), mpmath.exp(-2 * a_p * a_p)
+    a_p, damping, floor = _cat_factors(alpha, eta)
 
     def parity(d):
         # (2/K) e^{-2 d^2} (D cos 4a'd + F); the positive 2/K is left out

@@ -76,9 +76,12 @@ def displacement_nudged(mp):
 def cat_operating_point_nudged(mp):
     """The cat operating point d' sits a factor 1 + 1e-6 too far out, in
     ``optimize``, figures 4 and 6 and every cat sweep."""
-    _wrap(mp, protocols, "_cat_parity_minimum",
-          lambda minimum: lambda alpha, eta: (lambda d, parity: (d * (1.0 + NUDGE), parity))(
-              *minimum(alpha, eta)))
+    def make(minimum):
+        def nudged(alpha, eta):
+            d, parity = minimum(alpha, eta)
+            return d * (1.0 + NUDGE), parity
+        return nudged
+    _wrap(mp, protocols, "_cat_parity_minimum", make)
 
 
 def squeeze_nudged(mp):
